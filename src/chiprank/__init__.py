@@ -63,6 +63,7 @@ from .dynamics import (
 from .graphs import MultiGraph, degree, laplacian_row, topple
 from .rank import (
     RankResult,
+    RiemannRochData,
     canonical_class_key,
     is_effective_cached,
     kappa,
@@ -70,6 +71,7 @@ from .rank import (
     rank_bounds_check,
     rank_bruteforce,
     riemann_roch_check,
+    riemann_roch_data,
 )
 from .series import TruncatedSeries
 from .strip import (

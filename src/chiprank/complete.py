@@ -87,7 +87,10 @@ def compact_normalize(f: Sequence[int], counter: OpCounter | None = None) -> tup
     """The equivalent configuration with non-sink entries reduced mod n
     relative to the first entry (so they land in 0..n-1, first entry 0) and
     the degree balanced onto the sink."""
-    f = _as_config(f)
+    return _compact_normalize(_as_config(f), counter)
+
+
+def _compact_normalize(f: tuple, counter: OpCounter | None = None) -> tuple:
     n = len(f)
     if n == 1:
         return f
@@ -148,18 +151,17 @@ def decode_word(word: str) -> tuple:
 # ---------- parking via the cyclic lemma ----------
 
 
-def _pipeline(f: Sequence[int], counter: OpCounter | None = None):
-    """Shared O(n) reduction: histogram of parking values plus sink.
+def _pipeline(f: tuple, counter: OpCounter | None = None):
+    """Shared O(n) reduction of a validated configuration on n >= 2
+    vertices: sorted parking values plus sink.
 
-    Returns (n, hist, sink) where hist[v] counts non-sink vertices parked at
-    value v, plus the per-vertex shift data (q, normalized body) so callers
-    can also reconstruct vertex-order results.
+    Returns (n, values, sink) where values lists the non-sink vertices'
+    parking values in weakly increasing order, plus the per-vertex shift
+    data (q, normalized body) so callers can also reconstruct vertex-order
+    results.
     """
-    f = _as_config(f)
     n = len(f)
-    g = compact_normalize(f, counter)
-    if n == 1:
-        return n, [], g[-1], 0, ()
+    g = _compact_normalize(f, counter)
     body = g[:-1]
     hist = [0] * n
     for v in body:
@@ -186,7 +188,8 @@ def _pipeline(f: Sequence[int], counter: OpCounter | None = None):
     sink = g[-1] + n * (q - p) - q
     if counter is not None:
         counter.add(2 * n + 5)
-    return n, parked, sink, q, body
+    values = [v for v in range(n) for _ in range(parked[v])]
+    return n, values, sink, q, body
 
 
 def parking_via_cyclic_lemma(f: Sequence[int]) -> tuple:
@@ -197,10 +200,10 @@ def parking_via_cyclic_lemma(f: Sequence[int]) -> tuple:
     normalized value shifts by -q mod n, q the number of b's rotated away;
     the result is toppling-equivalent to f, not merely a permutation).
     """
-    n, hist, sink, q, body = _pipeline(f)
-    if n == 1:
-        return SortedParking("b", sink), (sink,)
-    values = [v for v in range(n) for _ in range(hist[v])]
+    f = _as_config(f)
+    if len(f) == 1:
+        return SortedParking("b", f[0]), f
+    n, values, sink, q, body = _pipeline(f)
     word = phi1(values, n)
     vertex_order = tuple(c - q if c >= q else c + n - q for c in body) + (sink,)
     return SortedParking(word, sink), vertex_order
@@ -235,12 +238,8 @@ def rank_greedy(f: Sequence[int]) -> int:
     non-negative; hitting the staircase word short-circuits to
     steps + sink, and a negative sink ends the search at steps - 1.
     """
-    f = _as_config(f)
-    n = len(f)
-    if n == 1:
-        return f[0] if f[0] >= 0 else -1
-    sp, _ = parking_via_cyclic_lemma(f)
-    stair = "ab" * (n - 1) + "b"
+    sp, parked = parking_via_cyclic_lemma(f)
+    stair = "ab" * (len(parked) - 1) + "b"
     steps = 0
     while True:
         if sp.sink < 0:
@@ -249,6 +248,27 @@ def rank_greedy(f: Sequence[int]) -> int:
             return steps + sp.sink
         sp = rank_step_zero_coordinate(sp)
         steps += 1
+
+
+def _formula(f: Sequence[int], counter: OpCounter | None = None) -> dict:
+    """The closed form's data (see rank_formula_details), computed once for
+    both public views."""
+    f = _as_config(f)
+    n = len(f)
+    if n == 1:
+        if counter is not None:
+            counter.add(1)
+        rank = f[0] if f[0] >= 0 else -1
+        return {"q": None, "r": None, "heights": [], "terms": [], "rank": rank}
+    _, values, sink, _, _ = _pipeline(f, counter)
+    q, r = divmod(sink + 1, n - 1)
+    # position i (0-based) of the sorted parking values sits at height i - v
+    heights = [i - v for i, v in enumerate(values)]
+    terms = [q - h + (i < r) for i, h in enumerate(heights)]
+    if counter is not None:
+        counter.add(5 * (n - 1) + 3)
+    rank = sum([t for t in terms if t > 0]) - 1
+    return {"q": q, "r": r, "heights": heights, "terms": terms, "rank": rank}
 
 
 def rank_formula(f: Sequence[int], count_ops: bool = False):
@@ -260,54 +280,14 @@ def rank_formula(f: Sequence[int], count_ops: bool = False):
     the elementary integer operations used end to end.
     """
     counter = OpCounter() if count_ops else None
-    f = _as_config(f)
-    n = len(f)
-    if n == 1:
-        r = f[0] if f[0] >= 0 else -1
-        return (r, 1) if count_ops else r
-    _, hist, sink, _, _ = _pipeline(f, counter)
-    q, r = divmod(sink + 1, n - 1)
-    total = 0
-    i = 1
-    for v in range(n):
-        for _ in range(hist[v]):
-            term = q - (i - 1) + v + (1 if i <= r else 0)
-            if term > 0:
-                total += term
-            i += 1
-    if counter is not None:
-        counter.add(5 * (n - 1) + 3)
-    rank = total - 1
-    if count_ops:
-        return rank, counter.ops
-    return rank
+    rank = _formula(f, counter)["rank"]
+    return (rank, counter.ops) if count_ops else rank
 
 
 def rank_formula_details(f: Sequence[int]) -> dict:
     """The formula's intermediate data, for inspection: quotient q,
     remainder r, the heights, the per-position terms, and the rank."""
-    f = _as_config(f)
-    n = len(f)
-    if n == 1:
-        return {
-            "q": None,
-            "r": None,
-            "heights": [],
-            "terms": [],
-            "rank": f[0] if f[0] >= 0 else -1,
-        }
-    _, hist, sink, _, _ = _pipeline(f)
-    q, r = divmod(sink + 1, n - 1)
-    eta = []
-    terms = []
-    i = 1
-    for v in range(n):
-        for _ in range(hist[v]):
-            eta.append((i - 1) - v)
-            terms.append(q - eta[-1] + (1 if i <= r else 0))
-            i += 1
-    rank = sum(t for t in terms if t > 0) - 1
-    return {"q": q, "r": r, "heights": eta, "terms": terms, "rank": rank}
+    return _formula(f)
 
 
 def theta_iterate(word: str, sink: int, k: int) -> tuple:

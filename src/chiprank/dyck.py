@@ -182,7 +182,8 @@ def cdinv(w: str) -> int:
             i += 1
         else:
             x += 1
-    assert contacts == [i + h * (n - 1) for i, h in enumerate(eta)]
+    if contacts != [i + h * (n - 1) for i, h in enumerate(eta)]:
+        raise AssertionError("internal error: contact labels disagree with heights")
     count = 0
     for i in range(len(contacts)):
         for j in range(i + 1, len(contacts)):
@@ -212,7 +213,8 @@ def cyclic_factorization(w: str) -> tuple:
             best = h
             best_pos = pos + 1
     u, v = w[:best_pos], w[best_pos:]
-    assert is_dn_word(v + u)
+    if not is_dn_word(v + u):
+        raise AssertionError("internal error: rotation has a b-heavy prefix")
     return u, v
 
 

@@ -10,7 +10,8 @@ by the Laplacian rows.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 from typing import Sequence
 
 from . import _backend
@@ -75,13 +76,23 @@ def is_recurrent_burning(G: MultiGraph, f: Sequence[int]) -> bool:
     f = check_config(G, f)
     if not is_stable(G, f):
         raise ValueError("burning test expects a stable configuration")
-    n, degs, flat = G.flat()
-    row = G.laplacian_row(n)
-    cfg = [x - d for x, d in zip(f, row)]
-    odo = _backend.stabilize(n, degs, flat, cfg)
-    burned_once = all(odo[i] == 1 for i in range(n - 1))
-    assert burned_once == (tuple(cfg) == f), "odometer and fixed point disagree"
+    burned_once, cfg = _fire_sink(G, f)
+    if burned_once != (tuple(cfg) == f):
+        raise AssertionError("odometer and fixed point disagree")
     return burned_once
+
+
+def _fire_sink(G: MultiGraph, f: Sequence[int]) -> tuple:
+    """Fire the sink into f and stabilize.
+
+    Returns ``(burned_once, cfg)``: whether every non-sink vertex toppled
+    exactly once (the recurrence criterion), and the stabilized result.
+    """
+    n, degs, flat = G.flat()
+    cfg = [x + e for x, e in zip(f, flat[(n - 1) * n:])]
+    cfg[-1] -= degs[-1]
+    odo = _backend.stabilize(n, degs, flat, cfg)
+    return all(odo[i] == 1 for i in range(n - 1)), cfg
 
 
 def is_recurrent_subsets(G: MultiGraph, f: Sequence[int]) -> bool:
@@ -148,7 +159,8 @@ def parking_representative(G: MultiGraph, f: Sequence[int]) -> tuple:
     cfg = list(f)
     _backend.parking_reduce(n, degs, flat, cfg)
     out = tuple(cfg)
-    assert is_parking(G, out), "internal error: reduction left a non-parking state"
+    if not is_parking(G, out):
+        raise AssertionError("internal error: reduction left a non-parking state")
     return out
 
 
@@ -274,6 +286,17 @@ def is_effective_class(G: MultiGraph, f: Sequence[int]) -> bool:
     return parking_representative(G, f)[-1] >= 0
 
 
+def _stable_cube(G: MultiGraph):
+    """Every stable sandpile configuration with sink entry 0, as tuples of
+    non-sink entries (the sink entry plays no role in recurrence or parking).
+    Refuses cubes beyond the enumeration guard."""
+    sizes = G.degrees[:-1]
+    cells = prod(sizes)
+    if cells > _ENUM_LIMIT:
+        raise ValueError(f"stable cube has {cells} cells; enumeration refused")
+    return product(*map(range, sizes))
+
+
 def recurrent_level_counts(G: MultiGraph) -> list:
     """Histogram of recurrent configurations by level.
 
@@ -282,35 +305,15 @@ def recurrent_level_counts(G: MultiGraph) -> list:
     configurations sit at each level.  The total is the number of spanning
     trees.
     """
-    n, degs = G.n, G.degrees
-    cells = 1
-    for i in range(n - 1):
-        cells *= degs[i]
-    if cells > _ENUM_LIMIT:
-        raise ValueError(f"stable cube has {cells} cells; enumeration refused")
-    top = G.m - n + 1
+    top = G.m - G.n + 1
     counts = [0] * (top + 1)
-    nn, dd, flat = G.flat()
-    sink_row = G.laplacian_row(n)
-    stack = [0] * (n - 1)
-    shift = G.m - degs[n - 1]
-
-    def rec(i):
-        if i == n - 1:
-            # recurrence by definition: fire the sink, stabilize, and ask
-            # for a full round of single topplings (sink entry irrelevant)
-            cfg = [v - d for v, d in zip(stack + [0], sink_row)]
-            odo = _backend.stabilize(nn, dd, flat, cfg)
-            if all(odo[k] == 1 for k in range(n - 1)):
-                level = sum(stack) - shift
-                assert 0 <= level <= top, f"recurrent level {level} out of range"
-                counts[level] += 1
-            return
-        for v in range(degs[i]):
-            stack[i] = v
-            rec(i + 1)
-
-    rec(0)
+    shift = G.m - G.degrees[-1]
+    for body in _stable_cube(G):
+        if _fire_sink(G, body + (0,))[0]:
+            level = sum(body) - shift
+            if not 0 <= level <= top:
+                raise AssertionError(f"recurrent level {level} out of range")
+            counts[level] += 1
     return counts
 
 
@@ -327,29 +330,13 @@ def effective_class_counts(G: MultiGraph, d_max: int) -> dict:
     """
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
-    n, degs = G.n, G.degrees
-    cells = 1
-    for i in range(n - 1):
-        cells *= degs[i]
-    if cells > _ENUM_LIMIT:
-        raise ValueError(f"stable cube has {cells} cells; enumeration refused")
-
-    parking_sums = []
-    nn, dd, flat = G.flat()
-    stack = [0] * (n - 1)
-
-    def rec(i):
-        if i == n - 1:
-            # the burning closure consumes everything exactly on parking
-            # configurations (the sink entry plays no role)
-            if not _backend.burning_test(nn, dd, flat, stack + [0]):
-                parking_sums.append(sum(stack))
-            return
-        for v in range(degs[i]):
-            stack[i] = v
-            rec(i + 1)
-
-    rec(0)
+    n, degs, flat = G.flat()
+    # the burning closure consumes everything exactly on parking configurations
+    parking_sums = [
+        sum(body)
+        for body in _stable_cube(G)
+        if not _backend.burning_test(n, degs, flat, body + (0,))
+    ]
 
     levels = recurrent_level_counts(G)
     top = G.m - n + 1

@@ -10,7 +10,7 @@ toppling class so sweeps over many configurations stay fast.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .dynamics import is_effective_class
 from .graphs import MultiGraph, check_config, degree
@@ -19,6 +19,8 @@ __all__ = [
     "RankResult",
     "rank_bruteforce",
     "kappa",
+    "RiemannRochData",
+    "riemann_roch_data",
     "riemann_roch_check",
     "rank_bounds_check",
     "canonical_class_key",
@@ -198,12 +200,34 @@ def kappa_dual(G: MultiGraph, f: Sequence[int]) -> tuple:
     return tuple(k - x for k, x in zip(kappa(G), f))
 
 
-def riemann_roch_check(G: MultiGraph, f: Sequence[int]) -> bool:
-    """Does rank(f) - rank(kappa - f) equal deg(f) + n - m?"""
+class RiemannRochData(NamedTuple):
+    """Both sides of the rank symmetry for one configuration f.
+
+    ``holds`` says whether rank - dual_rank equals degree + n - m, where
+    dual_config is kappa - f.
+    """
+
+    rank: int
+    dual_config: tuple
+    dual_rank: int
+    degree: int
+    holds: bool
+
+
+def riemann_roch_data(G: MultiGraph, f: Sequence[int]) -> RiemannRochData:
+    """Brute-force ranks of f and of kappa - f, and whether
+    rank(f) - rank(kappa - f) equals deg(f) + n - m."""
     f = check_config(G, f)
     dual = kappa_dual(G, f)
-    lhs = rank_bruteforce(G, f).rank - rank_bruteforce(G, dual).rank
-    return lhs == degree(f) + G.n - G.m
+    r = rank_bruteforce(G, f).rank
+    rd = rank_bruteforce(G, dual).rank
+    d = degree(f)
+    return RiemannRochData(r, dual, rd, d, r - rd == d + G.n - G.m)
+
+
+def riemann_roch_check(G: MultiGraph, f: Sequence[int]) -> bool:
+    """Does rank(f) - rank(kappa - f) equal deg(f) + n - m?"""
+    return riemann_roch_data(G, f).holds
 
 
 def rank_bounds_check(G: MultiGraph, f: Sequence[int], *, trials: int = 4) -> bool:

@@ -156,3 +156,13 @@ def test_genfun_ln_formats(capsys):
 def test_genfun_identity(capsys):
     payload = run_json(capsys, "genfun", "identity", "--max-n", "3", "--trunc", "5")
     assert payload == {"max_n": 3, "trunc": 5, "holds": True}
+
+
+def test_runtime_error_exits_1(capsys, monkeypatch):
+    def refuse(G, f):
+        raise RuntimeError("parking reduction did not settle (input too extreme)")
+
+    monkeypatch.setattr("chiprank.rank.is_effective_class", refuse)
+    code, out, err = run(capsys, "effective", "--complete", "3", "--config", "1,0,0")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "did not settle" in err

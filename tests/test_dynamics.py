@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chiprank
 from chiprank import dynamics
 from chiprank.graphs import MultiGraph, laplacian_row, topple
 
@@ -171,3 +176,22 @@ def test_recurrent_level_counts_pinned(K3, K4, W5):
 def test_effective_class_counts_pinned(K3):
     counts = dynamics.effective_class_counts(K3, 4)
     assert counts == {0: 1, 1: 3, 2: 3, 3: 3, 4: 3}
+
+
+def test_invariant_checks_survive_optimize_flag():
+    """The parking self-check still fires under ``python -O``."""
+    script = (
+        "from chiprank import _backend, dynamics\n"
+        "from chiprank.graphs import MultiGraph\n"
+        "_backend.parking_reduce = lambda n, degs, flat, cfg: None\n"
+        "try:\n"
+        "    dynamics.parking_representative(MultiGraph.complete(3), (5, 0, 0))\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('no AssertionError under -O')\n"
+    )
+    src = os.path.dirname(os.path.dirname(chiprank.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
