@@ -8,20 +8,16 @@ extension is skipped.  Installation must succeed without a compiler, so every
 failure here degrades to a pure build.
 """
 
-import os
-
 from setuptools import setup
 
-ext_modules = []
-if os.environ.get("CHIPRANK_NO_EXT", "") != "1":
-    try:
-        from Cython.Build import cythonize
+try:
+    from Cython.Build import cythonize
 
-        ext_modules = cythonize(
-            ["src/chiprank/_kernels.pyx"],
-            compiler_directives={"language_level": "3"},
-        )
-    except Exception:
-        ext_modules = []
+    ext_modules = cythonize(
+        ["src/chiprank/_kernels.pyx"],
+        compiler_directives={"language_level": "3"},
+    )
+except Exception:
+    ext_modules = []
 
 setup(ext_modules=ext_modules)

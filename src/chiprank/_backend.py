@@ -1,52 +1,42 @@
 """Kernel backend selection.
 
-Prefers the compiled extension when it is importable, unless CHIPRANK_PURE is
-set to a non-empty value other than "0".  The compiled kernels refuse inputs
-that could overflow machine integers, so callers fall back per call as well.
+Uses the compiled extension whenever it is importable.  The compiled kernels
+refuse inputs that could overflow machine integers (raising OverflowError
+with the configuration untouched), so each call falls back to the pure
+kernel on such inputs.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import _pykernels as pure
-
-_FORCE_PURE = os.environ.get("CHIPRANK_PURE", "").strip() not in ("", "0")
 
 COMPILED = False
 impl = pure
-if not _FORCE_PURE:
-    try:
-        from . import _kernels as _compiled  # type: ignore[attr-defined]
+try:
+    from . import _kernels as _compiled  # type: ignore[attr-defined]
 
-        impl = _compiled
-        COMPILED = True
-    except ImportError:
-        pass
-
-
-def stabilize(n, degs, flat, cfg):
-    if COMPILED:
-        try:
-            return impl.stabilize(n, degs, flat, cfg)
-        except OverflowError:
-            pass
-    return pure.stabilize(n, degs, flat, cfg)
+    impl = _compiled
+    COMPILED = True
+except ImportError:
+    pass
 
 
-def burning_test(n, degs, flat, cfg):
-    if COMPILED:
-        try:
-            return impl.burning_test(n, degs, flat, cfg)
-        except OverflowError:
-            pass
-    return pure.burning_test(n, degs, flat, cfg)
+def _dispatcher(name: str):
+    fallback = getattr(pure, name)
+
+    def kernel(n, degs, flat, cfg):
+        # ``impl`` is read at call time, so it can be swapped for a wrapper
+        if COMPILED:
+            try:
+                return getattr(impl, name)(n, degs, flat, cfg)
+            except OverflowError:
+                pass
+        return fallback(n, degs, flat, cfg)
+
+    kernel.__name__ = kernel.__qualname__ = name
+    return kernel
 
 
-def parking_reduce(n, degs, flat, cfg):
-    if COMPILED:
-        try:
-            return impl.parking_reduce(n, degs, flat, cfg)
-        except OverflowError:
-            pass
-    return pure.parking_reduce(n, degs, flat, cfg)
+stabilize = _dispatcher("stabilize")
+burning_test = _dispatcher("burning_test")
+parking_reduce = _dispatcher("parking_reduce")

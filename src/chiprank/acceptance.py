@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import time
+from itertools import product
 
 from . import complete, dyck, dynamics, rank, strip
 from .graphs import MultiGraph
@@ -189,18 +190,8 @@ def check_recurrence_duality(seed: int) -> tuple:
     configurations onto parking ones, over every stable configuration of
     K3, K4, and the 5-wheel."""
     for G in (MultiGraph.complete(3), MultiGraph.complete(4), MultiGraph.wheel(5)):
-        n = G.n
-
-        def cube(i, cfg):
-            if i == n - 1:
-                yield tuple(cfg) + (0,)
-                return
-            for v in range(G.degrees[i]):
-                cfg.append(v)
-                yield from cube(i + 1, cfg)
-                cfg.pop()
-
-        for f in cube(0, []):
+        for body in product(*(range(d) for d in G.degrees[:-1])):
+            f = body + (0,)
             burn = dynamics.is_recurrent_burning(G, f)
             subs = dynamics.is_recurrent_subsets(G, f)
             comp = dynamics.beta(G, f)

@@ -48,32 +48,10 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _cmd_stabilize(args: argparse.Namespace) -> int:
-    G = _load_graph(args)
-    f = _parse_config(args.config)
-    stable, odometer = dynamics.stabilize(G, f)
-    _emit({"stable": list(stable), "odometer": list(odometer)})
-    return 0
-
-
-def _cmd_parking(args: argparse.Namespace) -> int:
-    G = _load_graph(args)
-    f = _parse_config(args.config)
-    _emit({"parking": list(dynamics.parking_representative(G, f))})
-    return 0
-
-
-def _cmd_recurrent(args: argparse.Namespace) -> int:
-    G = _load_graph(args)
-    f = _parse_config(args.config)
-    _emit({"recurrent": list(dynamics.recurrent_representative(G, f))})
-    return 0
-
-
-def _cmd_effective(args: argparse.Namespace) -> int:
-    G = _load_graph(args)
-    f = _parse_config(args.config)
-    _emit({"effective": rank.is_effective_class(G, f)})
+def _cmd_config(args: argparse.Namespace) -> int:
+    """stabilize, parking, recurrent and effective: one graph, one
+    configuration, one JSON payload."""
+    _emit(args.compute(_load_graph(args), _parse_config(args.config)))
     return 0
 
 
@@ -85,6 +63,8 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         method = "formula" if G.is_complete() else "bruteforce"
     elif method in ("formula", "greedy") and not G.is_complete():
         raise ValueError(f"method {method!r} only applies to complete graphs")
+    if args.count_ops and method != "formula":
+        raise ValueError("--count-ops only applies to the formula method")
     out: dict = {"method": method, "degree": sum(f)}
     t0 = time.perf_counter()
     if method == "formula":
@@ -95,8 +75,6 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     elif method == "greedy":
         out["rank"] = complete.rank_greedy(f)
     else:
-        if args.count_ops:
-            raise ValueError("--count-ops only applies to the formula method")
         result = rank.rank_bruteforce(G, f)
         out["rank"] = result.rank
         out["witness"] = list(result.witness)
@@ -202,16 +180,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, blurb in (
-        ("stabilize", _cmd_stabilize, "topple until every non-sink vertex is stable"),
-        ("parking", _cmd_parking, "parking representative of the configuration's class"),
-        ("recurrent", _cmd_recurrent, "recurrent representative of the configuration's class"),
-        ("effective", _cmd_effective, "does the class contain a nonnegative configuration"),
+    # each library function is looked up when the command runs, so a
+    # wrapper or stand-in installed on its module is the one called
+    for name, blurb, compute in (
+        ("stabilize", "topple until every non-sink vertex is stable",
+         lambda G, f: dict(zip(("stable", "odometer"),
+                               map(list, dynamics.stabilize(G, f))))),
+        ("parking", "parking representative of the configuration's class",
+         lambda G, f: {"parking": list(dynamics.parking_representative(G, f))}),
+        ("recurrent", "recurrent representative of the configuration's class",
+         lambda G, f: {"recurrent": list(dynamics.recurrent_representative(G, f))}),
+        ("effective", "does the class contain a nonnegative configuration",
+         lambda G, f: {"effective": rank.is_effective_class(G, f)}),
     ):
         p = sub.add_parser(name, help=blurb)
         _add_graph_args(p)
         p.add_argument("--config", required=True, help="chip counts: inline, @file, or -")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_cmd_config, compute=compute)
 
     p = sub.add_parser("rank", help="divisor rank of a configuration")
     _add_graph_args(p)

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .dyck import is_dn_word, theta, to_dn_word, to_dyck_word
+from .dyck import _first_return_rotation, is_dn_word, to_dn_word, to_dyck_word
+from .graphs import _as_ints
 
 __all__ = [
     "SortedParking",
@@ -55,7 +56,7 @@ class OpCounter:
 
 
 def _as_config(f: Sequence[int]) -> tuple:
-    f = tuple(int(x) for x in f)
+    f = _as_ints(f)
     if not f:
         raise ValueError("configuration must not be empty")
     return f
@@ -117,7 +118,7 @@ def is_compact_sorted(f: Sequence[int]) -> bool:
 def phi1(values: Sequence[int], n: int) -> str:
     """Word of a weakly increasing value list: the i-th a is preceded by
     values[i] b's, padded to n b's total."""
-    values = [int(v) for v in values]
+    values = _as_ints(values, "parking values")
     if len(values) != n - 1:
         raise ValueError(f"need {n - 1} values for n = {n}")
     if any(x > y for x, y in zip(values, values[1:])) or any(
@@ -221,14 +222,9 @@ def rank_step_zero_coordinate(sp: SortedParking) -> SortedParking:
     word, sink = sp
     if not is_dn_word(word) or word == "b":
         raise ValueError("expected a sorted parking word with a zero coordinate")
-    inner = to_dyck_word(word)
-    h = 0
-    for pos, c in enumerate(inner):
-        h += 1 if c == "a" else -1
-        if h == 0:
-            break
-    cost = 1 + inner[1:pos].count("a")  # a's of the rotated block a u b
-    return SortedParking(to_dn_word(theta(inner)), sink - cost)
+    rotated, u = _first_return_rotation(to_dyck_word(word))
+    cost = 1 + u.count("a")  # a's of the rotated block a u b
+    return SortedParking(to_dn_word(rotated), sink - cost)
 
 
 def rank_greedy(f: Sequence[int]) -> int:
@@ -294,7 +290,8 @@ def theta_iterate(word: str, sink: int, k: int) -> tuple:
     """Apply the zero-coordinate step k times to (word, sink)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    sp = SortedParking(word, int(sink))
+    (sink,) = _as_ints((sink,), "the sink entry")
+    sp = SortedParking(word, sink)
     if not is_dn_word(sp.word):
         raise ValueError("expected a sorted parking word")
     for _ in range(k):

@@ -103,14 +103,20 @@ def theta(w: str) -> str:
     zero and produce v a b u.  Fixes nothing but the staircase (ab)^p."""
     if not is_dyck_word(w) or not w:
         raise ValueError("theta acts on nonempty balanced words")
+    return _first_return_rotation(w)[0]
+
+
+def _first_return_rotation(w: str) -> tuple:
+    """``(v a b u, u)`` for a nonempty balanced w = a u b v split at its
+    first return to height zero; theta's image plus the rotated block's
+    inside.  Unchecked: callers validate w."""
     h = 0
     for pos, c in enumerate(w):
         h += 1 if c == "a" else -1
         if h == 0:
             break
     u = w[1:pos]
-    v = w[pos + 1 :]
-    return v + "ab" + u
+    return w[pos + 1 :] + "ab" + u, u
 
 
 def coheights(w: str) -> list:

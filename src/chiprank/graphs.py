@@ -10,6 +10,7 @@ the JSON interchange format.
 from __future__ import annotations
 
 import json
+import operator
 from collections import deque
 from typing import Iterable, Sequence
 
@@ -35,7 +36,7 @@ class MultiGraph:
     __slots__ = ("n", "m", "mult", "degrees", "_flat", "_hnf", "_eff_cache")
 
     def __init__(self, mult: Sequence[Sequence[int]]):
-        rows = [tuple(int(x) for x in row) for row in mult]
+        rows = [_as_ints(row, "edge multiplicities") for row in mult]
         n = len(rows)
         if n < 1:
             raise ValueError("graph needs at least one vertex")
@@ -57,7 +58,7 @@ class MultiGraph:
             raise ValueError("graph must be connected")
         self._flat = None       # flat buffers for the compiled kernels
         self._hnf = None        # lattice normal form, built on demand
-        self._eff_cache = None  # effectiveness-by-class cache
+        self._eff_cache = {}    # effectiveness by class key (see rank)
 
     def _connected(self) -> bool:
         seen = [False] * self.n
@@ -102,8 +103,10 @@ class MultiGraph:
 
         Each item is ``(i, j)`` or ``(i, j, mult)``; repeated pairs accumulate.
         """
+        (n,) = _as_ints((n,), "the vertex count")
         mult = [[0] * n for _ in range(n)]
         for edge in edges:
+            edge = _as_ints(edge, "edge endpoints and multiplicities")
             if len(edge) == 2:
                 i, j = edge
                 e = 1
@@ -127,7 +130,9 @@ class MultiGraph:
         data = json.loads(text) if isinstance(text, str) else text
         if not isinstance(data, dict) or "n" not in data or "edges" not in data:
             raise ValueError('graph JSON needs keys "n" and "edges"')
-        return cls.from_edges(int(data["n"]), data["edges"])
+        if not isinstance(data["edges"], list):
+            raise ValueError('graph JSON "edges" must be a list')
+        return cls.from_edges(data["n"], data["edges"])
 
     def to_json(self) -> str:
         edges = []
@@ -200,9 +205,18 @@ class MultiGraph:
 # ---------- configurations ----------
 
 
+def _as_ints(values: Iterable, what: str = "configuration entries") -> tuple:
+    """``values`` as a tuple of ints.  Anything that is not an integer
+    (a float, a string, ...) raises ValueError rather than being truncated."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers") from None
+
+
 def check_config(G: MultiGraph, f: Sequence[int]) -> tuple:
     """Validate one-entry-per-vertex and return the configuration as a tuple."""
-    f = tuple(int(x) for x in f)
+    f = _as_ints(f)
     if len(f) != G.n:
         raise ValueError(f"configuration must have {G.n} entries, got {len(f)}")
     return f

@@ -110,16 +110,21 @@ def is_effective_cached(G: MultiGraph, f: Sequence[int]) -> bool:
     toppling class (as rank searches make constantly) cost one dictionary
     lookup after the first.
     """
-    if G._eff_cache is None:
-        G._eff_cache = {}
     d = sum(f)
     if d < 0:
         return False
-    key = (d, _residue(_lattice_form(G), f, G.n - 1))
-    hit = G._eff_cache.get(key)
+    return _probe(G, (d, _residue(_lattice_form(G), f, G.n - 1)), f)
+
+
+def _probe(G: MultiGraph, key: tuple, f: tuple, lam: tuple | None = None) -> bool:
+    """Effectiveness of the class of f - lam (of f when lam is None), whose
+    class key is ``key``.  The one reader and writer of G's effectiveness
+    cache; f - lam is only built on a miss."""
+    cache = G._eff_cache
+    hit = cache.get(key)
     if hit is None:
-        hit = is_effective_class(G, f)
-        G._eff_cache[key] = hit
+        g = f if lam is None else tuple(x - y for x, y in zip(f, lam))
+        hit = cache[key] = is_effective_class(G, g)
     return hit
 
 
@@ -165,9 +170,6 @@ def rank_bruteforce(
         raise ValueError(
             f"rank search space exceeds {max_candidates} candidate patterns"
         )
-    if G._eff_cache is None:
-        G._eff_cache = {}
-    cache = G._eff_cache
     cols = _lattice_form(G)
     k = G.n - 1
     res_f = _residue(cols, f, k) if k else ()
@@ -177,13 +179,7 @@ def rank_bruteforce(
             return RankResult(dd - 1, next(_removal_patterns(dd, G.n)))
         for lam in _removal_patterns(dd, G.n):
             shifted = tuple(x - y for x, y in zip(res_f, lam))
-            key = (d - dd, _residue(cols, shifted, k))
-            hit = cache.get(key)
-            if hit is None:
-                g = tuple(x - y for x, y in zip(f, lam))
-                hit = is_effective_class(G, g)
-                cache[key] = hit
-            if not hit:
+            if not _probe(G, (d - dd, _residue(cols, shifted, k)), f, lam):
                 return RankResult(dd - 1, lam)
     raise AssertionError("internal error: rank search exhausted its ceiling")
 

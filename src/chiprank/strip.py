@@ -90,8 +90,12 @@ def left_right(w: str, s: int) -> tuple:
     n, L = _row_labels(w)
     if n == 1:
         return (0, 0)
-    left = 0
-    right = 0
+    return _counts(L, n, s)
+
+
+def _counts(L: list, n: int, s: int) -> tuple:
+    """left_right's two counts from the row labels L of an n-strip, n >= 2."""
+    left = right = 0
     for Li in L:
         k = (s - Li) // (n - 1) + 1
         if k > 0:
@@ -146,32 +150,20 @@ def Ln_direct(n: int, trunc: int) -> TruncatedSeries:
     if words > _DIRECT_LIMIT:
         raise ValueError(f"{words} words is past the direct-enumeration limit")
     total: dict = {}
-
-    def lr(L, s):
-        left = right = 0
-        for Li in L:
-            k = (s - Li) // (n - 1) + 1
-            if k > 0:
-                left += k
-            k = -((s - (Li - (n - 1))) // (n - 1))
-            if k > 0:
-                right += k
-        return left, right
-
     for w in dn_words(n):
         eta = heights(w)
         L = [i + eta[i] * (n - 1) for i in range(n - 1)]
         start = min(L)
         s = start - 1
         while True:
-            l, r = lr(L, s)
+            l, r = _counts(L, n, s)
             if r > trunc:
                 break
             total[(l, r)] = total.get((l, r), 0) + 1
             s -= 1
         s = start
         while True:
-            l, r = lr(L, s)
+            l, r = _counts(L, n, s)
             if r == 0 and l > trunc:
                 break
             if l + r <= trunc:

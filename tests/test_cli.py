@@ -86,6 +86,23 @@ def test_rank_errors(capsys):
     code, _, err = run(capsys, "rank", "--complete", "3", "--config", "1,2,3",
                        "--method", "bruteforce", "--count-ops")
     assert code == 1 and "count-ops" in err
+    code, out, err = run(capsys, "rank", "--complete", "3", "--config", "1,2,3",
+                         "--method", "greedy", "--count-ops")
+    assert code == 1 and out == "" and "count-ops" in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"n":3,"edges":[[1.5,2],[2,3]]}',
+    '{"n":3,"edges":[[1,2,"x"],[2,3]]}',
+    '{"n":3,"edges":5}',
+    '{"n":2.9,"edges":[[1,2]]}',
+])
+def test_malformed_graph_file_exits_1(capsys, tmp_path, text):
+    p = tmp_path / "g.json"
+    p.write_text(text)
+    code, out, err = run(capsys, "stabilize", "--graph", str(p), "--config", "0,0")
+    assert code == 1 and out == ""
+    assert err.startswith("error:")
 
 
 def test_usage_error_exit_code():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from chiprank import complete, dynamics, rank
 from chiprank.graphs import MultiGraph, check_config, degree, laplacian_row, topple
 
 
@@ -92,6 +93,19 @@ def test_check_config_validates_length(K3):
         check_config(K3, (1, 2))
     with pytest.raises(ValueError):
         check_config(K3, (1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("call", [
+    lambda K3: complete.rank_formula((2.7, 0, 0)),
+    lambda K3: rank.rank_bruteforce(K3, (2.7, 0, 0)),
+    lambda K3: dynamics.stabilize(K3, ("3", 0, 0)),
+    lambda K3: MultiGraph([[0, 1.5], [1.5, 0]]),
+    lambda K3: MultiGraph.from_edges(2.9, [(1, 2)]),
+    lambda K3: MultiGraph.from_edges(3, [(1, 2), (2, 3, 1.0)]),
+], ids=["rank_formula", "rank_bruteforce", "stabilize", "matrix", "n", "edge"])
+def test_non_integers_rejected_not_truncated(K3, call):
+    with pytest.raises(ValueError, match="must be integers"):
+        call(K3)
 
 
 def test_spanning_tree_counts(K3, K4, K5, W5):
