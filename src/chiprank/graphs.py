@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import operator
 from collections import deque
+from math import prod
 from typing import Iterable, Sequence
 
 
@@ -57,8 +58,8 @@ class MultiGraph:
         if not self._connected():
             raise ValueError("graph must be connected")
         self._flat = None       # flat buffers for the compiled kernels
-        self._hnf = None        # lattice normal form, built on demand
-        self._eff_cache = {}    # effectiveness by class key (see rank)
+        self._hnf = None        # Hermite form of the reduced Laplacian, on demand
+        self._eff_cache = {}    # delta per non-sink residue (see rank)
 
     def _connected(self) -> bool:
         seen = [False] * self.n
@@ -173,13 +174,11 @@ class MultiGraph:
         )
 
     def spanning_tree_count(self) -> int:
-        """Number of spanning trees, by an exact integer determinant of the
-        reduced Laplacian (sink row and column removed)."""
-        k = self.n - 1
-        if k == 0:
-            return 1
-        reduced = [list(self.laplacian_row(i + 1)[:k]) for i in range(k)]
-        return _det_bareiss(reduced)
+        """Number of spanning trees: the determinant of the reduced Laplacian
+        (sink row and column removed), read off as the product of the
+        diagonal of its Hermite form."""
+        cols = _lattice_form(self)
+        return prod(cols[i][i] for i in range(self.n - 1))
 
     def _check_vertex(self, i: int) -> None:
         if not isinstance(i, int) or not (1 <= i <= self.n):
@@ -242,22 +241,43 @@ def topple(G: MultiGraph, f: Sequence[int], i: int) -> tuple:
     return tuple(x - d for x, d in zip(f, row))
 
 
-def _det_bareiss(a: list) -> int:
-    """Fraction-free determinant of an integer matrix (Bareiss)."""
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+# ---------- the toppling lattice ----------
+
+
+def _column_hnf(mat: list) -> list:
+    """Lower-triangular column Hermite form of a nonsingular integer matrix,
+    as a list of columns with positive diagonal entries.
+
+    Only integer column operations are used, so the columns of the result
+    span the same lattice as the columns of ``mat``, and the product of the
+    diagonal is the absolute value of its determinant.
+    """
+    k = len(mat)
+    cols = [[mat[r][c] for r in range(k)] for c in range(k)]
+    for i in range(k):
+        while True:
+            live = [c for c in range(i, k) if cols[c][i] != 0]
+            if not live:
+                raise ValueError("matrix is singular")
+            if len(live) == 1:
+                break
+            live.sort(key=lambda c: abs(cols[c][i]))
+            a, b = live[0], live[1]
+            q = cols[b][i] // cols[a][i]
+            for r in range(k):
+                cols[b][r] -= q * cols[a][r]
+        c = live[0]
+        cols[i], cols[c] = cols[c], cols[i]
+        if cols[i][i] < 0:
+            for r in range(k):
+                cols[i][r] = -cols[i][r]
+    return cols
+
+
+def _lattice_form(G: MultiGraph) -> list:
+    """The Hermite form of G's reduced Laplacian, built once per graph.  Its
+    columns span the lattice of non-sink toppling moves."""
+    if G._hnf is None:
+        k = G.n - 1
+        G._hnf = _column_hnf([list(G.laplacian_row(i + 1)[:k]) for i in range(k)])
+    return G._hnf

@@ -3,17 +3,23 @@
 The rank of a configuration f is the largest r such that f stays effective
 after removing *any* r chips; equivalently rank(f) + 1 is the least degree of
 an effective lambda with f - lambda not effective.  Ranks here are computed
-by brute force over chip-removal patterns, with effectiveness memoized per
-toppling class so sweeps over many configurations stay fast.
+by brute force over chip-removal patterns.  A class of degree d and element
+g of Jac(G) (named by the non-sink residue modulo the Hermite form of the
+reduced Laplacian) is effective iff d >= delta(g), the non-sink chip count
+of its one parking representative; each graph caches delta per residue, so
+the cache never holds more than |Jac(G)| entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator, NamedTuple, Sequence
 
-from .dynamics import is_effective_class
-from .graphs import MultiGraph, check_config, degree
+# is_effective_class is bound here for the CLI's effective command, which
+# answers through rank.is_effective_class (the uncached parking route)
+from .dynamics import is_effective_class, parking_representative
+from .graphs import MultiGraph, _lattice_form, check_config, degree
 
 __all__ = [
     "RankResult",
@@ -44,42 +50,6 @@ class RankResult:
 # ---------- toppling-class canonical keys ----------
 
 
-def _column_hnf(mat: list) -> list:
-    """Lower-triangular column Hermite form of a nonsingular integer matrix.
-
-    Only integer column operations are used, so the columns of the result
-    span the same lattice as the columns of ``mat``.
-    """
-    k = len(mat)
-    cols = [[mat[r][c] for r in range(k)] for c in range(k)]
-    for i in range(k):
-        while True:
-            live = [c for c in range(i, k) if cols[c][i] != 0]
-            if not live:
-                raise ValueError("matrix is singular")
-            if len(live) == 1:
-                break
-            live.sort(key=lambda c: abs(cols[c][i]))
-            a, b = live[0], live[1]
-            q = cols[b][i] // cols[a][i]
-            for r in range(k):
-                cols[b][r] -= q * cols[a][r]
-        c = live[0]
-        cols[i], cols[c] = cols[c], cols[i]
-        if cols[i][i] < 0:
-            for r in range(k):
-                cols[i][r] = -cols[i][r]
-    return cols
-
-
-def _lattice_form(G: MultiGraph) -> list:
-    if G._hnf is None:
-        k = G.n - 1
-        reduced = [list(G.laplacian_row(i + 1)[:k]) for i in range(k)]
-        G._hnf = _column_hnf(reduced) if k else []
-    return G._hnf
-
-
 def _residue(cols: list, f: Sequence[int], k: int) -> tuple:
     v = list(f[:k])
     for i in range(k):
@@ -104,28 +74,22 @@ def canonical_class_key(G: MultiGraph, f: Sequence[int]) -> tuple:
 
 
 def is_effective_cached(G: MultiGraph, f: Sequence[int]) -> bool:
-    """Effectiveness of the class of f, memoized per graph.
-
-    Keyed by the canonical class key, so repeated probes into the same
-    toppling class (as rank searches make constantly) cost one dictionary
-    lookup after the first.
-    """
-    d = sum(f)
-    if d < 0:
-        return False
-    return _probe(G, (d, _residue(_lattice_form(G), f, G.n - 1)), f)
+    """Effectiveness of the class of f, memoized per graph: after the first
+    probe into an element of Jac(G), a probe costs one class key and one
+    dictionary lookup."""
+    return _probe(G, *canonical_class_key(G, f))
 
 
-def _probe(G: MultiGraph, key: tuple, f: tuple, lam: tuple | None = None) -> bool:
-    """Effectiveness of the class of f - lam (of f when lam is None), whose
-    class key is ``key``.  The one reader and writer of G's effectiveness
-    cache; f - lam is only built on a miss."""
+def _probe(G: MultiGraph, d: int, res: tuple) -> bool:
+    """Is the class of degree d and non-sink residue res effective, that is,
+    is d >= delta(res)?  The one reader and writer of G's cache of delta.  A
+    miss reduces the residue itself, whose entries are non-negative and
+    below the Hermite diagonal, so its cost does not grow with f."""
     cache = G._eff_cache
-    hit = cache.get(key)
-    if hit is None:
-        g = f if lam is None else tuple(x - y for x, y in zip(f, lam))
-        hit = cache[key] = is_effective_class(G, g)
-    return hit
+    delta = cache.get(res)
+    if delta is None:
+        delta = cache[res] = sum(parking_representative(G, res + (0,))[:-1])
+    return d >= delta
 
 
 # ---------- rank ----------
@@ -141,47 +105,39 @@ def _removal_patterns(total: int, parts: int) -> Iterator[tuple]:
             yield (first,) + rest
 
 
-def _search_space(ceiling: int, parts: int) -> int:
-    # sum over d <= ceiling of C(d + parts - 1, parts - 1)
-    from math import comb
-
-    return comb(ceiling + parts, parts)
-
-
 def rank_bruteforce(
     G: MultiGraph, f: Sequence[int], *, max_candidates: int = 5_000_000
 ) -> RankResult:
     """Rank by increasing-degree search over chip-removal patterns.
 
-    For d = 0, 1, 2, ... tries every non-negative lambda of degree d in
+    For d = 1, 2, ..., deg(f) tries every non-negative lambda of degree d in
     lexicographic order and returns d - 1 with the first lambda making
-    f - lambda non-effective.  The search is capped at degree
-    max(deg(f) - m + n, deg(f)) + 1, beyond which no failure can first occur.
-    Raises if the number of candidate patterns would exceed
-    ``max_candidates``.
+    f - lambda non-effective; if none does, the rank is deg(f), since
+    removing deg(f) + 1 chips leaves negative degree, and the witness is the
+    lex-first pattern of that degree.  Raises if the candidate patterns up to
+    degree max(deg(f) - m + n, deg(f)) + 1 (beyond which no failure can
+    first occur) would exceed ``max_candidates``.
     """
     f = check_config(G, f)
-    zero = (0,) * G.n
-    if not is_effective_cached(G, f):
-        return RankResult(-1, zero)
+    cols = _lattice_form(G)
+    k = G.n - 1
     d = degree(f)
+    res_f = _residue(cols, f, k)
+    if not _probe(G, d, res_f):
+        return RankResult(-1, (0,) * G.n)
+    # sum over degrees up to the ceiling of C(degree + n - 1, n - 1)
     ceiling = max(d - G.m + G.n, d) + 1
-    if _search_space(ceiling, G.n) > max_candidates:
+    if comb(ceiling + G.n, G.n) > max_candidates:
         raise ValueError(
             f"rank search space exceeds {max_candidates} candidate patterns"
         )
-    cols = _lattice_form(G)
-    k = G.n - 1
-    res_f = _residue(cols, f, k) if k else ()
-    for dd in range(1, ceiling + 1):
-        if d - dd < 0:
-            # every removal of more than deg(f) chips fails; lex-first wins
-            return RankResult(dd - 1, next(_removal_patterns(dd, G.n)))
+    for dd in range(1, d + 1):
         for lam in _removal_patterns(dd, G.n):
             shifted = tuple(x - y for x, y in zip(res_f, lam))
-            if not _probe(G, (d - dd, _residue(cols, shifted, k)), f, lam):
+            if not _probe(G, d - dd, _residue(cols, shifted, k)):
                 return RankResult(dd - 1, lam)
-    raise AssertionError("internal error: rank search exhausted its ceiling")
+    # every removal of more than deg(f) chips fails; the lex-first one wins
+    return RankResult(d, (0,) * k + (d + 1,))
 
 
 def kappa(G: MultiGraph) -> tuple:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from typing import Callable, Mapping
 
+from .graphs import _as_ints
+
 
 class TruncatedSeries:
     __slots__ = ("nvars", "trunc", "coeffs")
@@ -24,10 +26,10 @@ class TruncatedSeries:
         clean = {}
         if coeffs:
             for exps, c in coeffs.items():
-                exps = tuple(int(e) for e in exps)
+                exps = _as_ints(exps, "monomial exponents")
                 if len(exps) != nvars or any(e < 0 for e in exps):
                     raise ValueError(f"bad monomial {exps}")
-                c = int(c)
+                (c,) = _as_ints((c,), "series coefficients")
                 if c and sum(exps) <= trunc:
                     clean[exps] = clean.get(exps, 0) + c
                     if not clean[exps]:

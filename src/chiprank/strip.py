@@ -18,6 +18,7 @@ from typing import Iterator, Sequence
 
 from .complete import decode_word, rank_formula
 from .dyck import dn_words, heights, is_dn_word, is_dyck_word, phi_involution, to_dn_word
+from .graphs import _as_ints
 from .series import TruncatedSeries
 
 __all__ = [
@@ -118,7 +119,8 @@ def psi_involution(w: str, s: int) -> tuple:
     """The involution (w, s) -> (phi(w), lastright(w) - 1 - s); it exchanges
     the left count at s with the right count at the image."""
     wd = _dn(w)
-    return (phi_involution(w), lastright(wd) - 1 - int(s))
+    (s,) = _as_ints((s,), "the threshold s")
+    return (phi_involution(w), lastright(wd) - 1 - s)
 
 
 # ---------- generating functions ----------
@@ -303,7 +305,7 @@ def Kn_bistatistic_check(n: int, window: Sequence[int] = (-5, 15)) -> bool:
     degree = C(n-1, 2) - 1 + left - right.  For n = 1 (no strip) the rank
     closed form rank = f1 (or -1 when negative) is checked instead.
     """
-    lo, hi = int(window[0]), int(window[1])
+    lo, hi = _as_ints(window, "window bounds")
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:

@@ -1,9 +1,14 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
-from chiprank import complete, dynamics, rank
+from chiprank import complete, dynamics, rank, strip
 from chiprank.graphs import MultiGraph, check_config, degree, laplacian_row, topple
+from chiprank.series import TruncatedSeries
+
+from conftest import SMALL_GRAPHS
 
 
 def test_complete_graph_shape(K5):
@@ -102,7 +107,12 @@ def test_check_config_validates_length(K3):
     lambda K3: MultiGraph([[0, 1.5], [1.5, 0]]),
     lambda K3: MultiGraph.from_edges(2.9, [(1, 2)]),
     lambda K3: MultiGraph.from_edges(3, [(1, 2), (2, 3, 1.0)]),
-], ids=["rank_formula", "rank_bruteforce", "stabilize", "matrix", "n", "edge"])
+    lambda K3: TruncatedSeries(1, 3, {(1,): 0.5}),
+    lambda K3: TruncatedSeries(1, 3, {(1.7,): 2}),
+    lambda K3: strip.psi_involution("aabbb", 2.7),
+    lambda K3: strip.Kn_bistatistic_check(3, (-2, 3.5)),
+], ids=["rank_formula", "rank_bruteforce", "stabilize", "matrix", "n", "edge",
+        "series_coeff", "series_exponent", "psi_threshold", "bistatistic_window"])
 def test_non_integers_rejected_not_truncated(K3, call):
     with pytest.raises(ValueError, match="must be integers"):
         call(K3)
@@ -120,6 +130,46 @@ def test_spanning_trees_multigraph():
     # doubling every edge of K3 scales the count by 2^(edges in a tree)
     G = MultiGraph.from_edges(3, [(1, 2, 2), (2, 3, 2), (1, 3, 2)])
     assert G.spanning_tree_count() == 3 * 2 * 2
+
+
+def _kirchhoff(G: MultiGraph) -> int:
+    """Determinant of the reduced Laplacian by Fraction elimination."""
+    k = G.n - 1
+    a = [[Fraction(x) for x in G.laplacian_row(i + 1)[:k]] for i in range(k)]
+    det = Fraction(1)
+    for c in range(k):
+        p = next(r for r in range(c, k) if a[r][c])
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, k):
+            q = a[r][c] / a[c][c]
+            for j in range(c, k):
+                a[r][j] -= q * a[c][j]
+    return int(det)
+
+
+def _random_multigraphs(seed: int, count: int):
+    rng = random.Random(seed)
+    while count:
+        n = rng.randint(2, 12)
+        edges = [(i, j, rng.randint(1, 3))
+                 for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                 if rng.random() < 0.4]
+        try:
+            yield MultiGraph.from_edges(n, edges)
+        except ValueError:  # disconnected: draw again
+            continue
+        count -= 1
+
+
+def test_spanning_trees_match_kirchhoff():
+    graphs = SMALL_GRAPHS + list(_random_multigraphs(7, 40))
+    for G in graphs:
+        assert G.spanning_tree_count() == _kirchhoff(G), G.to_json()
+    for n in range(2, 9):  # Cayley
+        assert MultiGraph.complete(n).spanning_tree_count() == n ** (n - 2)
 
 
 def test_flat_buffer_matches_matrix(multi4):

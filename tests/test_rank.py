@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,6 +62,24 @@ def test_effectiveness_routes_agree(gc):
     eff = dynamics.is_effective_class(G, f)
     assert rank.is_effective_cached(G, f) == eff
     assert (rank.rank_bruteforce(G, f).rank >= 0) == eff
+
+
+def test_cached_effectiveness_validates_on_a_warm_cache():
+    K3 = MultiGraph.complete(3)
+    assert rank.is_effective_cached(K3, (1, 2, 0))
+    for bad in [(1, 2, 0, 0), (1.0, 2, 0)]:
+        with pytest.raises(ValueError):
+            rank.is_effective_cached(K3, bad)
+
+
+def test_cache_holds_at_most_one_entry_per_jacobian_element():
+    W5 = MultiGraph.wheel(5)
+    for f in product(range(-1, 3), repeat=6):
+        rank.rank_bruteforce(W5, f)
+    assert len(W5._eff_cache) <= W5.spanning_tree_count()
+    K3 = MultiGraph.complete(3)
+    rank.rank_bruteforce(K3, (5, 0, 0))
+    assert len(K3._eff_cache) <= K3.spanning_tree_count()
 
 
 @settings(max_examples=30, deadline=None)
