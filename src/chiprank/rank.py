@@ -7,7 +7,9 @@ by brute force over chip-removal patterns.  A class of degree d and element
 g of Jac(G) (named by the non-sink residue modulo the Hermite form of the
 reduced Laplacian) is effective iff d >= delta(g), the non-sink chip count
 of its one parking representative; each graph caches delta per residue, so
-the cache never holds more than |Jac(G)| entries.
+the cache never holds more than |Jac(G)| entries.  A cache miss reduces
+whichever of the probed configuration and its residue holds fewer chips,
+since the reduction's cost grows with the chips it has to move.
 """
 
 from __future__ import annotations
@@ -77,18 +79,25 @@ def is_effective_cached(G: MultiGraph, f: Sequence[int]) -> bool:
     """Effectiveness of the class of f, memoized per graph: after the first
     probe into an element of Jac(G), a probe costs one class key and one
     dictionary lookup."""
-    return _probe(G, *canonical_class_key(G, f))
+    f = check_config(G, f)
+    return _probe(G, *canonical_class_key(G, f), f)
 
 
-def _probe(G: MultiGraph, d: int, res: tuple) -> bool:
-    """Is the class of degree d and non-sink residue res effective, that is,
-    is d >= delta(res)?  The one reader and writer of G's cache of delta.  A
-    miss reduces the residue itself, whose entries are non-negative and
-    below the Hermite diagonal, so its cost does not grow with f."""
+def _probe(
+    G: MultiGraph, d: int, res: tuple, f: tuple, lam: tuple | None = None
+) -> bool:
+    """Is the class of f - lam (of f when lam is None), of degree d and
+    non-sink residue res, effective, that is, is d >= delta(res)?  The one
+    reader and writer of G's cache of delta.  A miss reduces f - lam or
+    res, whichever has fewer non-sink chips: the residue is bounded by the
+    Hermite diagonal, which grows with |Jac(G)|, and f - lam by the input."""
     cache = G._eff_cache
     delta = cache.get(res)
     if delta is None:
-        delta = cache[res] = sum(parking_representative(G, res + (0,))[:-1])
+        g = f if lam is None else tuple(x - y for x, y in zip(f, lam))
+        if sum(map(abs, g[:-1])) > sum(res):
+            g = res + (0,)
+        delta = cache[res] = sum(parking_representative(G, g)[:-1])
     return d >= delta
 
 
@@ -123,7 +132,7 @@ def rank_bruteforce(
     k = G.n - 1
     d = degree(f)
     res_f = _residue(cols, f, k)
-    if not _probe(G, d, res_f):
+    if not _probe(G, d, res_f, f):
         return RankResult(-1, (0,) * G.n)
     # sum over degrees up to the ceiling of C(degree + n - 1, n - 1)
     ceiling = max(d - G.m + G.n, d) + 1
@@ -134,7 +143,7 @@ def rank_bruteforce(
     for dd in range(1, d + 1):
         for lam in _removal_patterns(dd, G.n):
             shifted = tuple(x - y for x, y in zip(res_f, lam))
-            if not _probe(G, d - dd, _residue(cols, shifted, k)):
+            if not _probe(G, d - dd, _residue(cols, shifted, k), f, lam):
                 return RankResult(dd - 1, lam)
     # every removal of more than deg(f) chips fails; the lex-first one wins
     return RankResult(d, (0,) * k + (d + 1,))

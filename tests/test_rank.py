@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiprank import dynamics, rank
-from chiprank.graphs import MultiGraph, laplacian_row
+from chiprank.complete import rank_formula
+from chiprank.graphs import MultiGraph, _lattice_form, laplacian_row
 
 from conftest import SMALL_GRAPHS
 
@@ -80,6 +81,42 @@ def test_cache_holds_at_most_one_entry_per_jacobian_element():
     K3 = MultiGraph.complete(3)
     rank.rank_bruteforce(K3, (5, 0, 0))
     assert len(K3._eff_cache) <= K3.spanning_tree_count()
+
+
+@pytest.mark.parametrize(
+    "G, f",
+    [
+        (MultiGraph.wheel(30), (1,) + (0,) * 30),
+        (MultiGraph.wheel(20), (0,) * 10 + (2, 0, 1) + (0,) * 8),
+        (MultiGraph.complete(3), (-10**6, 0, 10**6 + 5)),
+        (MultiGraph.complete(3), (10**6, 0, -10**6 + 5)),
+    ],
+    ids=["W30-one-chip", "W20-three-chips", "K3-deep-debt", "K3-deep-pile"],
+)
+def test_cache_misses_reduce_the_smaller_representative(G, f, monkeypatch):
+    """A miss parks f - lambda or the class residue, whichever holds fewer
+    non-sink chips, so neither a large Jacobian (wheels: the Hermite
+    diagonal multiplies out to |Jac|, about 3.5e12 on W30) nor a large f
+    makes the reduction move many chips."""
+    diagonal = sum(col[i] - 1 for i, col in enumerate(_lattice_form(G)))
+    bound = min(sum(map(abs, f[:-1])) + sum(f), diagonal)
+    parked = []
+
+    def parking(G, g):
+        parked.append(g)
+        assert sum(map(abs, g[:-1])) <= bound
+        return dynamics.parking_representative(G, g)
+
+    monkeypatch.setattr(rank, "parking_representative", parking)
+    res = rank.rank_bruteforce(G, f)
+    assert parked
+    if G.n == 3:
+        assert res.rank == rank_formula(f)
+    else:
+        assert res.rank >= 0 and dynamics.is_effective_class(G, f)
+        assert rank.is_effective_cached(G, f)
+        removed = tuple(x - y for x, y in zip(f, res.witness))
+        assert not dynamics.is_effective_class(G, removed)
 
 
 @settings(max_examples=30, deadline=None)
