@@ -105,10 +105,8 @@ def _cmd_tutte_counts(args: argparse.Namespace) -> int:
 
 def _cmd_dyck_stats(args: argparse.Namespace) -> int:
     word = args.word
-    if not dyck.is_dn_word(word) and not dyck.is_dyck_word(word):
-        raise ValueError(f"{word!r} is neither balanced nor one b heavy")
-    wd = word if dyck.is_dn_word(word) else dyck.to_dn_word(word)
-    w0 = dyck.to_dyck_word(wd)
+    wd = dyck._dn(word)
+    w0 = wd[:-1]
     _emit(
         {
             "word": word,

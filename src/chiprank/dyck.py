@@ -90,6 +90,16 @@ def to_dyck_word(w: str) -> str:
     return w[:-1]
 
 
+def _dn(w: str) -> str:
+    """w with one trailing extra b: appended to a balanced w, kept as is on
+    a word that already has it, refused on any other word."""
+    if is_dn_word(w):
+        return w
+    if is_dyck_word(w):
+        return w + "b"
+    raise ValueError("expected a balanced word or one with a trailing extra b")
+
+
 # ---------- statistics ----------
 
 
@@ -139,9 +149,7 @@ def prerank(w: str) -> int:
     Computed twice — by literally iterating theta and as the sum of the
     coheights — and the two counts must agree.
     """
-    w0 = to_dyck_word(w) if is_dn_word(w) else w
-    if not is_dyck_word(w0):
-        raise ValueError("prerank needs a balanced word (a trailing b is ok)")
+    w0 = _dn(w)[:-1]
     p = len(w0) // 2
     stair = "ab" * p
     steps = 0
@@ -174,7 +182,7 @@ def dinv(w: str) -> int:
 def cdinv(w: str) -> int:
     """dinv read off the strip drawing: pairs of north steps whose contact
     labels differ by at most n - 1."""
-    wd = w if is_dn_word(w) else to_dn_word(w)
+    wd = _dn(w)
     n = wd.count("b")
     from .strip import vertex_label
 
@@ -231,11 +239,7 @@ def phi_involution(w: str) -> str:
     and back out.  Equals the unique non-b-heavy conjugate of the reversal,
     preserves dinv, and turns prerank into area.
     """
-    _check_letters(w)
-    balanced = is_dyck_word(w)
-    wd = w + "b" if balanced else w
-    if not is_dn_word(wd):
-        raise ValueError("expected a balanced word or one with a trailing extra b")
+    wd = _dn(w)
     eta = heights(wd)
     if not eta:
         return w
@@ -249,9 +253,7 @@ def phi_involution(w: str) -> str:
                 break
     u, v = wd[: pos + 1], wd[pos + 1 :]
     res = u[::-1] + v[::-1]
-    if balanced:
-        return to_dyck_word(res)
-    return res
+    return res if wd == w else to_dyck_word(res)
 
 
 def zeta_haglund(w: str) -> str:

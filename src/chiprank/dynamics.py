@@ -15,7 +15,7 @@ from math import prod
 from typing import Sequence
 
 from . import _backend
-from .graphs import MultiGraph, check_config, degree
+from .graphs import MultiGraph, _lattice_form, _residue, check_config
 
 __all__ = [
     "is_stable",
@@ -149,13 +149,21 @@ def is_parking(G: MultiGraph, f: Sequence[int], method: str = "duality") -> bool
 def parking_representative(G: MultiGraph, f: Sequence[int]) -> tuple:
     """The unique parking configuration toppling-equivalent to f.
 
-    Works for arbitrary integer entries.  First fires the sink (with
-    intermediate stabilizations) until every non-sink entry is non-negative,
-    then fires maximal legal sets found by the burning closure until nothing
-    can fire.  The output always passes ``is_parking``.
+    Works for arbitrary integer entries.  The reduction fires the sink
+    until no non-sink entry is negative, then maximal legal sets until
+    nothing can fire, so its work grows with the chips it moves.  When f's
+    non-sink part holds more chips (in absolute value) than any parking
+    configuration (m - n + 1) and than its residue modulo the toppling
+    lattice, the reduction starts from that residue, with the rest of the
+    degree on the sink.  The output always passes ``is_parking``.
     """
     f = check_config(G, f)
     n, degs, flat = G.flat()
+    chips = sum(map(abs, f[:-1]))
+    if chips > G.m - n + 1:
+        res = _residue(_lattice_form(G), f, n - 1)
+        if chips > sum(res):
+            f = res + (sum(f) - sum(res),)
     cfg = list(f)
     _backend.parking_reduce(n, degs, flat, cfg)
     out = tuple(cfg)

@@ -281,3 +281,17 @@ def _lattice_form(G: MultiGraph) -> list:
         k = G.n - 1
         G._hnf = _column_hnf([list(G.laplacian_row(i + 1)[:k]) for i in range(k)])
     return G._hnf
+
+
+def _residue(cols: list, f: Sequence[int], k: int) -> tuple:
+    """The canonical representative of f's first k entries modulo the
+    lattice spanned by the Hermite columns ``cols``: entry i lies in
+    0 .. cols[i][i] - 1."""
+    v = list(f[:k])
+    for i in range(k):
+        col = cols[i]
+        q = v[i] // col[i]
+        if q:
+            for r in range(i, k):
+                v[r] -= q * col[r]
+    return tuple(v)

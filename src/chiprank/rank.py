@@ -7,9 +7,8 @@ by brute force over chip-removal patterns.  A class of degree d and element
 g of Jac(G) (named by the non-sink residue modulo the Hermite form of the
 reduced Laplacian) is effective iff d >= delta(g), the non-sink chip count
 of its one parking representative; each graph caches delta per residue, so
-the cache never holds more than |Jac(G)| entries.  A cache miss reduces
-whichever of the probed configuration and its residue holds fewer chips,
-since the reduction's cost grows with the chips it has to move.
+the cache never holds more than |Jac(G)| entries, and a miss parks the
+probed configuration.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Iterator, NamedTuple, Sequence
 # is_effective_class is bound here for the CLI's effective command, which
 # answers through rank.is_effective_class (the uncached parking route)
 from .dynamics import is_effective_class, parking_representative
-from .graphs import MultiGraph, _lattice_form, check_config, degree
+from .graphs import MultiGraph, _lattice_form, _residue, check_config, degree
 
 __all__ = [
     "RankResult",
@@ -52,17 +51,6 @@ class RankResult:
 # ---------- toppling-class canonical keys ----------
 
 
-def _residue(cols: list, f: Sequence[int], k: int) -> tuple:
-    v = list(f[:k])
-    for i in range(k):
-        col = cols[i]
-        q = v[i] // col[i]
-        if q:
-            for r in range(i, k):
-                v[r] -= q * col[r]
-    return tuple(v)
-
-
 def canonical_class_key(G: MultiGraph, f: Sequence[int]) -> tuple:
     """A value equal for f and g exactly when f ~ g.
 
@@ -88,15 +76,11 @@ def _probe(
 ) -> bool:
     """Is the class of f - lam (of f when lam is None), of degree d and
     non-sink residue res, effective, that is, is d >= delta(res)?  The one
-    reader and writer of G's cache of delta.  A miss reduces f - lam or
-    res, whichever has fewer non-sink chips: the residue is bounded by the
-    Hermite diagonal, which grows with |Jac(G)|, and f - lam by the input."""
+    reader and writer of G's cache of delta."""
     cache = G._eff_cache
     delta = cache.get(res)
     if delta is None:
         g = f if lam is None else tuple(x - y for x, y in zip(f, lam))
-        if sum(map(abs, g[:-1])) > sum(res):
-            g = res + (0,)
         delta = cache[res] = sum(parking_representative(G, g)[:-1])
     return d >= delta
 

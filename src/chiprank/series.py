@@ -19,6 +19,7 @@ class TruncatedSeries:
     __slots__ = ("nvars", "trunc", "coeffs")
 
     def __init__(self, nvars: int, trunc: int, coeffs: Mapping | None = None):
+        nvars, trunc = _as_ints((nvars, trunc), "variable counts and truncations")
         if nvars < 1 or trunc < 0:
             raise ValueError("need nvars >= 1 and trunc >= 0")
         self.nvars = nvars

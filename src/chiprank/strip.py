@@ -17,7 +17,7 @@ from math import comb
 from typing import Iterator, Sequence
 
 from .complete import decode_word, rank_formula
-from .dyck import dn_words, heights, is_dn_word, is_dyck_word, phi_involution, to_dn_word
+from .dyck import _dn, dn_words, heights, phi_involution
 from .graphs import _as_ints
 from .series import TruncatedSeries
 
@@ -60,14 +60,6 @@ def cell_label(n: int, x: int, y: int) -> int:
     if not 0 <= y <= n - 2:
         raise ValueError(f"cell row {y} outside the strip (0..{n - 2})")
     return y + (y - 1 - x) * (n - 1)
-
-
-def _dn(w: str) -> str:
-    if is_dn_word(w):
-        return w
-    if is_dyck_word(w):
-        return to_dn_word(w)
-    raise ValueError("expected a balanced word or one with a trailing extra b")
 
 
 def _row_labels(w: str) -> tuple:

@@ -37,6 +37,12 @@ def test_config_from_file(capsys, tmp_path):
     assert payload == {"parking": [0, 3, 0, 1, 6]}
 
 
+def test_parking_deep_debt(capsys):
+    payload = run_json(capsys, "parking", "--complete", "3",
+                       "--config=-30000000,0,30000005")
+    assert payload == {"parking": [0, 0, 5]}
+
+
 def test_recurrent(capsys):
     payload = run_json(capsys, "recurrent", "--complete", "3", "--config", "0,0,0")
     assert payload == {"recurrent": [1, 1, -2]}

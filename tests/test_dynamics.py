@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import chiprank
 from chiprank import dynamics
+from chiprank.complete import parking_via_cyclic_lemma
 from chiprank.graphs import MultiGraph, laplacian_row, topple
 
 from conftest import SMALL_GRAPHS
@@ -104,6 +105,35 @@ def test_parking_reduction_is_idempotent_and_class_preserving(gc):
         assert dynamics.parking_representative(G, shifted) == p
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_parking_of_huge_entries_is_a_class_invariant(data):
+    """Entries up to 1e18 park at once: adding t_i times Laplacian row i
+    (|t_i| up to 1e12) leaves the parking representative unchanged, and on
+    K_n it is the cyclic lemma's."""
+    G = data.draw(st.sampled_from(SMALL_GRAPHS + [MultiGraph.complete(5),
+                                                  MultiGraph.complete(6)]))
+    f = data.draw(st.tuples(*[st.integers(-10**18, 10**18)] * G.n))
+    t = data.draw(st.tuples(*[st.integers(-10**12, 10**12)] * G.n))
+    shifted = list(f)
+    for i, ti in enumerate(t):
+        for j, r in enumerate(laplacian_row(G, i + 1)):
+            shifted[j] += ti * r
+    p = dynamics.parking_representative(G, f)
+    assert dynamics.parking_representative(G, shifted) == p
+    if G.is_complete():
+        assert p == parking_via_cyclic_lemma(f)[1]
+
+
+def test_small_configurations_skip_the_hermite_form():
+    """Non-sink parts of at most m - n + 1 chips park from f itself, without
+    the O(n^3) Hermite form."""
+    for f in [(-3, 5) + (0,) * 57 + (-2,), (29,) * 59 + (0,), (-29,) * 59 + (0,)]:
+        K60 = MultiGraph.complete(60)
+        assert dynamics.is_parking(K60, dynamics.parking_representative(K60, f))
+        assert K60._hnf is None
+
+
 def test_parking_pinned(K5):
     assert dynamics.parking_representative(K5, (3, 1, 3, 4, -1)) == (0, 3, 0, 1, 6)
 
@@ -185,7 +215,7 @@ def test_invariant_checks_survive_optimize_flag():
         "from chiprank.graphs import MultiGraph\n"
         "_backend.parking_reduce = lambda n, degs, flat, cfg: None\n"
         "try:\n"
-        "    dynamics.parking_representative(MultiGraph.complete(3), (5, 0, 0))\n"
+        "    dynamics.parking_representative(MultiGraph.complete(3), (0, 2, 0))\n"
         "except AssertionError:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit('no AssertionError under -O')\n"

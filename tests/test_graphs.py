@@ -109,10 +109,13 @@ def test_check_config_validates_length(K3):
     lambda K3: MultiGraph.from_edges(3, [(1, 2), (2, 3, 1.0)]),
     lambda K3: TruncatedSeries(1, 3, {(1,): 0.5}),
     lambda K3: TruncatedSeries(1, 3, {(1.7,): 2}),
+    lambda K3: TruncatedSeries(1, 2.5, {(1,): 1, (2,): 1}),
+    lambda K3: TruncatedSeries(1.0, 3),
     lambda K3: strip.psi_involution("aabbb", 2.7),
     lambda K3: strip.Kn_bistatistic_check(3, (-2, 3.5)),
 ], ids=["rank_formula", "rank_bruteforce", "stabilize", "matrix", "n", "edge",
-        "series_coeff", "series_exponent", "psi_threshold", "bistatistic_window"])
+        "series_coeff", "series_exponent", "series_trunc", "series_nvars",
+        "psi_threshold", "bistatistic_window"])
 def test_non_integers_rejected_not_truncated(K3, call):
     with pytest.raises(ValueError, match="must be integers"):
         call(K3)

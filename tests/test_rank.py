@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiprank import dynamics, rank
-from chiprank.complete import rank_formula
+from chiprank import _backend, dynamics, rank
+from chiprank.complete import parking_via_cyclic_lemma, rank_formula
 from chiprank.graphs import MultiGraph, _lattice_form, laplacian_row
 
 from conftest import SMALL_GRAPHS
@@ -94,24 +94,28 @@ def test_cache_holds_at_most_one_entry_per_jacobian_element():
     ids=["W30-one-chip", "W20-three-chips", "K3-deep-debt", "K3-deep-pile"],
 )
 def test_cache_misses_reduce_the_smaller_representative(G, f, monkeypatch):
-    """A miss parks f - lambda or the class residue, whichever holds fewer
-    non-sink chips, so neither a large Jacobian (wheels: the Hermite
-    diagonal multiplies out to |Jac|, about 3.5e12 on W30) nor a large f
-    makes the reduction move many chips."""
+    """The parking kernel starts from f - lambda or the class residue,
+    whichever holds fewer non-sink chips, so neither a large Jacobian
+    (wheels: the Hermite diagonal multiplies out to |Jac|, about 3.5e12 on
+    W30) nor a large f makes the reduction move many chips."""
     diagonal = sum(col[i] - 1 for i, col in enumerate(_lattice_form(G)))
     bound = min(sum(map(abs, f[:-1])) + sum(f), diagonal)
     parked = []
+    kernel = _backend.parking_reduce
 
-    def parking(G, g):
-        parked.append(g)
-        assert sum(map(abs, g[:-1])) <= bound
-        return dynamics.parking_representative(G, g)
+    def parking_reduce(n, degs, flat, cfg):
+        parked.append(tuple(cfg))
+        assert sum(map(abs, cfg[:-1])) <= bound
+        return kernel(n, degs, flat, cfg)
 
-    monkeypatch.setattr(rank, "parking_representative", parking)
+    monkeypatch.setattr(_backend, "parking_reduce", parking_reduce)
     res = rank.rank_bruteforce(G, f)
     assert parked
     if G.n == 3:
         assert res.rank == rank_formula(f)
+        assert dynamics.parking_representative(G, f) == parking_via_cyclic_lemma(f)[1]
+        rec = dynamics.recurrent_representative(G, f)
+        assert rank.canonical_class_key(G, rec) == rank.canonical_class_key(G, f)
     else:
         assert res.rank >= 0 and dynamics.is_effective_class(G, f)
         assert rank.is_effective_cached(G, f)
