@@ -56,6 +56,7 @@ def _cmd_config(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
+    t0 = time.perf_counter()
     G = _load_graph(args)
     f = check_config(G, _parse_config(args.config))
     method = args.method
@@ -66,7 +67,6 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     if args.count_ops and method != "formula":
         raise ValueError("--count-ops only applies to the formula method")
     out: dict = {"method": method, "degree": sum(f)}
-    t0 = time.perf_counter()
     if method == "formula":
         if args.count_ops:
             out["rank"], out["ops"] = complete.rank_formula(f, count_ops=True)

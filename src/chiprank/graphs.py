@@ -288,10 +288,27 @@ def _residue(cols: list, f: Sequence[int], k: int) -> tuple:
     lattice spanned by the Hermite columns ``cols``: entry i lies in
     0 .. cols[i][i] - 1."""
     v = list(f[:k])
-    for i in range(k):
-        col = cols[i]
-        q = v[i] // col[i]
-        if q:
-            for r in range(i, k):
-                v[r] -= q * col[r]
+    _carry(cols, v, 0, k)
     return tuple(v)
+
+
+def _borrow(cols: list, v: list, i: int, k: int) -> None:
+    """Step v, a residue as ``_residue`` gives it but held in a list, to the
+    residue of v - e_i, in place.  Entry i drops by one; only if it goes
+    negative do entries i..k-1 carry back into range along the Hermite
+    columns, like a borrow in a mixed-radix counter."""
+    v[i] -= 1
+    if v[i] < 0:
+        _carry(cols, v, i, k)
+
+
+def _carry(cols: list, v: list, i: int, k: int) -> None:
+    """Bring entries i..k-1 of v into range, in place, assuming entries
+    before i already are: entry j is reduced modulo cols[j][j] by a multiple
+    of column j, which also moves the entries below it."""
+    for j in range(i, k):
+        col = cols[j]
+        q = v[j] // col[j]
+        if q:
+            for r in range(j, k):
+                v[r] -= q * col[r]

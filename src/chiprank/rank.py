@@ -9,18 +9,23 @@ reduced Laplacian) is effective iff d >= delta(g), the non-sink chip count
 of its one parking representative; each graph caches delta per residue, so
 the cache never holds more than |Jac(G)| entries, and a miss parks the
 probed configuration.
+
+The search reduces one configuration per call, f itself: it walks the
+removal patterns of each degree depth-first in lexicographic order, and
+each pattern's residue follows from an earlier one by a one-chip borrow
+(``graphs._borrow``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 # is_effective_class is bound here for the CLI's effective command, which
 # answers through rank.is_effective_class (the uncached parking route)
 from .dynamics import is_effective_class, parking_representative
-from .graphs import MultiGraph, _lattice_form, _residue, check_config, degree
+from .graphs import MultiGraph, _borrow, _lattice_form, _residue, check_config, degree
 
 __all__ = [
     "RankResult",
@@ -88,16 +93,6 @@ def _probe(
 # ---------- rank ----------
 
 
-def _removal_patterns(total: int, parts: int) -> Iterator[tuple]:
-    """Non-negative integer tuples with the given sum, lexicographically."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _removal_patterns(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def rank_bruteforce(
     G: MultiGraph, f: Sequence[int], *, max_candidates: int = 5_000_000
 ) -> RankResult:
@@ -110,6 +105,13 @@ def rank_bruteforce(
     lex-first pattern of that degree.  Raises if the candidate patterns up to
     degree max(deg(f) - m + n, deg(f)) + 1 (beyond which no failure can
     first occur) would exceed ``max_candidates``.
+
+    The patterns of one degree are walked depth-first over lambda's
+    non-sink part mu, in lexicographic order; the sink entry is whatever
+    degree mu leaves.  Each step raises one entry of mu by one, so the
+    residue of f - lambda follows by one ``_borrow`` from the previous
+    pattern's residue (or from the one saved where the walk backs up) in
+    place of a fresh ``_residue``.
     """
     f = check_config(G, f)
     cols = _lattice_form(G)
@@ -125,10 +127,32 @@ def rank_bruteforce(
             f"rank search space exceeds {max_candidates} candidate patterns"
         )
     for dd in range(1, d + 1):
-        for lam in _removal_patterns(dd, G.n):
-            shifted = tuple(x - y for x, y in zip(res_f, lam))
-            if not _probe(G, d - dd, _residue(cols, shifted, k), f, lam):
+        mu = [0] * k
+        used = 0            # chips in mu
+        v = list(res_f)     # the residue of res_f - mu
+        saved = [None] * k  # saved[j]: v as it was when mu[j] last left 0
+        while True:
+            lam = (*mu, dd - used)
+            if not _probe(G, d - dd, tuple(v), f, lam):
                 return RankResult(dd - 1, lam)
+            j = k - 1
+            if used == dd or not k:
+                # no sink chip left to move into mu: zero the last nonzero
+                # mu[j] and raise the entry before it, or stop after
+                # (dd, 0, ..., 0)
+                while j >= 0 and not mu[j]:
+                    j -= 1
+                if j <= 0:
+                    break
+                v = saved[j]
+                used -= mu[j]
+                mu[j] = 0
+                j -= 1
+            if not mu[j]:
+                saved[j] = v[:]
+            mu[j] += 1
+            used += 1
+            _borrow(cols, v, j, k)
     # every removal of more than deg(f) chips fails; the lex-first one wins
     return RankResult(d, (0,) * k + (d + 1,))
 

@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from chiprank import cli
 from chiprank.cli import main
 
 
@@ -81,6 +83,21 @@ def test_rank_methods_and_ops(capsys):
         capsys, "rank", "--complete", "4", "--config", "1,1,1,1", "--method", "greedy"
     )
     assert payload["rank"] == 2
+
+
+def test_rank_wall_ms_covers_the_whole_command(capsys, monkeypatch):
+    """wall_ms counts graph loading and validation, not only the rank
+    call: a graph load slowed by 50 ms shows in it."""
+    load = cli._load_graph
+
+    def slow_load(args):
+        time.sleep(0.05)
+        return load(args)
+
+    monkeypatch.setattr(cli, "_load_graph", slow_load)
+    payload = run_json(capsys, "rank", "--complete", "3", "--config", "5,0,0")
+    assert payload["rank"] == 4
+    assert payload["wall_ms"] >= 50
 
 
 def test_rank_errors(capsys):

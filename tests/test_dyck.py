@@ -1,3 +1,4 @@
+from collections import Counter
 from math import comb
 
 import pytest
@@ -182,3 +183,20 @@ def test_statistics_reject_malformed_words():
         dyck.theta("ba")
     with pytest.raises(ValueError):
         dyck.phi_involution("aabab")
+
+
+def qt_catalan(n):
+    """Sum of q^prerank t^dinv over dn_words(n), as {(prerank, dinv): count}."""
+    return Counter((dyck.prerank(w), dyck.dinv(w)) for w in dyck.dn_words(n))
+
+
+def test_qt_catalan_pinned():
+    # C_3(q, t) = q^3 + q^2 t + q t^2 + t^3 + q t
+    assert qt_catalan(4) == {(3, 0): 1, (2, 1): 1, (1, 2): 1, (0, 3): 1, (1, 1): 1}
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_qt_catalan_is_symmetric(n):
+    table = qt_catalan(n)
+    assert sum(table.values()) == catalan(n - 1)
+    assert table == {(t, q): c for (q, t), c in table.items()}

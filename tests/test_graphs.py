@@ -5,7 +5,10 @@ from fractions import Fraction
 import pytest
 
 from chiprank import complete, dynamics, rank, strip
-from chiprank.graphs import MultiGraph, check_config, degree, laplacian_row, topple
+from chiprank.graphs import (
+    MultiGraph, _borrow, _lattice_form, _residue, check_config, degree,
+    laplacian_row, topple,
+)
 from chiprank.series import TruncatedSeries
 
 from conftest import SMALL_GRAPHS
@@ -153,10 +156,10 @@ def _kirchhoff(G: MultiGraph) -> int:
     return int(det)
 
 
-def _random_multigraphs(seed: int, count: int):
+def _random_multigraphs(seed: int, count: int, sizes=(2, 12)):
     rng = random.Random(seed)
     while count:
-        n = rng.randint(2, 12)
+        n = rng.randint(*sizes)
         edges = [(i, j, rng.randint(1, 3))
                  for i in range(1, n + 1) for j in range(i + 1, n + 1)
                  if rng.random() < 0.4]
@@ -173,6 +176,47 @@ def test_spanning_trees_match_kirchhoff():
         assert G.spanning_tree_count() == _kirchhoff(G), G.to_json()
     for n in range(2, 9):  # Cayley
         assert MultiGraph.complete(n).spanning_tree_count() == n ** (n - 2)
+
+
+def _sink_grid(side: int) -> MultiGraph:
+    """side x side grid whose boundary edges all lead to one sink."""
+    sink = side * side + 1
+    edges = []
+    for r in range(side):
+        for c in range(side):
+            i = r * side + c + 1
+            edges.append((i, i + 1) if c + 1 < side else (i, sink))
+            edges.append((i, i + side) if r + 1 < side else (i, sink))
+            if c == 0:
+                edges.append((i, sink))
+            if r == 0:
+                edges.append((i, sink))
+    return MultiGraph.from_edges(sink, edges)
+
+
+def test_borrow_is_a_unit_step_of_the_residue():
+    """Each _borrow(cols, v, i, k) turns the residue v into the residue of
+    v - e_i; the steps wrap entries with small Hermite diagonals often
+    enough that some carries reach several entries past i."""
+    rng = random.Random(11)
+    grid = _sink_grid(6)
+    assert set(grid.degrees[:-1]) == {4}
+    graphs = [MultiGraph.wheel(30), grid, *_random_multigraphs(3, 4, sizes=(12, 12))]
+    for G in graphs:
+        cols = _lattice_form(G)
+        k = G.n - 1
+        small = [i for i in range(k) if cols[i][i] <= 10]
+        reach = 0
+        for start in ([0] * k, [rng.randint(-50, 50) for _ in range(k)]):
+            v = list(_residue(cols, start, k))
+            for step in range(300):
+                i = rng.choice(small) if step % 3 else rng.randrange(k)
+                expect = _residue(cols, [x - (r == i) for r, x in enumerate(v)], k)
+                before = v[:]
+                _borrow(cols, v, i, k)
+                assert tuple(v) == expect, (G.to_json(), before, i)
+                reach = max([reach] + [r - i for r in range(k) if before[r] != v[r]])
+        assert reach >= 3, G.to_json()
 
 
 def test_flat_buffer_matches_matrix(multi4):

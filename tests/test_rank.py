@@ -135,6 +135,48 @@ def test_rank_witness_invariants(gc):
     assert not dynamics.is_effective_class(G, removed)
 
 
+# SMALL_GRAPHS already holds the multi4 multigraph
+ORACLE_GRAPHS = SMALL_GRAPHS + [
+    MultiGraph.complete(1),
+    MultiGraph.from_edges(3, [(1, 2), (2, 3)]),  # a path, so a tree
+]
+
+
+def _lex_patterns(total, parts):
+    """Non-negative tuples of the given sum, in lexicographic order."""
+    return sorted(p for p in product(range(total + 1), repeat=parts) if sum(p) == total)
+
+
+def _reference_rank(G, f):
+    """rank_bruteforce's definition with nothing shared: every pattern of
+    each degree in lexicographic order, each class decided by parking."""
+    if not dynamics.is_effective_class(G, f):
+        return rank.RankResult(-1, (0,) * G.n)
+    for dd in range(1, sum(f) + 1):
+        for lam in _lex_patterns(dd, G.n):
+            if not dynamics.is_effective_class(G, tuple(x - y for x, y in zip(f, lam))):
+                return rank.RankResult(dd - 1, lam)
+    return rank.RankResult(sum(f), _lex_patterns(sum(f) + 1, G.n)[0])
+
+
+@st.composite
+def oracle_case(draw):
+    """A graph and a configuration of degree at most 12 - n, which keeps the
+    reference's product over all patterns small."""
+    G = draw(st.sampled_from(ORACLE_GRAPHS))
+    f = draw(st.tuples(*[st.integers(-2, 4)] * G.n).filter(lambda f: sum(f) <= 12 - G.n))
+    return G, f
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_case())
+def test_rank_matches_the_lex_order_oracle(gf):
+    """Rank and witness (the lex-first failing pattern) both equal the
+    reference's."""
+    G, f = gf
+    assert rank.rank_bruteforce(G, f) == _reference_rank(G, f)
+
+
 def test_rank_zero_witness_means_not_effective(K4):
     res = rank.rank_bruteforce(K4, (-2, 0, 0, 0))
     assert res.rank == -1
