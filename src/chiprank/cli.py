@@ -12,7 +12,7 @@ import sys
 import time
 
 from . import acceptance, complete, dyck, dynamics, rank, strip
-from .graphs import MultiGraph, check_config
+from .graphs import MultiGraph, _check_length, _check_order, _wheel_order, check_config
 
 
 def _parse_config(text: str) -> tuple:
@@ -44,6 +44,28 @@ def _load_graph(args: argparse.Namespace) -> MultiGraph:
     return MultiGraph.wheel(args.wheel)
 
 
+def _named_config(args: argparse.Namespace) -> tuple:
+    """The configuration, checked against the vertex count that --complete N
+    or --wheel K names, without building the graph."""
+    if args.complete is not None:
+        n = _check_order(args.complete)
+    else:
+        n = _wheel_order(args.wheel)
+    return _check_length(n, _parse_config(args.config))
+
+
+def _load(args: argparse.Namespace) -> tuple:
+    """The graph and the checked configuration.  A named graph's dense
+    matrix is built only after the configuration's length matches, so a
+    short configuration on a huge N fails at once rather than out of
+    memory."""
+    if args.graph is not None:
+        G = _load_graph(args)
+        return G, check_config(G, _parse_config(args.config))
+    f = _named_config(args)
+    return _load_graph(args), f
+
+
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
@@ -51,19 +73,25 @@ def _emit(payload: dict) -> None:
 def _cmd_config(args: argparse.Namespace) -> int:
     """stabilize, parking, recurrent and effective: one graph, one
     configuration, one JSON payload."""
-    _emit(args.compute(_load_graph(args), _parse_config(args.config)))
+    _emit(args.compute(*_load(args)))
     return 0
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    G = _load_graph(args)
-    f = check_config(G, _parse_config(args.config))
     method = args.method
-    if method == "auto":
-        method = "formula" if G.is_complete() else "bruteforce"
-    elif method in ("formula", "greedy") and not G.is_complete():
-        raise ValueError(f"method {method!r} only applies to complete graphs")
+    if args.complete is not None and method != "bruteforce":
+        # the formula and greedy read f alone, so K_N is never built: its
+        # matrix would cost O(N^2) against the rank's O(N)
+        f = _named_config(args)
+        if method == "auto":
+            method = "formula"
+    else:
+        G, f = _load(args)
+        if method == "auto":
+            method = "formula" if G.is_complete() else "bruteforce"
+        elif method in ("formula", "greedy") and not G.is_complete():
+            raise ValueError(f"method {method!r} only applies to complete graphs")
     if args.count_ops and method != "formula":
         raise ValueError("--count-ops only applies to the formula method")
     out: dict = {"method": method, "degree": sum(f)}
@@ -84,8 +112,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _cmd_rr_check(args: argparse.Namespace) -> int:
-    G = _load_graph(args)
-    rr = rank.riemann_roch_data(G, _parse_config(args.config))
+    rr = rank.riemann_roch_data(*_load(args))
     _emit(rr._asdict())
     return 0 if rr.holds else 1
 

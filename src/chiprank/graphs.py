@@ -38,9 +38,7 @@ class MultiGraph:
 
     def __init__(self, mult: Sequence[Sequence[int]]):
         rows = [_as_ints(row, "edge multiplicities") for row in mult]
-        n = len(rows)
-        if n < 1:
-            raise ValueError("graph needs at least one vertex")
+        n = _check_order(len(rows))
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError("multiplicity matrix must be square")
@@ -86,9 +84,7 @@ class MultiGraph:
 
         The hub is the last vertex (k+1), so it is the sink by convention.
         """
-        if k < 3:
-            raise ValueError("wheel needs a rim cycle of length >= 3")
-        n = k + 1
+        n = _wheel_order(k)
         mult = [[0] * n for _ in range(n)]
         for i in range(k):
             j = (i + 1) % k
@@ -166,12 +162,9 @@ class MultiGraph:
         )
 
     def is_complete(self) -> bool:
-        return all(
-            self.mult[i][j] == 1
-            for i in range(self.n)
-            for j in range(self.n)
-            if i != j
-        )
+        # the diagonal is zero, so a row holds n - 1 ones exactly when every
+        # edge from its vertex is simple
+        return all(row.count(1) == self.n - 1 for row in self.mult)
 
     def spanning_tree_count(self) -> int:
         """Number of spanning trees: the determinant of the reduced Laplacian
@@ -215,10 +208,30 @@ def _as_ints(values: Iterable, what: str = "configuration entries") -> tuple:
 
 def check_config(G: MultiGraph, f: Sequence[int]) -> tuple:
     """Validate one-entry-per-vertex and return the configuration as a tuple."""
+    return _check_length(G.n, f)
+
+
+def _check_length(n: int, f: Sequence[int]) -> tuple:
+    """``check_config`` against a vertex count n, for callers that know n
+    before (or without) building the graph."""
     f = _as_ints(f)
-    if len(f) != G.n:
-        raise ValueError(f"configuration must have {G.n} entries, got {len(f)}")
+    if len(f) != n:
+        raise ValueError(f"configuration must have {n} entries, got {len(f)}")
     return f
+
+
+def _check_order(n: int) -> int:
+    """n, once it is checked to be a vertex count a graph can have."""
+    if n < 1:
+        raise ValueError("graph needs at least one vertex")
+    return n
+
+
+def _wheel_order(k: int) -> int:
+    """The vertex count of the wheel W_k, once k is checked."""
+    if k < 3:
+        raise ValueError("wheel needs a rim cycle of length >= 3")
+    return k + 1
 
 
 def degree(f: Sequence[int]) -> int:

@@ -1,10 +1,12 @@
 import json
+import random
 import time
 
 import pytest
 
-from chiprank import cli
+from chiprank import cli, complete
 from chiprank.cli import main
+from chiprank.graphs import MultiGraph
 
 
 def run(capsys, *argv):
@@ -85,19 +87,118 @@ def test_rank_methods_and_ops(capsys):
     assert payload["rank"] == 2
 
 
+def _slow_down(monkeypatch, name):
+    step = getattr(cli, name)
+
+    def slow(*args):
+        time.sleep(0.05)
+        return step(*args)
+
+    monkeypatch.setattr(cli, name, slow)
+
+
 def test_rank_wall_ms_covers_the_whole_command(capsys, monkeypatch):
     """wall_ms counts graph loading and validation, not only the rank
     call: a graph load slowed by 50 ms shows in it."""
-    load = cli._load_graph
+    _slow_down(monkeypatch, "_load_graph")
+    payload = run_json(capsys, "rank", "--wheel", "5", "--config", "0,1,0,1,0,1")
+    assert payload["rank"] == 0
+    assert payload["wall_ms"] >= 50
 
-    def slow_load(args):
-        time.sleep(0.05)
-        return load(args)
 
-    monkeypatch.setattr(cli, "_load_graph", slow_load)
+def test_rank_wall_ms_covers_config_parsing_on_kn(capsys, monkeypatch):
+    """--complete N builds no graph; wall_ms still counts the parse."""
+    _slow_down(monkeypatch, "_parse_config")
     payload = run_json(capsys, "rank", "--complete", "3", "--config", "5,0,0")
     assert payload["rank"] == 4
     assert payload["wall_ms"] >= 50
+
+
+class GraphBuilt(Exception):
+    """Raised by a stand-in graph constructor; the CLI does not catch it."""
+
+
+@pytest.fixture()
+def no_graph(monkeypatch):
+    """Make building any MultiGraph fail at once.  The named constructors
+    allocate their N x N matrix before __init__ runs, so they go too."""
+    def refuse(*args):
+        raise GraphBuilt
+
+    for name in ("__init__", "complete", "wheel"):
+        monkeypatch.setattr(MultiGraph, name, refuse)
+
+
+def _kn_config(rng, n, hi):
+    return tuple(rng.randint(-3, hi) for _ in range(n))
+
+
+def _rank_payload(capsys, f, *options):
+    argv = ("rank", "--complete", str(len(f)), "--config=" + ",".join(map(str, f)))
+    payload = run_json(capsys, *argv, *options)
+    del payload["wall_ms"]
+    return payload
+
+
+@pytest.mark.parametrize("n", list(range(1, 9)) + [200, 517, 1000])
+def test_rank_on_kn_matches_the_library(capsys, n):
+    rng = random.Random(n)
+    for _ in range(3):
+        f = _kn_config(rng, n, 3 * n)
+        rank, ops = complete.rank_formula(f, count_ops=True)
+        expected = {"method": "formula", "degree": sum(f), "rank": rank}
+        assert _rank_payload(capsys, f) == expected
+        assert _rank_payload(capsys, f, "--method", "formula") == expected
+        assert _rank_payload(capsys, f, "--count-ops") == dict(expected, ops=ops)
+        # greedy takes rank + 1 steps of O(n) each, so on large N it gets
+        # configurations of small degree, whose rank is small
+        g = f if n <= 8 else _kn_config(rng, n, 3)
+        assert _rank_payload(capsys, g, "--method", "greedy") == {
+            "method": "greedy", "degree": sum(g), "rank": complete.rank_greedy(g)}
+
+
+@pytest.mark.parametrize("method", ["auto", "formula", "greedy"])
+@pytest.mark.parametrize("n, config, err", [
+    ("0", "1", "graph needs at least one vertex"),
+    ("-2", "1", "graph needs at least one vertex"),
+    ("0", "not-read", "graph needs at least one vertex"),  # N comes first
+    ("3", "1,2", "configuration must have 3 entries, got 2"),
+    ("3", "1,x,3", "invalid literal for int() with base 10: 'x'"),
+])
+def test_rank_on_kn_errors(capsys, no_graph, method, n, config, err):
+    code, out, stderr = run(capsys, "rank", "--complete", n, "--config", config,
+                            "--method", method)
+    assert (code, out, stderr) == (1, "", f"error: {err}\n")
+
+
+def test_rank_bruteforce_on_kn_keeps_its_witness(capsys):
+    payload = run_json(capsys, "rank", "--complete", "4", "--config", "1,1,1,1",
+                       "--method", "bruteforce")
+    assert payload["method"] == "bruteforce"
+    assert payload["rank"] == 2
+    assert sum(payload["witness"]) == 3
+
+
+def test_rank_on_huge_kn_builds_no_graph(capsys, no_graph, tmp_path):
+    n = 100_000
+    f = _kn_config(random.Random(5), n, 3 * n)
+    p = tmp_path / "cfg.txt"
+    p.write_text(",".join(map(str, f)))
+    payload = run_json(capsys, "rank", "--complete", str(n), "--config", f"@{p}")
+    assert payload["rank"] == complete.rank_formula(f)
+    assert payload["method"] == "formula"
+
+
+@pytest.mark.parametrize("command", [
+    "stabilize", "parking", "recurrent", "effective", "rr-check", "rank",
+])
+@pytest.mark.parametrize("graph, n", [("--complete", 100_000), ("--wheel", 100_001)])
+def test_short_config_fails_before_the_graph_is_built(capsys, no_graph, command,
+                                                       graph, n):
+    extra = ("--method", "bruteforce") if command == "rank" else ()
+    code, out, err = run(capsys, command, graph, "100000", "--config", "1,2", *extra)
+    assert (code, out) == (1, "")
+    assert err == f"error: configuration must have {n} entries, got 2\n"
 
 
 def test_rank_errors(capsys):

@@ -30,6 +30,16 @@ def test_wheel_shape(W5):
     assert not W5.is_complete()
 
 
+def test_is_complete_checks_every_pair():
+    assert MultiGraph.complete(1).is_complete()
+    assert MultiGraph.complete(2).is_complete()
+    # K5's edge count, with the pair 1-2 doubled and the pair 4-5 missing
+    pairs = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
+    G = MultiGraph.from_edges(5, [(1, 2, 2)] + pairs[1:-1])
+    assert G.m == 10
+    assert not G.is_complete()
+
+
 def test_wheel_too_small():
     with pytest.raises(ValueError):
         MultiGraph.wheel(2)
