@@ -233,6 +233,12 @@ def rank_greedy(f: Sequence[int]) -> int:
     Parks f, then peels first-return blocks while the sink stays
     non-negative; hitting the staircase word short-circuits to
     steps + sink, and a negative sink ends the search at steps - 1.
+
+    Cost: an O(n) parking, then up to rank + 1 steps of O(n) each, so
+    O(n * (rank + 1)) in all, where ``rank_formula`` is O(n) at any rank.
+    On K_1000 with entries up to 3000 (rank about 10^6) it took about 30 s,
+    against about 1 ms for ``rank_formula`` (Python 3.11, shared 2-core
+    x86-64 machine).
     """
     sp, parked = parking_via_cyclic_lemma(f)
     stair = "ab" * (len(parked) - 1) + "b"

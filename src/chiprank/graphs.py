@@ -263,7 +263,9 @@ def _column_hnf(mat: list) -> list:
 
     Only integer column operations are used, so the columns of the result
     span the same lattice as the columns of ``mat``, and the product of the
-    diagonal is the absolute value of its determinant.
+    diagonal is the absolute value of its determinant.  Every entry below
+    the diagonal is reduced into 0 .. d - 1, where d is the diagonal entry
+    of its row.
     """
     k = len(mat)
     cols = [[mat[r][c] for r in range(k)] for c in range(k)]
@@ -284,6 +286,16 @@ def _column_hnf(mat: list) -> list:
         if cols[i][i] < 0:
             for r in range(k):
                 cols[i][r] = -cols[i][r]
+    # column i is zero above row i, so reducing row i of an earlier column by
+    # it changes only rows i..k-1, which are reduced after.  Columns go right
+    # to left, so the columns subtracted are already reduced themselves.
+    for c in range(k - 2, -1, -1):
+        col = cols[c]
+        for i in range(c + 1, k):
+            q = col[i] // cols[i][i]
+            if q:
+                for r in range(i, k):
+                    col[r] -= q * cols[i][r]
     return cols
 
 

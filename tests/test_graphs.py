@@ -229,6 +229,19 @@ def test_borrow_is_a_unit_step_of_the_residue():
         assert reach >= 3, G.to_json()
 
 
+def test_hermite_entries_are_bounded_by_the_diagonal():
+    """Below the diagonal, each entry of the Hermite form lies in
+    0 .. d - 1 for the diagonal entry d of its row; without that reduction
+    the 10 x 10 grid's form holds entries of 288 digits."""
+    for G in (MultiGraph.complete(60), MultiGraph.wheel(30), _sink_grid(10)):
+        cols = _lattice_form(G)
+        k = G.n - 1
+        for c, col in enumerate(cols):
+            assert col[:c] == [0] * c
+            assert col[c] > 0
+            assert all(0 <= col[r] < cols[r][r] for r in range(c + 1, k)), (G, c)
+
+
 def test_flat_buffer_matches_matrix(multi4):
     n, degs, flat = multi4.flat()
     assert n == multi4.n
