@@ -2,18 +2,21 @@
 
 The rank of a configuration f is the largest r such that f stays effective
 after removing *any* r chips; equivalently rank(f) + 1 is the least degree of
-an effective lambda with f - lambda not effective.  Ranks here are computed
-by brute force over chip-removal patterns.  A class of degree d and element
-g of Jac(G) (named by the non-sink residue modulo the Hermite form of the
-reduced Laplacian) is effective iff d >= delta(g), the non-sink chip count
-of its one parking representative; each graph caches delta per residue, so
-the cache never holds more than |Jac(G)| entries, and a miss parks the
-probed configuration.
+an effective lambda with f - lambda not effective.  A class of degree d and
+element g of Jac(G) (named by the non-sink residue modulo the Hermite form
+of the reduced Laplacian) is effective iff d >= delta(g), the non-sink chip
+count of its one parking representative; each graph caches delta per
+residue, so the cache never holds more than |Jac(G)| entries, and a miss
+parks the probed configuration.
 
-The search reduces one configuration per call, f itself: it walks the
-removal patterns of each degree depth-first in lexicographic order, and
-each pattern's residue follows from an earlier one by a one-chip borrow
-(``graphs._borrow``).
+Removing lambda moves the residue by lambda's non-sink part mu alone, so the
+rank is found by a breadth-first search over residues, not over removal
+patterns: the ball of residues res_f - mu grows one layer per |mu| (each
+residue one ``graphs._borrow`` from the layer before) until one breaks the
+degree bound or the ball covers Jac(G).  That visits each residue once per
+call, at most (n - 1) |Jac(G)| borrows.  Only the witness, the lex-first
+failing pattern, walks removal patterns, and only those of degree
+rank + 1.  The search reduces one configuration per call, f itself.
 """
 
 from __future__ import annotations
@@ -73,21 +76,21 @@ def is_effective_cached(G: MultiGraph, f: Sequence[int]) -> bool:
     probe into an element of Jac(G), a probe costs one class key and one
     dictionary lookup."""
     f = check_config(G, f)
-    return _probe(G, *canonical_class_key(G, f), f)
+    d, res = canonical_class_key(G, f)
+    return d >= _delta(G, res, f)
 
 
-def _probe(
-    G: MultiGraph, d: int, res: tuple, f: tuple, lam: tuple | None = None
-) -> bool:
-    """Is the class of f - lam (of f when lam is None), of degree d and
-    non-sink residue res, effective, that is, is d >= delta(res)?  The one
-    reader and writer of G's cache of delta."""
+def _delta(G: MultiGraph, res: tuple, f: tuple, lam: tuple | None = None) -> int:
+    """delta(res), the non-sink chip count of the parking representative of
+    the classes with non-sink residue res, that of f - lam (of f when lam is
+    None); a class of degree d and residue res is effective iff
+    d >= delta(res).  The one reader and writer of G's cache of delta."""
     cache = G._eff_cache
     delta = cache.get(res)
     if delta is None:
         g = f if lam is None else tuple(x - y for x, y in zip(f, lam))
         delta = cache[res] = sum(parking_representative(G, g)[:-1])
-    return d >= delta
+    return delta
 
 
 # ---------- rank ----------
@@ -96,65 +99,113 @@ def _probe(
 def rank_bruteforce(
     G: MultiGraph, f: Sequence[int], *, max_candidates: int = 5_000_000
 ) -> RankResult:
-    """Rank by increasing-degree search over chip-removal patterns.
+    """Rank by a breadth-first search over the residues of f - lambda, then
+    the lex-first removal pattern of degree rank + 1 as the witness.
 
-    For d = 1, 2, ..., deg(f) tries every non-negative lambda of degree d in
-    lexicographic order and returns d - 1 with the first lambda making
-    f - lambda non-effective; if none does, the rank is deg(f), since
-    removing deg(f) + 1 chips leaves negative degree, and the witness is the
-    lex-first pattern of that degree.  Raises if the candidate patterns up to
-    degree max(deg(f) - m + n, deg(f)) + 1 (beyond which no failure can
-    first occur) would exceed ``max_candidates``.
+    f - lambda, for lambda of degree r with non-sink part mu, is effective
+    iff delta(res_f - mu) <= deg(f) - r, and the sink chips of lambda do not
+    move the residue; so rank(f) >= r iff every residue within distance r of
+    res_f (reached by some mu with |mu| <= r) has delta <= deg(f) - r.  The
+    ball around res_f grows one layer per degree (``_ball_rank``) and stops
+    at the first residue that breaks that bound, or when a layer comes out
+    empty because the ball covers Jac(G).  For rank < deg(f) the witness is
+    the lex-first failing pattern of degree rank + 1 (``_lex_witness``);
+    for rank = deg(f), removing deg(f) + 1 chips leaves negative degree, and
+    the witness is (0, ..., 0, deg(f) + 1).
 
-    The patterns of one degree are walked depth-first over lambda's
-    non-sink part mu, in lexicographic order; the sink entry is whatever
-    degree mu leaves.  Each step raises one entry of mu by one, so the
-    residue of f - lambda follows by one ``_borrow`` from the previous
-    pattern's residue (or from the one saved where the walk backs up) in
-    place of a fresh ``_residue``.
+    Raises if the patterns of degree max(deg(f) - m + n, deg(f)) + 1 (beyond
+    which no failure can first occur) would exceed ``max_candidates``: both
+    the ball, whose residues are each reached by some mu of at most that
+    size, and the witness walk fit inside that count.
     """
     f = check_config(G, f)
     cols = _lattice_form(G)
     k = G.n - 1
     d = degree(f)
     res_f = _residue(cols, f, k)
-    if not _probe(G, d, res_f, f):
+    if _delta(G, res_f, f) > d:
         return RankResult(-1, (0,) * G.n)
-    # sum over degrees up to the ceiling of C(degree + n - 1, n - 1)
+    # C(ceiling + n - 1, n - 1): the patterns of degree ceiling, or the mu
+    # with |mu| <= ceiling
     ceiling = max(d - G.m + G.n, d) + 1
-    if comb(ceiling + G.n, G.n) > max_candidates:
+    if comb(ceiling + k, k) > max_candidates:
         raise ValueError(
             f"rank search space exceeds {max_candidates} candidate patterns"
         )
+    r = _ball_rank(G, cols, f, d, res_f)
+    if r == d:
+        return RankResult(d, (0,) * k + (d + 1,))
+    return RankResult(r, _lex_witness(G, cols, f, d, res_f, r + 1))
+
+
+def _ball_rank(G: MultiGraph, cols: list, f: tuple, d: int, res_f: tuple) -> int:
+    """rank(f), for effective f of degree d and non-sink residue res_f.
+    Layer dd holds the residues first reached with |mu| = dd, each stored
+    with the lambda = (mu, 0) that a cache miss parks."""
+    k = G.n - 1
+    top = _delta(G, res_f, f)
+    seen = {res_f}
+    layer = [(res_f, (0,) * G.n)]
     for dd in range(1, d + 1):
-        mu = [0] * k
-        used = 0            # chips in mu
-        v = list(res_f)     # the residue of res_f - mu
-        saved = [None] * k  # saved[j]: v as it was when mu[j] last left 0
-        while True:
-            lam = (*mu, dd - used)
-            if not _probe(G, d - dd, tuple(v), f, lam):
-                return RankResult(dd - 1, lam)
-            j = k - 1
-            if used == dd or not k:
-                # no sink chip left to move into mu: zero the last nonzero
-                # mu[j] and raise the entry before it, or stop after
-                # (dd, 0, ..., 0)
-                while j >= 0 and not mu[j]:
-                    j -= 1
-                if j <= 0:
-                    break
-                v = saved[j]
-                used -= mu[j]
-                mu[j] = 0
+        bound = d - dd
+        if top > bound:
+            return dd - 1
+        nxt = []
+        for res, lam in layer:
+            for i in range(k):
+                v = list(res)
+                _borrow(cols, v, i, k)
+                v = tuple(v)
+                if v in seen:
+                    continue
+                seen.add(v)
+                step = (*lam[:i], lam[i] + 1, *lam[i + 1:])
+                delta = _delta(G, v, f, step)
+                if delta > top:
+                    top = delta
+                    if top > bound:
+                        return dd - 1
+                nxt.append((v, step))
+        if not nxt:
+            # the ball covers Jac(G): no larger layer adds a residue
+            return d - top
+        layer = nxt
+    return d
+
+
+def _lex_witness(
+    G: MultiGraph, cols: list, f: tuple, d: int, res_f: tuple, dd: int
+) -> tuple:
+    """The lex-first lambda of degree dd = rank(f) + 1 <= d with f - lambda
+    not effective.  The walk goes depth-first over lambda's non-sink part
+    mu (the sink entry is whatever degree mu leaves); each step raises one
+    entry of mu, so the residue follows by one ``_borrow`` from the previous
+    pattern's (or from the one saved where the walk backs up)."""
+    k = G.n - 1
+    mu = [0] * k
+    used = 0            # chips in mu
+    v = list(res_f)     # the residue of res_f - mu
+    saved = [None] * k  # saved[j]: v as it was when mu[j] last left 0
+    while True:
+        lam = (*mu, dd - used)
+        if _delta(G, tuple(v), f, lam) > d - dd:
+            return lam
+        j = k - 1
+        if used == dd:
+            # no sink chip left to move into mu: zero the last nonzero
+            # mu[j] and raise the entry before it (j > 0: the walk returns
+            # by its last pattern, (dd, 0, ..., 0))
+            while not mu[j]:
                 j -= 1
-            if not mu[j]:
-                saved[j] = v[:]
-            mu[j] += 1
-            used += 1
-            _borrow(cols, v, j, k)
-    # every removal of more than deg(f) chips fails; the lex-first one wins
-    return RankResult(d, (0,) * k + (d + 1,))
+            v = saved[j]
+            used -= mu[j]
+            mu[j] = 0
+            j -= 1
+        if not mu[j]:
+            saved[j] = v[:]
+        mu[j] += 1
+        used += 1
+        _borrow(cols, v, j, k)
 
 
 def kappa(G: MultiGraph) -> tuple:

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -207,6 +208,72 @@ def test_search_space_guard():
     G = MultiGraph.complete(5)
     with pytest.raises(ValueError, match="search space"):
         rank.rank_bruteforce(G, (50, 0, 0, 0, 0), max_candidates=100)
+
+
+@pytest.mark.parametrize(
+    "G",
+    [
+        MultiGraph.wheel(5),
+        MultiGraph.complete(5),
+        MultiGraph.wheel(6),
+        MultiGraph.from_edges(4, [(1, 2, 2), (2, 3, 1), (3, 4, 3), (1, 4, 1), (1, 3, 2)]),
+    ],
+    ids=["W5", "K5", "W6", "multi4"],
+)
+def test_rank_work_is_bounded_by_the_jacobian(G, monkeypatch):
+    """Each call borrows at most (n - 1) |Jac(G)| times in the ball search,
+    which expands every residue once, plus one borrow per probe of the
+    witness walk, whatever the rank."""
+    borrow, delta, walk = rank._borrow, rank._delta, rank._lex_witness
+    counts = {"borrows": 0, "walk_probes": 0, "in_walk": False}
+
+    def counting_borrow(*args):
+        counts["borrows"] += 1
+        return borrow(*args)
+
+    def counting_delta(*args):
+        counts["walk_probes"] += counts["in_walk"]
+        return delta(*args)
+
+    def flagged_walk(*args):
+        counts["in_walk"] = True
+        try:
+            return walk(*args)
+        finally:
+            counts["in_walk"] = False
+
+    monkeypatch.setattr(rank, "_borrow", counting_borrow)
+    monkeypatch.setattr(rank, "_delta", counting_delta)
+    monkeypatch.setattr(rank, "_lex_witness", flagged_walk)
+    limit = (G.n - 1) * G.spanning_tree_count()
+    rng = random.Random(9)
+    for _ in range(400):
+        f = tuple(rng.randint(-4, 6) for _ in range(G.n))
+        counts["borrows"] = counts["walk_probes"] = 0
+        rank.rank_bruteforce(G, f)
+        assert counts["borrows"] <= limit + counts["walk_probes"], f
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_rank_saturates_on_the_whole_jacobian(n):
+    """With entries up to 20 most configurations have degree enough for the
+    ball to cover Jac(K_n) before any residue breaks the degree bound; the
+    rank then read off, deg(f) minus the largest delta, is the closed
+    formula's, as is the rank of an early stop."""
+    G = MultiGraph.complete(n)
+    rng = random.Random(n)
+    for _ in range(100):
+        f = tuple(rng.randint(-10, 20) for _ in range(n))
+        assert rank.rank_bruteforce(G, f).rank == rank_formula(f), f
+
+
+def test_rank_past_the_old_pattern_cap(W5):
+    """(6,)*6 on W5 once raised: the patterns of degree <= 37 number
+    C(43, 6) > 5e6.  Those of degree 37 alone number C(42, 5), under it."""
+    f = (6,) * 6
+    res = rank.rank_bruteforce(W5, f)
+    assert res == rank.RankResult(31, (0, 0, 0, 1, 9, 22))
+    assert not dynamics.is_effective_class(W5, tuple(x - y for x, y in zip(f, res.witness)))
 
 
 def test_kappa_and_dual(K4):
