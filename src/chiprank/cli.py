@@ -283,8 +283,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call to ``main``: building it takes longer than a short
+# command's own work, and parsing leaves it unchanged.
+_parser = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, AssertionError, OSError, OverflowError, RuntimeError) as exc:

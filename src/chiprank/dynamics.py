@@ -10,8 +10,7 @@ by the Laplacian rows.
 
 from __future__ import annotations
 
-from itertools import combinations, product
-from math import prod
+from itertools import accumulate, combinations
 from typing import Sequence
 
 from . import _backend
@@ -34,7 +33,8 @@ __all__ = [
     "recurrent_level_counts",
 ]
 
-# Enumeration guard for the exhaustive class counters.
+# Enumeration guard for the exhaustive class counters: the most elements of
+# Jac(G) (spanning trees) they enumerate.
 _ENUM_LIMIT = 10_000_000
 
 
@@ -76,7 +76,8 @@ def is_recurrent_burning(G: MultiGraph, f: Sequence[int]) -> bool:
     f = check_config(G, f)
     if not is_stable(G, f):
         raise ValueError("burning test expects a stable configuration")
-    burned_once, cfg = _fire_sink(G, f)
+    odo, cfg = _fire_sink(G, f)
+    burned_once = all(odo[i] == 1 for i in range(G.n - 1))
     if burned_once != (tuple(cfg) == f):
         raise AssertionError("odometer and fixed point disagree")
     return burned_once
@@ -85,14 +86,14 @@ def is_recurrent_burning(G: MultiGraph, f: Sequence[int]) -> bool:
 def _fire_sink(G: MultiGraph, f: Sequence[int]) -> tuple:
     """Fire the sink into f and stabilize.
 
-    Returns ``(burned_once, cfg)``: whether every non-sink vertex toppled
-    exactly once (the recurrence criterion), and the stabilized result.
+    Returns ``(odometer, cfg)``: how often each vertex toppled (every
+    non-sink vertex exactly once is the recurrence criterion), and the
+    stabilized result.
     """
     n, degs, flat = G.flat()
     cfg = [x + e for x, e in zip(f, flat[(n - 1) * n:])]
     cfg[-1] -= degs[-1]
-    odo = _backend.stabilize(n, degs, flat, cfg)
-    return all(odo[i] == 1 for i in range(n - 1)), cfg
+    return _backend.stabilize(n, degs, flat, cfg), cfg
 
 
 def is_recurrent_subsets(G: MultiGraph, f: Sequence[int]) -> bool:
@@ -294,15 +295,87 @@ def is_effective_class(G: MultiGraph, f: Sequence[int]) -> bool:
     return parking_representative(G, f)[-1] >= 0
 
 
-def _stable_cube(G: MultiGraph):
-    """Every stable sandpile configuration with sink entry 0, as tuples of
-    non-sink entries (the sink entry plays no role in recurrence or parking).
-    Refuses cubes beyond the enumeration guard."""
-    sizes = G.degrees[:-1]
-    cells = prod(sizes)
-    if cells > _ENUM_LIMIT:
-        raise ValueError(f"stable cube has {cells} cells; enumeration refused")
-    return product(*map(range, sizes))
+def _prefix_walk(G: MultiGraph, entry_range) -> list:
+    """Histogram of non-sink sums over the parking or the recurrent
+    configurations, found by extending prefixes of members one vertex at a
+    time; ``hist[s]`` counts the members whose non-sink entries sum to s.
+
+    ``entry_range(prefix)`` returns the half-open range of the next entry
+    over the members that start with ``prefix``.  Both sets are closed
+    coordinatewise (parking configurations downwards, recurrent ones upwards
+    within the stable cube), so every prefix the walk reaches extends to a
+    member, and the walk makes one call per prefix of length 0 .. n - 2: at
+    most (n - 1)·|Jac(G)| calls.  The last entry's range is tallied at once,
+    into a difference array.  The guard counts |Jac(G)| before any call,
+    and the members found must number exactly that many.
+    """
+    order = G.spanning_tree_count()
+    if order > _ENUM_LIMIT:
+        raise ValueError(f"Jac(G) has {order} elements; enumeration refused")
+    last = G.n - 2
+    if last < 0:
+        return [1]  # the empty body is the one member
+    # sums run up to sum(deg - 1) over the non-sink vertices
+    diff = [0] * (sum(G.degrees[:-1]) - last + 1)
+    stack = [((), 0)]  # explicit, as the walk is n - 1 levels deep
+    while stack:
+        prefix, s = stack.pop()
+        lo, hi = entry_range(prefix)
+        if len(prefix) < last:
+            stack.extend((prefix + (c,), s + c) for c in range(lo, hi))
+        elif lo < hi:
+            diff[s + lo] += 1
+            diff[s + hi] -= 1
+    hist = list(accumulate(diff))[:-1]
+    if sum(hist) != order:
+        raise AssertionError(
+            f"prefix walk found {sum(hist)} configurations, not |Jac| = {order}"
+        )
+    return hist
+
+
+def _parking_range(G: MultiGraph):
+    """The parking walk's next-entry range, from one burning test.
+
+    Vertex j gets deg(j) chips, which no fire can burn, and every later
+    vertex none.  Let U (holding j) be what the fire leaves unburnt.  Then j
+    burns exactly when it holds fewer than deg(j) - e(j, U) chips, the edges
+    the burnt vertices send it; and once it burns, the rest burn too, as no
+    set avoiding j could fire legally in the parking configuration with j
+    at 0 either.
+    """
+    n, degs, flat = G.flat()
+    mult = G.mult
+
+    def entry_range(prefix):
+        j = len(prefix)
+        cfg = prefix + (degs[j],) + (0,) * (n - 1 - j)
+        unburnt = _backend.burning_test(n, degs, flat, cfg)
+        return 0, degs[j] - sum(mult[j][u] for u in unburnt)
+
+    return entry_range
+
+
+def _recurrent_range(G: MultiGraph):
+    """The recurrent walk's next-entry range, from one stabilization: the
+    mirror image of ``_parking_range``, on the other kernel.
+
+    Vertex j gets -1 chips and every later vertex deg - 1, then the sink
+    fires.  Nothing topples twice, so j receives at most deg(j) chips and
+    never topples.  It ends up holding -1 + e(j, T + sink), with T the
+    toppled set, and it topples exactly when it starts with at least
+    deg(j) - e(j, T + sink) chips: those entries below deg(j) keep the
+    configuration recurrent.
+    """
+    degs = G.degrees
+    full = tuple(d - 1 for d in degs[:-1])
+
+    def entry_range(prefix):
+        j = len(prefix)
+        _, cfg = _fire_sink(G, prefix + (-1,) + full[j + 1:] + (0,))
+        return degs[j] - 1 - cfg[j], degs[j]
+
+    return entry_range
 
 
 def recurrent_level_counts(G: MultiGraph) -> list:
@@ -311,47 +384,49 @@ def recurrent_level_counts(G: MultiGraph) -> list:
     level(f) = sum of non-sink entries - m + deg(sink); ranges over
     0 .. m - n + 1, and the histogram lists how many recurrent stable
     configurations sit at each level.  The total is the number of spanning
-    trees.
+    trees.  The configurations come from a prefix walk over the recurrent
+    up-set, one fire-the-sink stabilization per prefix (at most
+    (n - 1)·|Jac(G)| kernel calls), never from the whole stable cube;
+    graphs with more than ``_ENUM_LIMIT`` spanning trees are refused before
+    any kernel call.
     """
-    top = G.m - G.n + 1
-    counts = [0] * (top + 1)
+    hist = _prefix_walk(G, _recurrent_range(G))
     shift = G.m - G.degrees[-1]
-    for body in _stable_cube(G):
-        if _fire_sink(G, body + (0,))[0]:
-            level = sum(body) - shift
-            if not 0 <= level <= top:
-                raise AssertionError(f"recurrent level {level} out of range")
-            counts[level] += 1
-    return counts
+    # the lowest recurrent sum is shift, the highest the end of hist
+    if any(hist[:shift]):
+        raise AssertionError("recurrent level below 0")
+    return hist[shift:]
 
 
 def effective_class_counts(G: MultiGraph, d_max: int) -> dict:
     """Number of effective toppling classes of each degree 0..d_max.
 
-    Counted two independent ways, which must agree:
+    Counted two independent ways, through different kernels, which must
+    agree:
 
-    * enumerate parking configurations and count those whose non-sink sum is
-      at most d (each effective class of degree d has exactly one parking
-      representative with sink = d - sum >= 0);
-    * enumerate recurrent configurations by level and sum the histogram tail,
-      using the complement bijection between parking sums and levels.
+    * walk the parking configurations (a down-set: each prefix's next entry
+      ranges over what one burning test leaves) and take the running sum of
+      their non-sink sums up to d; each effective class of degree d has
+      exactly one parking representative, with sink = d - sum >= 0;
+    * walk the recurrent configurations by level (``recurrent_level_counts``)
+      and sum the histogram tail, using the complement bijection between
+      parking sums and levels.
+
+    Each walk makes at most (n - 1)·|Jac(G)| kernel calls; graphs with more
+    than ``_ENUM_LIMIT`` spanning trees are refused before any kernel call.
     """
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
-    n, degs, flat = G.flat()
-    # the burning closure consumes everything exactly on parking configurations
-    parking_sums = [
-        sum(body)
-        for body in _stable_cube(G)
-        if not _backend.burning_test(n, degs, flat, body + (0,))
-    ]
-
+    parking = _prefix_walk(G, _parking_range(G))
     levels = recurrent_level_counts(G)
-    top = G.m - n + 1
+    top = G.m - G.n + 1
     out = {}
+    by_parking = by_levels = 0
     for d in range(d_max + 1):
-        by_parking = sum(1 for s in parking_sums if s <= d)
-        by_levels = sum(levels[k] for k in range(max(0, top - d), top + 1))
+        if d < len(parking):
+            by_parking += parking[d]
+        if d <= top:
+            by_levels += levels[top - d]
         if by_parking != by_levels:
             raise AssertionError(
                 f"class count mismatch at degree {d}: "

@@ -235,6 +235,27 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_parser_is_built_once(capsys, monkeypatch):
+    """Calls after the first reuse the parser, and usage errors still exit 2."""
+    builds = []
+    real = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    assert run_json(capsys, "rank", "--complete", "3", "--config", "5,0,0")["rank"] == 4
+    assert run_json(capsys, "parking", "--complete", "3", "--config", "2,0,0") == {
+        "parking": [0, 1, 1]}
+    for argv in (["no-such-command"], ["rank", "--complete", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert builds == [1]
+
+
 def test_rr_check(capsys):
     payload = run_json(capsys, "rr-check", "--complete", "3", "--config", "5,0,0")
     assert payload == {

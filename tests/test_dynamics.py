@@ -1,9 +1,12 @@
 import os
 import subprocess
 import sys
+from collections import Counter
+from itertools import product
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import chiprank
@@ -206,6 +209,83 @@ def test_recurrent_level_counts_pinned(K3, K4, W5):
 def test_effective_class_counts_pinned(K3):
     counts = dynamics.effective_class_counts(K3, 4)
     assert counts == {0: 1, 1: 3, 2: 3, 3: 3, 4: 3}
+
+
+@st.composite
+def small_multigraphs(draw):
+    """Random connected multigraphs, multiplicities up to 3, whose stable
+    cube has at most 2·10^4 cells."""
+    n = draw(st.integers(1, 6))
+    edges = [(i, j, draw(st.integers(0, 3)))
+             for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    try:
+        G = MultiGraph.from_edges(n, edges)
+    except ValueError:  # disconnected
+        assume(False)
+    assume(prod(G.degrees[:-1]) <= 2 * 10**4)
+    return G
+
+
+def _cube_reference(G):
+    """Parking sums and recurrent levels, from every cell of the stable cube."""
+    sizes = [range(d) for d in G.degrees[:-1]]
+    parking = Counter(sum(body) for body in product(*sizes)
+                      if dynamics.is_parking(G, body + (0,)))
+    levels = [0] * (G.m - G.n + 2)
+    shift = G.m - G.degrees[-1]
+    for body in product(*sizes):
+        if dynamics.is_recurrent_burning(G, body + (0,)):
+            levels[sum(body) - shift] += 1
+    return parking, levels
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(st.sampled_from(SMALL_GRAPHS), small_multigraphs()))
+def test_prefix_walks_match_the_stable_cube(G):
+    parking, levels = _cube_reference(G)
+    hist = dynamics._prefix_walk(G, dynamics._parking_range(G))
+    assert Counter({s: c for s, c in enumerate(hist) if c}) == parking
+    assert dynamics.recurrent_level_counts(G) == levels
+
+
+def test_class_counts_smallest_graphs():
+    G1 = MultiGraph([[0]])  # the empty body is the one parking configuration
+    assert dynamics.recurrent_level_counts(G1) == [1]
+    assert dynamics.effective_class_counts(G1, 2) == {0: 1, 1: 1, 2: 1}
+    G2 = MultiGraph.from_edges(2, [(1, 2, 3)])
+    assert dynamics.recurrent_level_counts(G2) == [1, 1, 1]
+    assert dynamics.effective_class_counts(G2, 3) == {0: 1, 1: 2, 2: 3, 3: 3}
+
+
+def test_class_counts_walk_a_long_path():
+    """The walk is n - 1 levels deep; a path has one class per degree."""
+    P = MultiGraph.from_edges(2000, [(i, i + 1) for i in range(1, 2000)])
+    # both walks run, and the counts by levels must match these
+    assert dynamics.effective_class_counts(P, 3) == {0: 1, 1: 1, 2: 1, 3: 1}
+
+
+def test_class_count_guard_counts_the_jacobian(monkeypatch):
+    """The guard counts |Jac|, not stable-cube cells: C30's cube has 2^29
+    cells but only 30 classes."""
+    C30 = MultiGraph.from_edges(30, [(i, i % 30 + 1) for i in range(1, 31)])
+    assert dynamics.recurrent_level_counts(C30) == [29, 1]
+    assert dynamics.effective_class_counts(C30, 3) == {0: 1, 1: 30, 2: 30, 3: 30}
+
+    monkeypatch.setattr(dynamics, "_ENUM_LIMIT", 1000)
+    W7 = MultiGraph.wheel(7)  # |Jac| 841, cube 3^7 = 2187
+    assert sum(dynamics.recurrent_level_counts(W7)) == 841
+    assert dynamics.effective_class_counts(W7, 10)[10] == 841
+
+    def refuse(*args):
+        raise AssertionError("kernel called before the guard")
+
+    monkeypatch.setattr(dynamics._backend, "burning_test", refuse)
+    monkeypatch.setattr(dynamics._backend, "stabilize", refuse)
+    K6 = MultiGraph.complete(6)  # |Jac| 1296
+    for count in (dynamics.recurrent_level_counts,
+                  lambda G: dynamics.effective_class_counts(G, 3)):
+        with pytest.raises(ValueError, match="1296"):
+            count(K6)
 
 
 def test_invariant_checks_survive_optimize_flag():
