@@ -57,7 +57,7 @@ class MultiGraph:
             raise ValueError("graph must be connected")
         self._flat = None       # flat buffers for the compiled kernels
         self._hnf = None        # Hermite form of the reduced Laplacian, on demand
-        self._eff_cache = {}    # delta per non-sink residue (see rank)
+        self._eff_cache = {}    # parking part per non-sink residue (see rank)
 
     def _connected(self) -> bool:
         seen = [False] * self.n
@@ -279,12 +279,13 @@ def _column_hnf(mat: list) -> list:
             live.sort(key=lambda c: abs(cols[c][i]))
             a, b = live[0], live[1]
             q = cols[b][i] // cols[a][i]
-            for r in range(k):
+            # columns i.. are zero above row i
+            for r in range(i, k):
                 cols[b][r] -= q * cols[a][r]
         c = live[0]
         cols[i], cols[c] = cols[c], cols[i]
         if cols[i][i] < 0:
-            for r in range(k):
+            for r in range(i, k):
                 cols[i][r] = -cols[i][r]
     # column i is zero above row i, so reducing row i of an earlier column by
     # it changes only rows i..k-1, which are reduced after.  Columns go right

@@ -5,9 +5,9 @@ after removing *any* r chips; equivalently rank(f) + 1 is the least degree of
 an effective lambda with f - lambda not effective.  A class of degree d and
 element g of Jac(G) (named by the non-sink residue modulo the Hermite form
 of the reduced Laplacian) is effective iff d >= delta(g), the non-sink chip
-count of its one parking representative; each graph caches delta per
-residue, so the cache never holds more than |Jac(G)| entries, and a miss
-parks the probed configuration.
+count of its one parking representative.  Each graph caches, per residue,
+the non-sink part p of that parking configuration (delta = sum(p)), so the
+cache never holds more than |Jac(G)| entries.
 
 Removing lambda moves the residue by lambda's non-sink part mu alone, so the
 rank is found by a breadth-first search over residues, not over removal
@@ -16,7 +16,14 @@ residue one ``graphs._borrow`` from the layer before) until one breaks the
 degree bound or the ball covers Jac(G).  That visits each residue once per
 call, at most (n - 1) |Jac(G)| borrows.  Only the witness, the lex-first
 failing pattern, walks removal patterns, and only those of degree
-rank + 1.  The search reduces one configuration per call, f itself.
+rank + 1.
+
+Every residue the search reaches is w = v - e_i for a residue v already in
+the cache, so its entry comes from p_v: parking configurations are closed
+downwards (Dhar's burning), so when p_v[i] > 0, p_v - e_i is the parking
+configuration of w and no kernel runs; otherwise the kernel parks
+p_v - e_i, which holds at most m - n + 2 non-sink chips whatever f is.
+Only f's own residue parks f.
 """
 
 from __future__ import annotations
@@ -74,23 +81,34 @@ def canonical_class_key(G: MultiGraph, f: Sequence[int]) -> tuple:
 def is_effective_cached(G: MultiGraph, f: Sequence[int]) -> bool:
     """Effectiveness of the class of f, memoized per graph: after the first
     probe into an element of Jac(G), a probe costs one class key and one
-    dictionary lookup."""
+    dictionary lookup.  A miss parks f itself."""
     f = check_config(G, f)
     d, res = canonical_class_key(G, f)
     return d >= _delta(G, res, f)
 
 
-def _delta(G: MultiGraph, res: tuple, f: tuple, lam: tuple | None = None) -> int:
+def _delta(G: MultiGraph, res: tuple, src: tuple, i: int | None = None) -> int:
     """delta(res), the non-sink chip count of the parking representative of
-    the classes with non-sink residue res, that of f - lam (of f when lam is
-    None); a class of degree d and residue res is effective iff
-    d >= delta(res).  The one reader and writer of G's cache of delta."""
+    the classes with non-sink residue res; a class of degree d and residue
+    res is effective iff d >= delta(res).  The one reader and writer of G's
+    cache, which maps each residue to that representative's non-sink part.
+
+    With i None, src is a configuration of residue res, parked on a miss.
+    Otherwise src is a cached residue and res = src - e_i; a miss takes
+    src's entry minus e_i, which is parking while it has no negative entry,
+    and parks it (sink 0) only when entry i would go negative."""
     cache = G._eff_cache
-    delta = cache.get(res)
-    if delta is None:
-        g = f if lam is None else tuple(x - y for x, y in zip(f, lam))
-        delta = cache[res] = sum(parking_representative(G, g)[:-1])
-    return delta
+    p = cache.get(res)
+    if p is None:
+        if i is None:
+            p = parking_representative(G, src)[:-1]
+        else:
+            p = cache[src]
+            p = (*p[:i], p[i] - 1, *p[i + 1:])
+            if p[i] < 0:
+                p = parking_representative(G, p + (0,))[:-1]
+        cache[res] = p
+    return sum(p)
 
 
 # ---------- rank ----------
@@ -112,6 +130,12 @@ def rank_bruteforce(
     the lex-first failing pattern of degree rank + 1 (``_lex_witness``);
     for rank = deg(f), removing deg(f) + 1 chips leaves negative degree, and
     the witness is (0, ..., 0, deg(f) + 1).
+
+    delta is read from G's cache of parking configurations (``_delta``).
+    Only res_f's entry parks f itself; the ball and the walk reach every
+    other residue by one borrow from a cached one, whose entry minus one
+    chip is the new entry unless that chip is missing, and only then does
+    the kernel park it, so no kernel input but f's grows with f.
 
     Raises if the patterns of degree max(deg(f) - m + n, deg(f)) + 1 (beyond
     which no failure can first occur) would exceed ``max_candidates``: both
@@ -140,18 +164,18 @@ def rank_bruteforce(
 
 def _ball_rank(G: MultiGraph, cols: list, f: tuple, d: int, res_f: tuple) -> int:
     """rank(f), for effective f of degree d and non-sink residue res_f.
-    Layer dd holds the residues first reached with |mu| = dd, each stored
-    with the lambda = (mu, 0) that a cache miss parks."""
+    Layer dd holds the residues first reached with |mu| = dd, each probed
+    from the residue of the layer before that it was borrowed from."""
     k = G.n - 1
     top = _delta(G, res_f, f)
     seen = {res_f}
-    layer = [(res_f, (0,) * G.n)]
+    layer = [res_f]
     for dd in range(1, d + 1):
         bound = d - dd
         if top > bound:
             return dd - 1
         nxt = []
-        for res, lam in layer:
+        for res in layer:
             for i in range(k):
                 v = list(res)
                 _borrow(cols, v, i, k)
@@ -159,13 +183,12 @@ def _ball_rank(G: MultiGraph, cols: list, f: tuple, d: int, res_f: tuple) -> int
                 if v in seen:
                     continue
                 seen.add(v)
-                step = (*lam[:i], lam[i] + 1, *lam[i + 1:])
-                delta = _delta(G, v, f, step)
+                delta = _delta(G, v, res, i)
                 if delta > top:
                     top = delta
                     if top > bound:
                         return dd - 1
-                nxt.append((v, step))
+                nxt.append(v)
         if not nxt:
             # the ball covers Jac(G): no larger layer adds a residue
             return d - top
@@ -179,17 +202,18 @@ def _lex_witness(
     """The lex-first lambda of degree dd = rank(f) + 1 <= d with f - lambda
     not effective.  The walk goes depth-first over lambda's non-sink part
     mu (the sink entry is whatever degree mu leaves); each step raises one
-    entry of mu, so the residue follows by one ``_borrow`` from the previous
-    pattern's (or from the one saved where the walk backs up)."""
+    entry j of mu, so the residue follows by one ``_borrow`` from the
+    previous pattern's (or from the one saved where the walk backs up), and
+    is probed from that residue and j."""
     k = G.n - 1
     mu = [0] * k
-    used = 0            # chips in mu
-    v = list(res_f)     # the residue of res_f - mu
-    saved = [None] * k  # saved[j]: v as it was when mu[j] last left 0
+    used = 0              # chips in mu
+    v, src, j = res_f, f, None  # the residue of res_f - mu, and whence it came
+    saved = [None] * k    # saved[j]: the residue before mu[j] last left 0
     while True:
-        lam = (*mu, dd - used)
-        if _delta(G, tuple(v), f, lam) > d - dd:
-            return lam
+        if _delta(G, v, src, j) > d - dd:
+            return (*mu, dd - used)
+        src = v
         j = k - 1
         if used == dd:
             # no sink chip left to move into mu: zero the last nonzero
@@ -197,15 +221,17 @@ def _lex_witness(
             # by its last pattern, (dd, 0, ..., 0))
             while not mu[j]:
                 j -= 1
-            v = saved[j]
+            src = saved[j]
             used -= mu[j]
             mu[j] = 0
             j -= 1
         if not mu[j]:
-            saved[j] = v[:]
+            saved[j] = src
         mu[j] += 1
         used += 1
+        v = list(src)
         _borrow(cols, v, j, k)
+        v = tuple(v)
 
 
 def kappa(G: MultiGraph) -> tuple:

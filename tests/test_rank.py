@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from chiprank import _backend, dynamics, rank
 from chiprank.complete import parking_via_cyclic_lemma, rank_formula
-from chiprank.graphs import MultiGraph, _lattice_form, laplacian_row
+from chiprank.graphs import MultiGraph, _lattice_form, _residue, laplacian_row
 
 from conftest import SMALL_GRAPHS
 
@@ -84,6 +84,24 @@ def test_cache_holds_at_most_one_entry_per_jacobian_element():
     assert len(K3._eff_cache) <= K3.spanning_tree_count()
 
 
+def test_cache_entries_are_the_kernels_parking_configurations():
+    """Every cache entry res -> p, most of them taken from a neighbour's
+    entry minus one chip with no kernel call, is the non-sink part of the
+    parking configuration the kernel gives for residue res."""
+    graphs = SMALL_GRAPHS + [MultiGraph.complete(5), MultiGraph.wheel(6)]
+    rng = random.Random(13)
+    for G in graphs:
+        for _ in range(60):
+            f = tuple(rng.randint(-4, 6) for _ in range(G.n))
+            rank.rank_bruteforce(G, f)
+            rank.is_effective_cached(G, f)
+        cols, k = _lattice_form(G), G.n - 1
+        assert G._eff_cache
+        for res, p in G._eff_cache.items():
+            assert _residue(cols, p, k) == res
+            assert dynamics.parking_representative(G, p + (0,))[:-1] == p
+
+
 @pytest.mark.parametrize(
     "G, f",
     [
@@ -91,12 +109,15 @@ def test_cache_holds_at_most_one_entry_per_jacobian_element():
         (MultiGraph.wheel(20), (0,) * 10 + (2, 0, 1) + (0,) * 8),
         (MultiGraph.complete(3), (-10**6, 0, 10**6 + 5)),
         (MultiGraph.complete(3), (10**6, 0, -10**6 + 5)),
+        # 2 - 10^7 L_1: rank 10, so the search misses many times after f
+        (MultiGraph.wheel(8), (-29999998, 10000002) + (2,) * 5 + (10000002, 10000002)),
     ],
-    ids=["W30-one-chip", "W20-three-chips", "K3-deep-debt", "K3-deep-pile"],
+    ids=["W30-one-chip", "W20-three-chips", "K3-deep-debt", "K3-deep-pile", "W8-deep-pile"],
 )
 def test_cache_misses_reduce_the_smaller_representative(G, f, monkeypatch):
-    """The parking kernel starts from f - lambda or the class residue,
-    whichever holds fewer non-sink chips, so neither a large Jacobian
+    """f's own parking starts the kernel from f or its class residue,
+    whichever holds fewer non-sink chips, and every later miss parks a
+    cached parking configuration minus one chip, so neither a large Jacobian
     (wheels: the Hermite diagonal multiplies out to |Jac|, about 3.5e12 on
     W30) nor a large f makes the reduction move many chips."""
     diagonal = sum(col[i] - 1 for i, col in enumerate(_lattice_form(G)))
@@ -112,6 +133,9 @@ def test_cache_misses_reduce_the_smaller_representative(G, f, monkeypatch):
     monkeypatch.setattr(_backend, "parking_reduce", parking_reduce)
     res = rank.rank_bruteforce(G, f)
     assert parked
+    # after f's own parking, every miss parks a cached parking configuration
+    # minus one chip, whatever the size of f
+    assert all(sum(map(abs, cfg[:-1])) <= G.m - G.n + 2 for cfg in parked[1:])
     if G.n == 3:
         assert res.rank == rank_formula(f)
         assert dynamics.parking_representative(G, f) == parking_via_cyclic_lemma(f)[1]
