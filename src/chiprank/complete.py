@@ -252,10 +252,10 @@ def rank_greedy(f: Sequence[int]) -> int:
         steps += 1
 
 
-def _formula(f: Sequence[int], counter: OpCounter | None = None) -> dict:
+def _formula(f: tuple, counter: OpCounter | None = None) -> dict:
     """The closed form's data (see rank_formula_details), computed once for
-    both public views."""
-    f = _as_config(f)
+    both public views.  Unchecked: f is a validated configuration, a
+    non-empty tuple of ints."""
     n = len(f)
     if n == 1:
         if counter is not None:
@@ -282,14 +282,14 @@ def rank_formula(f: Sequence[int], count_ops: bool = False):
     the elementary integer operations used end to end.
     """
     counter = OpCounter() if count_ops else None
-    rank = _formula(f, counter)["rank"]
+    rank = _formula(_as_config(f), counter)["rank"]
     return (rank, counter.ops) if count_ops else rank
 
 
 def rank_formula_details(f: Sequence[int]) -> dict:
     """The formula's intermediate data, for inspection: quotient q,
     remainder r, the heights, the per-position terms, and the rank."""
-    return _formula(f)
+    return _formula(_as_config(f))
 
 
 def theta_iterate(word: str, sink: int, k: int) -> tuple:

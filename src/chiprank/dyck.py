@@ -7,6 +7,10 @@ strict prefixes are never b-heavy; the latter encode sorted parking
 configurations on complete graphs, and the two forms convert by appending or
 stripping the final b.  The i-th *height* is the number of a's minus the
 number of b's before the i-th a.
+
+The public functions validate their words; the ``_``-prefixed helpers take
+words that are already validated and run unchecked, except the two entry
+checks the public functions share, ``_check_letters`` and ``_dn``.
 """
 
 from __future__ import annotations
@@ -36,7 +40,9 @@ __all__ = [
 
 
 def _check_letters(w: str) -> str:
-    if not isinstance(w, str) or any(c not in "ab" for c in w):
+    # strip stops at the first letter other than a or b from either end, so
+    # anything left over holds one
+    if not isinstance(w, str) or w.strip("ab"):
         raise ValueError("words use only the letters 'a' and 'b'")
     return w
 
@@ -49,7 +55,10 @@ def delta(w: str) -> int:
 
 def heights(w: str) -> list:
     """Height before each a: a's minus b's in the strict prefix."""
-    _check_letters(w)
+    return _heights(_check_letters(w))
+
+
+def _heights(w: str) -> list:
     out = []
     h = 0
     for c in w:
@@ -63,7 +72,10 @@ def heights(w: str) -> list:
 
 def is_dyck_word(w: str) -> bool:
     """Balanced with no b-heavy prefix."""
-    _check_letters(w)
+    return _is_dyck(_check_letters(w))
+
+
+def _is_dyck(w: str) -> bool:
     h = 0
     for c in w:
         h += 1 if c == "a" else -1
@@ -74,8 +86,11 @@ def is_dyck_word(w: str) -> bool:
 
 def is_dn_word(w: str) -> bool:
     """One more b than a, with every strict prefix non-b-heavy."""
-    _check_letters(w)
-    return w.endswith("b") and is_dyck_word(w[:-1])
+    return _is_dn(_check_letters(w))
+
+
+def _is_dn(w: str) -> bool:
+    return w.endswith("b") and _is_dyck(w[:-1])
 
 
 def to_dn_word(w: str) -> str:
@@ -93,9 +108,10 @@ def to_dyck_word(w: str) -> str:
 def _dn(w: str) -> str:
     """w with one trailing extra b: appended to a balanced w, kept as is on
     a word that already has it, refused on any other word."""
-    if is_dn_word(w):
+    _check_letters(w)
+    if _is_dn(w):
         return w
-    if is_dyck_word(w):
+    if _is_dyck(w):
         return w + "b"
     raise ValueError("expected a balanced word or one with a trailing extra b")
 
@@ -135,7 +151,11 @@ def coheights(w: str) -> list:
     With m the largest index attaining the maximal height, the i-th
     coheight is eta_m - eta_i for i <= m and eta_m - eta_i - 1 after it.
     """
-    eta = heights(w)
+    return _coheights(heights(w))
+
+
+def _coheights(eta: list) -> list:
+    """coheights from the height list eta."""
     if not eta:
         return []
     top = max(eta)
@@ -155,11 +175,12 @@ def prerank(w: str) -> int:
     steps = 0
     cur = w0
     while cur != stair:
-        cur = theta(cur)
+        # theta keeps a nonempty balanced word nonempty and balanced
+        cur = _first_return_rotation(cur)[0]
         steps += 1
         if steps > p * p:
             raise AssertionError("theta iteration failed to reach the staircase")
-    by_coheights = sum(coheights(w0))
+    by_coheights = sum(_coheights(_heights(w0)))
     if steps != by_coheights:
         raise AssertionError(
             f"prerank mismatch: {steps} rotations vs coheight sum {by_coheights}"
@@ -186,7 +207,7 @@ def cdinv(w: str) -> int:
     n = wd.count("b")
     from .strip import vertex_label
 
-    eta = heights(wd)
+    eta = _heights(wd)
     contacts = []
     x = 0
     i = 0
@@ -227,7 +248,7 @@ def cyclic_factorization(w: str) -> tuple:
             best = h
             best_pos = pos + 1
     u, v = w[:best_pos], w[best_pos:]
-    if not is_dn_word(v + u):
+    if not _is_dn(v + u):
         raise AssertionError("internal error: rotation has a b-heavy prefix")
     return u, v
 
@@ -240,7 +261,7 @@ def phi_involution(w: str) -> str:
     preserves dinv, and turns prerank into area.
     """
     wd = _dn(w)
-    eta = heights(wd)
+    eta = _heights(wd)
     if not eta:
         return w
     top = max(eta)
@@ -266,7 +287,7 @@ def zeta_haglund(w: str) -> str:
     """
     if not is_dyck_word(w):
         raise ValueError("expected a balanced word")
-    eta = heights(w)
+    eta = _heights(w)
     if not eta:
         return ""
     parts = []

@@ -5,23 +5,35 @@ is exact on every kept monomial: a product of series truncated at total
 degree T has correct coefficients up to T because dropped terms can only feed
 higher degrees.  Division is by series with constant term +-1 only (the only
 integer units), expanded geometrically.
+
+The constructor validates its coefficients.  Ring results come from
+``_make``, which trusts them: they are built from validated series, so only
+the zero coefficients that cancellation leaves need dropping.
 """
 
 from __future__ import annotations
 
 import json
+from operator import add
 from typing import Callable, Mapping
 
 from .graphs import _as_ints
+
+
+def _check_shape(nvars: int, trunc: int) -> tuple:
+    """(nvars, trunc) as ints, once they are a valid variable count and
+    truncation."""
+    nvars, trunc = _as_ints((nvars, trunc), "variable counts and truncations")
+    if nvars < 1 or trunc < 0:
+        raise ValueError("need nvars >= 1 and trunc >= 0")
+    return nvars, trunc
 
 
 class TruncatedSeries:
     __slots__ = ("nvars", "trunc", "coeffs")
 
     def __init__(self, nvars: int, trunc: int, coeffs: Mapping | None = None):
-        nvars, trunc = _as_ints((nvars, trunc), "variable counts and truncations")
-        if nvars < 1 or trunc < 0:
-            raise ValueError("need nvars >= 1 and trunc >= 0")
+        nvars, trunc = _check_shape(nvars, trunc)
         self.nvars = nvars
         self.trunc = trunc
         clean = {}
@@ -36,6 +48,17 @@ class TruncatedSeries:
                     if not clean[exps]:
                         del clean[exps]
         self.coeffs = clean
+
+    @classmethod
+    def _make(cls, nvars: int, trunc: int, coeffs: dict) -> "TruncatedSeries":
+        """A series on coefficients that are already valid: int values on
+        exponent tuples of length nvars, non-negative, of total degree at
+        most trunc.  Only zero coefficients are dropped; nothing is checked."""
+        s = object.__new__(cls)
+        s.nvars = nvars
+        s.trunc = trunc
+        s.coeffs = {e: c for e, c in coeffs.items() if c}
+        return s
 
     # ---------- constructors ----------
 
@@ -66,23 +89,23 @@ class TruncatedSeries:
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) + c
-        return TruncatedSeries(self.nvars, self.trunc, out)
+        return self._make(self.nvars, self.trunc, out)
 
     def __sub__(self, other):
         self._compat(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) - c
-        return TruncatedSeries(self.nvars, self.trunc, out)
+        return self._make(self.nvars, self.trunc, out)
 
     def __neg__(self):
-        return TruncatedSeries(
+        return self._make(
             self.nvars, self.trunc, {e: -c for e, c in self.coeffs.items()}
         )
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return TruncatedSeries(
+            return self._make(
                 self.nvars, self.trunc, {e: c * other for e, c in self.coeffs.items()}
             )
         self._compat(other)
@@ -96,9 +119,9 @@ class TruncatedSeries:
             for e2, d2, c2 in b:
                 if d2 > room:
                     break
-                e = tuple(x + y for x, y in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
-        return TruncatedSeries(self.nvars, self.trunc, out)
+        return self._make(self.nvars, self.trunc, out)
 
     __rmul__ = __mul__
 
@@ -130,7 +153,7 @@ class TruncatedSeries:
     def filter(self, keep: Callable) -> "TruncatedSeries":
         """Series with only the monomials whose exponent tuple passes
         ``keep``."""
-        return TruncatedSeries(
+        return self._make(
             self.nvars, self.trunc, {e: c for e, c in self.coeffs.items() if keep(e)}
         )
 
@@ -138,14 +161,20 @@ class TruncatedSeries:
         self, fn: Callable, nvars: int | None = None, trunc: int | None = None
     ) -> "TruncatedSeries":
         """Reindex monomials (for substitutions like z -> x*z); ``fn`` maps an
-        exponent tuple to a new one."""
-        nvars = self.nvars if nvars is None else nvars
-        trunc = self.trunc if trunc is None else trunc
+        exponent tuple to a new one.  Images above the truncation drop out;
+        the images themselves are checked like the constructor's monomials."""
+        nvars, trunc = _check_shape(
+            self.nvars if nvars is None else nvars,
+            self.trunc if trunc is None else trunc,
+        )
         out: dict = {}
         for e, c in self.coeffs.items():
-            e2 = tuple(fn(e))
-            out[e2] = out.get(e2, 0) + c
-        return TruncatedSeries(nvars, trunc, out)
+            e2 = _as_ints(fn(e), "monomial exponents")
+            if len(e2) != nvars or min(e2) < 0:
+                raise ValueError(f"bad monomial {e2}")
+            if sum(e2) <= trunc:
+                out[e2] = out.get(e2, 0) + c
+        return self._make(nvars, trunc, out)
 
     def __eq__(self, other) -> bool:
         return (

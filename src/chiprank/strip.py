@@ -8,6 +8,9 @@ west, and by 1 going northeast.  The path copies split the strip cells into a
 s turns configurations on the complete graph K_n into lattice statistics.
 The series identities at the bottom tie those counts to the Carlitz
 q-analogue of the Catalan numbers.
+
+The public functions validate their arguments; the ``_``-prefixed helpers
+take words and numbers that are already validated and run unchecked.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from itertools import combinations
 from math import comb
 from typing import Iterator, Sequence
 
-from .complete import decode_word, rank_formula
-from .dyck import _dn, dn_words, heights, phi_involution
+from .complete import _formula, decode_word
+from .dyck import _dn, _heights, dn_words, dyck_words, phi_involution
 from .graphs import _as_ints
 from .series import TruncatedSeries
 
@@ -62,13 +65,13 @@ def cell_label(n: int, x: int, y: int) -> int:
     return y + (y - 1 - x) * (n - 1)
 
 
-def _row_labels(w: str) -> tuple:
-    """Per-row first left-region labels: row i holds the cell just west of
-    the path's i-th north step, labeled (i-1) + eta_i * (n-1)."""
-    wd = _dn(w)
+def _row_labels(wd: str) -> tuple:
+    """(n, L) for a validated word wd with its trailing extra b: n is its
+    number of b's, and L the per-row first left-region labels: row i holds
+    the cell just west of the path's i-th north step, labeled
+    (i-1) + eta_i * (n-1)."""
     n = wd.count("b")
-    eta = heights(wd)
-    return n, [i + eta[i] * (n - 1) for i in range(len(eta))]
+    return n, [i + h * (n - 1) for i, h in enumerate(_heights(wd))]
 
 
 def left_right(w: str, s: int) -> tuple:
@@ -80,7 +83,8 @@ def left_right(w: str, s: int) -> tuple:
     Row i contributes the left labels L_i, L_i + (n-1), ... (walking west)
     and the right labels L_i - (n-1), L_i - 2(n-1), ... (walking east).
     """
-    n, L = _row_labels(w)
+    n, L = _row_labels(_dn(w))
+    (s,) = _as_ints((s,), "the threshold s")
     if n == 1:
         return (0, 0)
     return _counts(L, n, s)
@@ -101,7 +105,7 @@ def _counts(L: list, n: int, s: int) -> tuple:
 
 def lastright(w: str) -> int:
     """Largest label in the right region: over rows, (i-1) + (eta_i - 1)(n-1)."""
-    n, L = _row_labels(w)
+    n, L = _row_labels(_dn(w))
     if n == 1:
         raise ValueError("the single-vertex strip has no cells")
     return max(Li - (n - 1) for Li in L)
@@ -145,8 +149,7 @@ def Ln_direct(n: int, trunc: int) -> TruncatedSeries:
         raise ValueError(f"{words} words is past the direct-enumeration limit")
     total: dict = {}
     for w in dn_words(n):
-        eta = heights(w)
-        L = [i + eta[i] * (n - 1) for i in range(n - 1)]
+        L = _row_labels(w)[1]
         start = min(L)
         s = start - 1
         while True:
@@ -221,6 +224,7 @@ def carlitz_catalan(t_q: int, t_z: int) -> TruncatedSeries:
     words, and the first-return recurrence C = 1 + z C(q, z) C(q, qz)
     iterated to its fixed point under truncation.
     """
+    t_q, t_z = _as_ints((t_q, t_z), "truncation orders")
     if t_q < 0 or t_z < 0:
         raise ValueError("truncation orders must be >= 0")
     trunc = t_q + t_z
@@ -228,33 +232,34 @@ def carlitz_catalan(t_q: int, t_z: int) -> TruncatedSeries:
     def boxed(e):
         return e[0] <= t_q and e[1] <= t_z
 
-    from .dyck import area, dyck_words
-
     direct: dict = {}
     for p in range(t_z + 1):
         for w in dyck_words(p):
-            a = area(w)
+            a = sum(_heights(w))
             if a <= t_q:
                 direct[(a, p)] = direct.get((a, p), 0) + 1
-    by_enum = TruncatedSeries(2, trunc, direct).filter(boxed)
+    by_enum = TruncatedSeries._make(2, trunc, direct)
 
+    # Neither the products nor the shift z -> qz lowers an exponent, so a
+    # monomial outside the box feeds only monomials outside it: trimming to
+    # the box every round leaves every coefficient inside it exact.
     z = TruncatedSeries.monomial(2, trunc, (0, 1))
     one = TruncatedSeries.one(2, trunc)
+
+    def step(C):
+        shifted = C.map_exponents(lambda e: (e[0] + e[1], e[1])).filter(boxed)
+        return (one + z * C * shifted).filter(boxed)
+
     C = one
     for _ in range(t_z + 1):
-        shifted = C.map_exponents(lambda e: (e[0] + e[1], e[1]))
-        C = one + z * C * shifted
+        C = step(C)
     # t_z + 1 rounds settle all z-degrees <= t_z; check the fixed point there
-    shifted = C.map_exponents(lambda e: (e[0] + e[1], e[1]))
-    again = one + z * C * shifted
-    in_z_box = lambda e: e[1] <= t_z  # noqa: E731
-    if C.filter(in_z_box) != again.filter(in_z_box):
+    if step(C) != C:
         raise AssertionError("first-return recurrence did not reach a fixed point")
-    by_recurrence = C.filter(boxed)
 
-    if by_enum != by_recurrence:
+    if by_enum != C:
         raise AssertionError("Catalan series disagree between enumeration and recurrence")
-    return by_recurrence
+    return C
 
 
 def LnC_identity_check(max_n: int, trunc: int) -> bool:
@@ -302,20 +307,16 @@ def Kn_bistatistic_check(n: int, window: Sequence[int] = (-5, 15)) -> bool:
         raise ValueError("need n >= 1")
     if n == 1:
         return all(
-            rank_formula((s,)) == (s if s >= 0 else -1) for s in range(lo, hi + 1)
+            _formula((s,))["rank"] == (s if s >= 0 else -1) for s in range(lo, hi + 1)
         )
     base = comb(n - 1, 2)
-    for w in dn_words(n):
-        values = decode_word(w)
-        for s in range(lo, hi + 1):
-            f = values + (s,)
-            left, right = left_right(w, s)
-            if rank_formula(f) != left - 1:
-                return False
-            if sum(f) != base - 1 + left - right:
-                return False
-            if s == 0 and w == "ab" * (n - 1) + "b" and rank_formula(f) != 0:
-                return False
+    stair = "ab" * (n - 1) + "b"
+    for w, L, f, rank in _kn_walk(n, lo, hi):
+        left, right = _counts(L, n, f[-1])
+        if rank != left - 1 or sum(f) != base - 1 + left - right:
+            return False
+        if f[-1] == 0 and w == stair and rank != 0:
+            return False
     return True
 
 
@@ -324,11 +325,22 @@ def kn_degree_rank_table(n: int, lo: int, hi: int) -> dict:
     running over lo..hi.  Returns {(degree, rank): count}."""
     if n < 2:
         raise ValueError("need n >= 2")
+    lo, hi = _as_ints((lo, hi), "sink bounds")
     out: dict = {}
+    for _, _, f, rank in _kn_walk(n, lo, hi):
+        key = (sum(f), rank)
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+def _kn_walk(n: int, lo: int, hi: int) -> Iterator[tuple]:
+    """(word, row labels, configuration, rank) for every word of K_n, n >= 2,
+    and every sink lo..hi.  Each word's row labels are found once, and each
+    rank comes from the closed form on a configuration that is valid by
+    construction: the word's decoded values plus an int sink."""
     for w in dn_words(n):
         values = decode_word(w)
+        L = _row_labels(w)[1]
         for s in range(lo, hi + 1):
             f = values + (s,)
-            key = (sum(f), rank_formula(f))
-            out[key] = out.get(key, 0) + 1
-    return out
+            yield w, L, f, _formula(f)["rank"]

@@ -291,6 +291,13 @@ def test_dyck_stats(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("word", ["ab ", "aXb", "ab\n"])
+def test_dyck_stats_refuses_stray_letters(capsys, word):
+    code, out, err = run(capsys, "dyck", "stats", word)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_strip_leftright(capsys):
     payload = run_json(capsys, "strip", "leftright", "aaabaaabbbabbbaabbabb", "13")
     assert payload["left"] == 5

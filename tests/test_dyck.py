@@ -185,6 +185,19 @@ def test_statistics_reject_malformed_words():
         dyck.phi_involution("aabab")
 
 
+WORD_FUNCTIONS = [n for n in dyck.__all__ if n not in ("dyck_words", "dn_words")]
+
+
+@pytest.mark.parametrize("name", WORD_FUNCTIONS)
+@pytest.mark.parametrize("word", [None, b"ab", ["a", "b"], "ab\n", " ab", "aXb",
+                                  "aabb\n", "\nabb"])
+def test_every_word_function_validates_its_input(name, word):
+    """Inner loops run unchecked, so each public entry point must refuse a
+    non-string or a stray letter itself, wherever it sits in the word."""
+    with pytest.raises(ValueError):
+        getattr(dyck, name)(word)
+
+
 def qt_catalan(n):
     """Sum of q^prerank t^dinv over dn_words(n), as {(prerank, dinv): count}."""
     return Counter((dyck.prerank(w), dyck.dinv(w)) for w in dyck.dn_words(n))

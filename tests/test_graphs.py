@@ -126,9 +126,17 @@ def test_check_config_validates_length(K3):
     lambda K3: TruncatedSeries(1.0, 3),
     lambda K3: strip.psi_involution("aabbb", 2.7),
     lambda K3: strip.Kn_bistatistic_check(3, (-2, 3.5)),
+    lambda K3: complete.rank_formula_details((2.7, 0, 0)),
+    lambda K3: strip.left_right("aabbb", 2.7),
+    lambda K3: strip.carlitz_catalan(3.5, 2),
+    lambda K3: strip.kn_degree_rank_table(3, -2, 3.5),
+    lambda K3: TruncatedSeries(1, 3, {(1,): 1}).map_exponents(lambda e: (e[0] + 0.5,)),
+    lambda K3: TruncatedSeries(1, 3, {(1,): 1}).map_exponents(lambda e: e, trunc=2.5),
 ], ids=["rank_formula", "rank_bruteforce", "stabilize", "matrix", "n", "edge",
         "series_coeff", "series_exponent", "series_trunc", "series_nvars",
-        "psi_threshold", "bistatistic_window"])
+        "psi_threshold", "bistatistic_window", "rank_formula_details",
+        "leftright_threshold", "carlitz_orders", "table_bounds",
+        "map_exponents_image", "map_exponents_trunc"])
 def test_non_integers_rejected_not_truncated(K3, call):
     with pytest.raises(ValueError, match="must be integers"):
         call(K3)

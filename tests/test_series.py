@@ -22,10 +22,10 @@ def test_constructor_drops_zeros_and_overflow():
 
 
 def test_constructor_rejects_bad_monomials():
-    with pytest.raises(ValueError):
-        TruncatedSeries(2, 3, {(0,): 1})
-    with pytest.raises(ValueError):
-        TruncatedSeries(2, 3, {(-1, 0): 1})
+    for coeffs in ({(0,): 1}, {(-1, 0): 1}, {(0, -2): 3}, {(1.0, 0): 1},
+                   {(1, 0): 1.0}, {(1, 0): 0.5}):
+        with pytest.raises(ValueError):
+            TruncatedSeries(2, 3, coeffs)
 
 
 def test_basic_constructors():
@@ -127,3 +127,56 @@ def test_text_and_json_forms():
 def test_sorted_items_order():
     s = TruncatedSeries(2, 4, {(0, 2): 1, (1, 0): 1, (0, 0): 1, (2, 0): 1})
     assert [e for e, _ in s.sorted_items()] == [(0, 0), (1, 0), (0, 2), (2, 0)]
+
+
+def canonical(r):
+    """r as the validating constructor would build it from r's own
+    coefficients, after checking that nothing needs dropping."""
+    assert all(r.coeffs.values()), "zero coefficient stored"
+    assert all(sum(e) <= r.trunc for e in r.coeffs), "monomial above trunc"
+    return TruncatedSeries(r.nvars, r.trunc, r.coeffs)
+
+
+@st.composite
+def series_triple(draw):
+    """Two series on the same ring, nvars 1..3, plus an int scalar."""
+    nvars = draw(st.integers(1, 3))
+    trunc = draw(st.integers(0, 5))
+    a = draw(series_strategy(nvars, trunc))
+    b = draw(series_strategy(nvars, trunc))
+    return a, b, draw(st.integers(-3, 3))
+
+
+@settings(max_examples=80)
+@given(series_triple())
+def test_results_stay_canonical(abk):
+    a, b, k = abk
+    # a unit with a's higher terms: a minus its constant term, plus 1 or -1
+    c0 = (0,) * a.nvars
+    sign = 1 if k >= 0 else -1
+    unit = a - TruncatedSeries(a.nvars, a.trunc, {c0: a.coefficient(c0) - sign})
+    results = [
+        a + b, a - b, a - a, -a, a * b, a * k, k * a, a * 0, a * a,
+        a.filter(lambda e: e[0] % 2 == 0),
+        a.map_exponents(lambda e: e[::-1]),
+        a.map_exponents(lambda e: (e[0] + sum(e),) + e[1:]),
+        a.map_exponents(lambda e: e + (1,), nvars=a.nvars + 1),
+        a.map_exponents(lambda e: e, trunc=a.trunc + 2),
+        a.map_exponents(lambda e: e, trunc=max(a.trunc - 2, 0)),
+        unit.inverse(),
+        a / unit,
+    ]
+    for r in results:
+        assert r == canonical(r)
+
+
+def test_map_exponents_checks_the_images():
+    s = TruncatedSeries(2, 4, {(1, 0): 3, (0, 2): 5})
+    with pytest.raises(ValueError):
+        s.map_exponents(lambda e: (e[0] - 1, e[1]))
+    with pytest.raises(ValueError):
+        s.map_exponents(lambda e: e + (0,))
+    with pytest.raises(ValueError):
+        s.map_exponents(lambda e: e, nvars=0)
+    # an image above the truncation drops out
+    assert s.map_exponents(lambda e: (e[0] + 4, e[1])).coeffs == {}

@@ -1,10 +1,11 @@
+from collections import Counter
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiprank import dyck, strip
+from chiprank import complete, dyck, strip
 from chiprank.series import TruncatedSeries
 
 
@@ -129,6 +130,21 @@ def test_carlitz_pinned():
         assert all(e[0] <= p * (p - 1) // 2 for e in c.coeffs if e[1] == p)
 
 
+@pytest.mark.parametrize("t_q, t_z", [(3, 6), (0, 4), (5, 9), (8, 4), (0, 0)])
+def test_carlitz_where_the_area_box_bites(t_q, t_z):
+    """With t_q below the largest area t_z(t_z-1)/2, the recurrence drops
+    monomials on q every round; each kept coefficient still counts the
+    balanced words of that size and area, and matches the series computed
+    with room for every area."""
+    c = strip.carlitz_catalan(t_q, t_z)
+    counted = Counter(
+        (dyck.area(w), p) for p in range(t_z + 1) for w in dyck.dyck_words(p)
+    )
+    assert c.coeffs == {e: k for e, k in counted.items() if e[0] <= t_q}
+    roomy = strip.carlitz_catalan(t_z * (t_z - 1) // 2, t_z)
+    assert c.coeffs == {e: k for e, k in roomy.coeffs.items() if e[0] <= t_q}
+
+
 def test_identity_check_small():
     assert strip.LnC_identity_check(3, 6)
 
@@ -158,17 +174,25 @@ def test_degree_rank_table_pinned():
 
 
 def test_degree_rank_table_matches_direct_ranks():
-    """Each table row is reproduced by running the rank formula on the
-    configurations it claims to count."""
-    from chiprank import complete
+    """Each table row is reproduced by running the public rank formula,
+    which validates its input, on the configurations it claims to count;
+    the table's own walk ranks them unchecked."""
+    for n, lo, hi in [(2, -4, 6), (3, -5, 7), (4, -2, 8), (5, -3, 12)]:
+        rebuilt = Counter(
+            (sum(f), complete.rank_formula(f))
+            for w in dyck.dn_words(n)
+            for f in (complete.decode_word(w) + (s,) for s in range(lo, hi + 1))
+        )
+        assert strip.kn_degree_rank_table(n, lo, hi) == rebuilt, n
 
-    n = 4
-    table = strip.kn_degree_rank_table(n, -2, 8)
-    rebuilt = {}
-    for w in dyck.dn_words(n):
-        values = complete.decode_word(w)
-        for sink in range(-2, 9):
-            f = values + (sink,)
-            key = (sum(f), complete.rank_formula(f))
-            rebuilt[key] = rebuilt.get(key, 0) + 1
-    assert rebuilt == table
+
+NOT_STRINGS = [None, b"ab", ["a", "b"]]
+STRAY_LETTERS = ["ab\n", " ab", "aXb", "abb ", "\tabb"]
+
+
+@pytest.mark.parametrize("word", NOT_STRINGS + STRAY_LETTERS)
+def test_strip_words_are_validated_at_the_boundary(word):
+    for call in (lambda w: strip.left_right(w, 0), strip.lastright,
+                 lambda w: strip.psi_involution(w, 0)):
+        with pytest.raises(ValueError):
+            call(word)
