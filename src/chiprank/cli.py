@@ -25,7 +25,7 @@ def _parse_config(text: str) -> tuple:
     parts = text.replace(",", " ").split()
     if not parts:
         raise ValueError("empty configuration")
-    return tuple(int(p) for p in parts)
+    return tuple(map(int, parts))
 
 
 def _add_graph_args(parser: argparse.ArgumentParser) -> None:
@@ -96,10 +96,11 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         raise ValueError("--count-ops only applies to the formula method")
     out: dict = {"method": method, "degree": sum(f)}
     if method == "formula":
-        if args.count_ops:
-            out["rank"], out["ops"] = complete.rank_formula(f, count_ops=True)
-        else:
-            out["rank"] = complete.rank_formula(f)
+        # f is checked already, so the closed form runs unchecked
+        counter = complete.OpCounter() if args.count_ops else None
+        out["rank"] = complete._formula(f, counter)["rank"]
+        if counter is not None:
+            out["ops"] = counter.ops
     elif method == "greedy":
         out["rank"] = complete.rank_greedy(f)
     else:

@@ -263,14 +263,22 @@ def _formula(f: tuple, counter: OpCounter | None = None) -> dict:
         rank = f[0] if f[0] >= 0 else -1
         return {"q": None, "r": None, "heights": [], "terms": [], "rank": rank}
     _, values, sink, _, _ = _pipeline(f, counter)
-    q, r = divmod(sink + 1, n - 1)
     # position i (0-based) of the sorted parking values sits at height i - v
     heights = [i - v for i, v in enumerate(values)]
-    terms = [q - h + (i < r) for i, h in enumerate(heights)]
+    q, r, terms, rank = _sink_step(heights, sink)
     if counter is not None:
         counter.add(5 * (n - 1) + 3)
-    rank = sum([t for t in terms if t > 0]) - 1
     return {"q": q, "r": r, "heights": heights, "terms": terms, "rank": rank}
+
+
+def _sink_step(heights: list, sink: int) -> tuple:
+    """The closed form's last step, the only one that reads the sink: with
+    sink + 1 = q(n-1) + r, the terms q - eta_i + [i < r] over the n - 1
+    heights of the sorted parking word, and the rank, the sum of the
+    positive terms minus one.  Returns (q, r, terms, rank)."""
+    q, r = divmod(sink + 1, len(heights))
+    terms = [q - h + (i < r) for i, h in enumerate(heights)]
+    return q, r, terms, sum([t for t in terms if t > 0]) - 1
 
 
 def rank_formula(f: Sequence[int], count_ops: bool = False):

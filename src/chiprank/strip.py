@@ -19,7 +19,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterator, Sequence
 
-from .complete import _formula, decode_word
+from .complete import _formula, _sink_step, decode_word
 from .dyck import _dn, _heights, dn_words, dyck_words, phi_involution
 from .graphs import _as_ints
 from .series import TruncatedSeries
@@ -335,12 +335,13 @@ def kn_degree_rank_table(n: int, lo: int, hi: int) -> dict:
 
 def _kn_walk(n: int, lo: int, hi: int) -> Iterator[tuple]:
     """(word, row labels, configuration, rank) for every word of K_n, n >= 2,
-    and every sink lo..hi.  Each word's row labels are found once, and each
-    rank comes from the closed form on a configuration that is valid by
-    construction: the word's decoded values plus an int sink."""
+    and every sink lo..hi.  The word's decoded values are already its sorted
+    parking values (the closed form's parking leaves them and the sink as
+    they are), so each word's row labels and heights are found once and
+    each sink costs only the closed form's last step."""
     for w in dn_words(n):
         values = decode_word(w)
         L = _row_labels(w)[1]
+        heights = [i - v for i, v in enumerate(values)]
         for s in range(lo, hi + 1):
-            f = values + (s,)
-            yield w, L, f, _formula(f)["rank"]
+            yield w, L, values + (s,), _sink_step(heights, s)[3]

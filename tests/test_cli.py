@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from chiprank import cli, complete
+from chiprank import cli, complete, graphs
 from chiprank.cli import main
 from chiprank.graphs import MultiGraph
 
@@ -155,6 +155,25 @@ def test_rank_on_kn_matches_the_library(capsys, n):
         g = f if n <= 8 else _kn_config(rng, n, 3)
         assert _rank_payload(capsys, g, "--method", "greedy") == {
             "method": "greedy", "degree": sum(g), "rank": complete.rank_greedy(g)}
+
+
+@pytest.mark.parametrize("options", [(), ("--method", "formula"), ("--count-ops",)])
+def test_rank_on_kn_checks_the_config_once(capsys, monkeypatch, options):
+    """The configuration is checked once, against N, and the closed form
+    then runs on the checked tuple."""
+    checks = []
+    as_ints = graphs._as_ints
+
+    def counting(*args):
+        checks.append(args)
+        return as_ints(*args)
+
+    monkeypatch.setattr(graphs, "_as_ints", counting)
+    monkeypatch.setattr(complete, "_as_ints", counting)
+    f = (3, 1, 3, 4, -1)
+    payload = _rank_payload(capsys, f, *options)
+    assert checks == [(f,)]
+    assert payload["rank"] == 4
 
 
 @pytest.mark.parametrize("method", ["auto", "formula", "greedy"])

@@ -84,22 +84,116 @@ def test_cache_holds_at_most_one_entry_per_jacobian_element():
     assert len(K3._eff_cache) <= K3.spanning_tree_count()
 
 
-def test_cache_entries_are_the_kernels_parking_configurations():
-    """Every cache entry res -> p, most of them taken from a neighbour's
-    entry minus one chip with no kernel call, is the non-sink part of the
-    parking configuration the kernel gives for residue res."""
+def _warm_caches(seed):
+    """SMALL_GRAPHS, K5 and W6, each after 60 seeded rank and effectiveness
+    calls with entries from -4 to 6."""
     graphs = SMALL_GRAPHS + [MultiGraph.complete(5), MultiGraph.wheel(6)]
-    rng = random.Random(13)
+    rng = random.Random(seed)
     for G in graphs:
         for _ in range(60):
             f = tuple(rng.randint(-4, 6) for _ in range(G.n))
             rank.rank_bruteforce(G, f)
             rank.is_effective_cached(G, f)
-        cols, k = _lattice_form(G), G.n - 1
         assert G._eff_cache
-        for res, p in G._eff_cache.items():
+    return graphs
+
+
+def test_cache_entries_are_the_kernels_parking_configurations():
+    """Every cache entry's parking part p, most of them taken from a
+    neighbour's entry minus one chip with no kernel call, is the non-sink
+    part of the parking configuration the kernel gives for its residue."""
+    for G in _warm_caches(13):
+        cols, k = _lattice_form(G), G.n - 1
+        for res, e in G._eff_cache.items():
+            p = e.p
+            assert e.res == res and e.delta == sum(p)
             assert _residue(cols, p, k) == res
             assert dynamics.parking_representative(G, p + (0,))[:-1] == p
+
+
+def test_step_table_entries_are_the_borrow_neighbours():
+    """Entry i of a residue's row of the step table, once filled, is the
+    residue of res - e_i computed afresh, and the very key of its own
+    cache entry."""
+    for G in _warm_caches(14):
+        cols, k = _lattice_form(G), G.n - 1
+        filled = 0
+        for res, e in G._eff_cache.items():
+            assert len(e.steps) == k
+            for i, v in enumerate(e.steps):
+                if v is None:
+                    continue
+                filled += 1
+                lower = tuple(x - (j == i) for j, x in enumerate(res))
+                assert v == _residue(cols, lower, k)
+                assert G._eff_cache[v].res is v
+        assert filled
+
+
+@pytest.mark.parametrize(
+    "G",
+    [
+        MultiGraph.wheel(5),
+        MultiGraph.complete(5),
+        MultiGraph.wheel(6),
+        MultiGraph.from_edges(4, [(1, 2, 2), (2, 3, 1), (3, 4, 3), (1, 4, 1), (1, 3, 2)]),
+    ],
+    ids=["W5", "K5", "W6", "multi4"],
+)
+def test_borrows_over_a_graphs_life_are_bounded_by_the_jacobian(G, monkeypatch):
+    """The step table keeps every borrow a call takes, so 400 calls on one
+    graph borrow at most once per (residue, i): (n - 1) |Jac(G)| in all."""
+    borrow = rank._borrow
+    borrows = 0
+
+    def counting_borrow(*args):
+        nonlocal borrows
+        borrows += 1
+        return borrow(*args)
+
+    monkeypatch.setattr(rank, "_borrow", counting_borrow)
+    rng = random.Random(10)
+    for _ in range(400):
+        rank.rank_bruteforce(G, tuple(rng.randint(-4, 6) for _ in range(G.n)))
+    assert 0 < borrows <= (G.n - 1) * G.spanning_tree_count()
+
+
+PINNED = [
+    ("K3", (5, 0, 0), rank.RankResult(4, (0, 0, 5))),
+    ("K3", (0, 0, 0), rank.RankResult(0, (0, 0, 1))),
+    ("K3", (-1, 0, 0), rank.RankResult(-1, (0, 0, 0))),
+    ("K5", (3, 1, 3, 4, -1), rank.RankResult(4, (0, 0, 1, 0, 4))),
+    ("W5", (6,) * 6, rank.RankResult(31, (0, 0, 0, 1, 9, 22))),
+]
+
+
+def test_rank_results_do_not_depend_on_the_cache():
+    """The same seeded calls give the same RankResults, lex-first witnesses
+    included, whether each runs on a fresh graph or all run in shuffled
+    order on one shared graph whose step table the earlier calls filled."""
+    makers = {
+        "K3": lambda: MultiGraph.complete(3),
+        "K5": lambda: MultiGraph.complete(5),
+        "W5": lambda: MultiGraph.wheel(5),
+        "multi4": lambda: MultiGraph.from_edges(
+            4, [(1, 2, 2), (2, 3, 1), (3, 4, 3), (1, 4, 1), (1, 3, 2)]
+        ),
+    }
+    rng = random.Random(11)
+    calls = [(key, f) for key, f, _ in PINNED]
+    for key, make in makers.items():
+        n = make().n
+        calls += [(key, tuple(rng.randint(-4, 6) for _ in range(n))) for _ in range(50)]
+    fresh = [rank.rank_bruteforce(makers[key](), f) for key, f in calls]
+    shared = {key: make() for key, make in makers.items()}
+    order = list(range(len(calls)))
+    rng.shuffle(order)
+    warm = [None] * len(calls)
+    for i in order:
+        key, f = calls[i]
+        warm[i] = rank.rank_bruteforce(shared[key], f)
+    assert warm == fresh
+    assert fresh[: len(PINNED)] == [res for _, _, res in PINNED]
 
 
 @pytest.mark.parametrize(
