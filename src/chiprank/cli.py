@@ -206,18 +206,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # each library function is looked up when the command runs, so a
-    # wrapper or stand-in installed on its module is the one called
+    # _load checks f, so each command runs the unchecked core of its library
+    # function; the core is looked up when the command runs, so a wrapper or
+    # stand-in installed on its module is the one called
     for name, blurb, compute in (
         ("stabilize", "topple until every non-sink vertex is stable",
          lambda G, f: dict(zip(("stable", "odometer"),
-                               map(list, dynamics.stabilize(G, f))))),
+                               map(list, dynamics._stabilize(G, f))))),
         ("parking", "parking representative of the configuration's class",
-         lambda G, f: {"parking": list(dynamics.parking_representative(G, f))}),
+         lambda G, f: {"parking": list(dynamics._park(G, f))}),
         ("recurrent", "recurrent representative of the configuration's class",
-         lambda G, f: {"recurrent": list(dynamics.recurrent_representative(G, f))}),
+         lambda G, f: {"recurrent": list(dynamics._recurrent(G, f))}),
         ("effective", "does the class contain a nonnegative configuration",
-         lambda G, f: {"effective": rank.is_effective_class(G, f)}),
+         lambda G, f: {"effective": dynamics._is_effective(G, f)}),
     ):
         p = sub.add_parser(name, help=blurb)
         _add_graph_args(p)

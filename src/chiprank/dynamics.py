@@ -38,8 +38,9 @@ __all__ = [
 _ENUM_LIMIT = 10_000_000
 
 
-def _require_sandpile(G: MultiGraph, f: Sequence[int]) -> tuple:
-    f = check_config(G, f)
+def _require_sandpile(G: MultiGraph, f: tuple) -> tuple:
+    """f, a checked configuration, once its non-sink entries are seen to be
+    non-negative."""
     for i in range(G.n - 1):
         if f[i] < 0:
             raise ValueError(
@@ -50,7 +51,7 @@ def _require_sandpile(G: MultiGraph, f: Sequence[int]) -> tuple:
 
 def is_stable(G: MultiGraph, f: Sequence[int]) -> bool:
     """True when every non-sink vertex holds fewer chips than its degree."""
-    f = _require_sandpile(G, f)
+    f = _require_sandpile(G, check_config(G, f))
     return all(f[i] < G.degrees[i] for i in range(G.n - 1))
 
 
@@ -60,9 +61,13 @@ def stabilize(G: MultiGraph, f: Sequence[int]) -> tuple:
     The odometer counts how many times each vertex toppled.  The result does
     not depend on the toppling order, and the sink never topples.
     """
-    f = _require_sandpile(G, f)
+    return _stabilize(G, check_config(G, f))
+
+
+def _stabilize(G: MultiGraph, f: tuple) -> tuple:
+    """``stabilize`` on a checked configuration."""
     n, degs, flat = G.flat()
-    cfg = list(f)
+    cfg = list(_require_sandpile(G, f))
     odo = _backend.stabilize(n, degs, flat, cfg)
     return tuple(cfg), tuple(odo)
 
@@ -76,6 +81,12 @@ def is_recurrent_burning(G: MultiGraph, f: Sequence[int]) -> bool:
     f = check_config(G, f)
     if not is_stable(G, f):
         raise ValueError("burning test expects a stable configuration")
+    return _is_recurrent(G, f)
+
+
+def _is_recurrent(G: MultiGraph, f: tuple) -> bool:
+    """The burning test on a checked stable configuration.  Its two
+    readings, the odometer and the fixed point, must agree."""
     odo, cfg = _fire_sink(G, f)
     burned_once = all(odo[i] == 1 for i in range(G.n - 1))
     if burned_once != (tuple(cfg) == f):
@@ -118,7 +129,11 @@ def beta(G: MultiGraph, f: Sequence[int]) -> tuple:
 
     An involution exchanging parking and recurrent configurations.
     """
-    f = check_config(G, f)
+    return _beta(G, check_config(G, f))
+
+
+def _beta(G: MultiGraph, f: tuple) -> tuple:
+    """``beta`` on a checked configuration."""
     return tuple(d - 1 - x for d, x in zip(G.degrees, f))
 
 
@@ -130,13 +145,11 @@ def is_parking(G: MultiGraph, f: Sequence[int], method: str = "duality") -> bool
     set Y all of whose members could fire (f(k) at least the number of edges
     leaving Y from k, for every k in Y).
     """
-    f = _require_sandpile(G, f)
-    n = G.n
-    if any(f[i] >= G.degrees[i] for i in range(n - 1)):
-        return False  # a lone overfull vertex already fires legally
+    f = _require_sandpile(G, check_config(G, f))
     if method == "duality":
-        return is_recurrent_burning(G, beta(G, f))
+        return _is_parking(G, f)
     if method == "subsets":
+        n = G.n
         nonsink = range(n - 1)
         for size in range(1, n):
             for Y in combinations(nonsink, size):
@@ -145,6 +158,16 @@ def is_parking(G: MultiGraph, f: Sequence[int], method: str = "duality") -> bool
                     return False
         return True
     raise ValueError(f"unknown method {method!r}")
+
+
+def _is_parking(G: MultiGraph, f: tuple) -> bool:
+    """The duality test on a checked configuration: every non-sink entry
+    lies in 0 .. deg - 1 (a lone overfull vertex already fires legally),
+    and ``beta(f)`` passes the burning test."""
+    degs = G.degrees
+    if any(not 0 <= f[i] < degs[i] for i in range(G.n - 1)):
+        return False
+    return _is_recurrent(G, _beta(G, f))
 
 
 def parking_representative(G: MultiGraph, f: Sequence[int]) -> tuple:
@@ -156,9 +179,18 @@ def parking_representative(G: MultiGraph, f: Sequence[int]) -> tuple:
     non-sink part holds more chips (in absolute value) than any parking
     configuration (m - n + 1) and than its residue modulo the toppling
     lattice, the reduction starts from that residue, with the rest of the
-    degree on the sink.  The output always passes ``is_parking``.
+    degree on the sink.  f is checked once, here; the reduction
+    (``_park``), which the other parking routes and the rank cache call
+    directly, runs on the checked tuple, and its output always passes the
+    duality test of ``is_parking``.
     """
-    f = check_config(G, f)
+    return _park(G, check_config(G, f))
+
+
+def _park(G: MultiGraph, f: tuple) -> tuple:
+    """``parking_representative`` on a checked configuration.  Raises
+    AssertionError, whatever the optimization flags, if the kernel's
+    result is not parking."""
     n, degs, flat = G.flat()
     chips = sum(map(abs, f[:-1]))
     if chips > G.m - n + 1:
@@ -168,7 +200,7 @@ def parking_representative(G: MultiGraph, f: Sequence[int]) -> tuple:
     cfg = list(f)
     _backend.parking_reduce(n, degs, flat, cfg)
     out = tuple(cfg)
-    if not is_parking(G, out):
+    if not _is_parking(G, out):
         raise AssertionError("internal error: reduction left a non-parking state")
     return out
 
@@ -180,8 +212,12 @@ def recurrent_representative(G: MultiGraph, f: Sequence[int]) -> tuple:
     of beta(f).  Since beta flips every entry (sink included), the result
     lands in the class of f itself.
     """
-    f = check_config(G, f)
-    return beta(G, parking_representative(G, beta(G, f)))
+    return _recurrent(G, check_config(G, f))
+
+
+def _recurrent(G: MultiGraph, f: tuple) -> tuple:
+    """``recurrent_representative`` on a checked configuration."""
+    return _beta(G, _park(G, _beta(G, f)))
 
 
 # ---------- acyclic orientations ----------
@@ -292,10 +328,15 @@ def is_effective_class(G: MultiGraph, f: Sequence[int]) -> bool:
     Happens exactly when the parking representative has a non-negative sink
     entry (all other entries of a parking configuration are >= 0 already).
     """
-    return parking_representative(G, f)[-1] >= 0
+    return _is_effective(G, check_config(G, f))
 
 
-def _prefix_walk(G: MultiGraph, entry_range) -> list:
+def _is_effective(G: MultiGraph, f: tuple) -> bool:
+    """``is_effective_class`` on a checked configuration."""
+    return _park(G, f)[-1] >= 0
+
+
+def _prefix_walk(G: MultiGraph, entry_range, split) -> list:
     """Histogram of non-sink sums over the parking or the recurrent
     configurations, found by extending prefixes of members one vertex at a
     time; ``hist[s]`` counts the members whose non-sink entries sum to s.
@@ -304,10 +345,16 @@ def _prefix_walk(G: MultiGraph, entry_range) -> list:
     over the members that start with ``prefix``.  Both sets are closed
     coordinatewise (parking configurations downwards, recurrent ones upwards
     within the stable cube), so every prefix the walk reaches extends to a
-    member, and the walk makes one call per prefix of length 0 .. n - 2: at
-    most (n - 1)·|Jac(G)| calls.  The last entry's range is tallied at once,
-    into a difference array.  The guard counts |Jac(G)| before any call,
-    and the members found must number exactly that many.
+    member.  ``_child_ranges`` gives the ranges of all of a prefix's
+    children at once, from ``split`` (two kernel calls) when there are two
+    or more and from the lone child's ``entry_range`` (one call) otherwise.
+    So the walk makes one call for the empty prefix and, for each prefix
+    of length 0 .. n - 3, two calls or one, never more than the children
+    it ranges: at most one call per prefix of length 0 .. n - 2, and
+    (n - 1)·|Jac(G)| in all.  The children of length n - 2 are never
+    stacked: their last entries' ranges are tallied at once, into a
+    difference array.  The guard counts |Jac(G)| before any
+    call, and the members found must number exactly that many.
     """
     order = G.spanning_tree_count()
     if order > _ENUM_LIMIT:
@@ -317,15 +364,20 @@ def _prefix_walk(G: MultiGraph, entry_range) -> list:
         return [1]  # the empty body is the one member
     # sums run up to sum(deg - 1) over the non-sink vertices
     diff = [0] * (sum(G.degrees[:-1]) - last + 1)
-    stack = [((), 0)]  # explicit, as the walk is n - 1 levels deep
+    stack = [((), 0, *entry_range(()))]  # explicit, as the walk is n - 1 levels deep
+    if last == 0:  # n = 2: the empty prefix's range is the last entry's
+        _, _, lo, hi = stack.pop()
+        diff[lo] += 1
+        diff[hi] -= 1
     while stack:
-        prefix, s = stack.pop()
-        lo, hi = entry_range(prefix)
-        if len(prefix) < last:
-            stack.extend((prefix + (c,), s + c) for c in range(lo, hi))
-        elif lo < hi:
-            diff[s + lo] += 1
-            diff[s + hi] -= 1
+        prefix, s, lo, hi = stack.pop()
+        kids = _child_ranges(entry_range, split, prefix, lo, hi)
+        if len(prefix) + 1 < last:
+            stack.extend((prefix + (c,), s + c, *r) for c, r in enumerate(kids, lo))
+        else:
+            for sc, (a, b) in enumerate(kids, s + lo):
+                diff[sc + a] += 1
+                diff[sc + b] -= 1
     hist = list(accumulate(diff))[:-1]
     if sum(hist) != order:
         raise AssertionError(
@@ -334,48 +386,95 @@ def _prefix_walk(G: MultiGraph, entry_range) -> list:
     return hist
 
 
-def _parking_range(G: MultiGraph):
-    """The parking walk's next-entry range, from one burning test.
+def _child_ranges(entry_range, split, prefix: tuple, lo: int, hi: int) -> list:
+    """The next entry's range after each child prefix + (c,), for c in
+    lo .. hi - 1: ``split(prefix)`` returns ``(t, below, above)``, and the
+    range is ``below`` for c < t and ``above`` for c >= t.  A lone child
+    calls its own ``entry_range`` instead, one kernel call against two."""
+    if hi - lo == 1:
+        return [entry_range(prefix + (lo,))]
+    t, below, above = split(prefix)
+    return [below if c < t else above for c in range(lo, hi)]
 
-    Vertex j gets deg(j) chips, which no fire can burn, and every later
-    vertex none.  Let U (holding j) be what the fire leaves unburnt.  Then j
-    burns exactly when it holds fewer than deg(j) - e(j, U) chips, the edges
-    the burnt vertices send it; and once it burns, the rest burn too, as no
-    set avoiding j could fire legally in the parking configuration with j
-    at 0 either.
+
+def _parking_range(G: MultiGraph) -> tuple:
+    """The parking walk's ``(entry_range, split)``, from burning tests.
+
+    ``entry_range``: vertex j gets deg(j) chips, which no fire can burn,
+    and every later vertex none.  Let U (holding j) be what the fire leaves
+    unburnt.  Then j burns exactly when it holds fewer than deg(j) - e(j, U)
+    chips, the edges the burnt vertices send it; and once it burns, the
+    rest burn too, as no set avoiding j could fire legally in the parking
+    configuration with j at 0 either.
+
+    ``split``: burning is monotone, so the unburnt set of prefix + (c,)
+    with deg(j + 1) chips on j + 1 takes one of two values.  With deg(j)
+    chips held on j the fire leaves U0 and sends j the heat
+    h = deg(j) - e(j, U0); every c >= h leaves U0 as well, and every c < h
+    burns j and leaves U1, what the fire leaves with j at 0.
     """
     n, degs, flat = G.flat()
     mult = G.mult
 
+    def burn(cfg):
+        return _backend.burning_test(n, degs, flat, cfg)
+
+    def heat(i, unburnt):
+        # the edges the burnt vertices send i
+        return degs[i] - sum(mult[i][u] for u in unburnt)
+
     def entry_range(prefix):
         j = len(prefix)
-        cfg = prefix + (degs[j],) + (0,) * (n - 1 - j)
-        unburnt = _backend.burning_test(n, degs, flat, cfg)
-        return 0, degs[j] - sum(mult[j][u] for u in unburnt)
+        return 0, heat(j, burn(prefix + (degs[j],) + (0,) * (n - 1 - j)))
 
-    return entry_range
+    def split(prefix):
+        j = len(prefix)
+        k = j + 1
+        rest = (0,) * (n - 1 - k)
+        u0 = burn(prefix + (degs[j], degs[k]) + rest)
+        u1 = burn(prefix + (0, degs[k]) + rest)
+        return heat(j, u0), (0, heat(k, u1)), (0, heat(k, u0))
+
+    return entry_range, split
 
 
-def _recurrent_range(G: MultiGraph):
-    """The recurrent walk's next-entry range, from one stabilization: the
-    mirror image of ``_parking_range``, on the other kernel.
+def _recurrent_range(G: MultiGraph) -> tuple:
+    """The recurrent walk's ``(entry_range, split)``, from fire-the-sink
+    stabilizations: the mirror image of ``_parking_range``, on the other
+    kernel.
 
-    Vertex j gets -1 chips and every later vertex deg - 1, then the sink
-    fires.  Nothing topples twice, so j receives at most deg(j) chips and
-    never topples.  It ends up holding -1 + e(j, T + sink), with T the
-    toppled set, and it topples exactly when it starts with at least
-    deg(j) - e(j, T + sink) chips: those entries below deg(j) keep the
-    configuration recurrent.
+    ``entry_range``: vertex j gets -1 chips and every later vertex deg - 1,
+    then the sink fires.  Nothing topples twice, so j receives at most
+    deg(j) chips and never topples.  It ends up holding -1 + e(j, T + sink),
+    with T the toppled set, and it topples exactly when it starts with at
+    least deg(j) - e(j, T + sink) chips: those entries below deg(j) keep
+    the configuration recurrent.
+
+    ``split``: with -1 on both j and j + 1, j never topples and ends up
+    holding -1 + e(j, T0 + sink); every c below t = deg(j) - 1 minus that
+    leaves j untoppled and topples T0 again, and every c >= t topples j and
+    the same set as c = deg(j) - 1, the second stabilization.
     """
     degs = G.degrees
-    full = tuple(d - 1 for d in degs[:-1])
+    full = tuple(d - 1 for d in degs[:-1]) + (0,)
+
+    def need(i, fired):
+        # the fewest chips i can start with and still topple
+        return degs[i] - 1 - fired[i]
 
     def entry_range(prefix):
         j = len(prefix)
-        _, cfg = _fire_sink(G, prefix + (-1,) + full[j + 1:] + (0,))
-        return degs[j] - 1 - cfg[j], degs[j]
+        fired = _fire_sink(G, prefix + (-1,) + full[j + 1:])[1]
+        return need(j, fired), degs[j]
 
-    return entry_range
+    def split(prefix):
+        j = len(prefix)
+        k = j + 1
+        low = _fire_sink(G, prefix + (-1, -1) + full[k + 1:])[1]
+        high = _fire_sink(G, prefix + (full[j], -1) + full[k + 1:])[1]
+        return need(j, low), (need(k, low), degs[k]), (need(k, high), degs[k])
+
+    return entry_range, split
 
 
 def recurrent_level_counts(G: MultiGraph) -> list:
@@ -385,12 +484,13 @@ def recurrent_level_counts(G: MultiGraph) -> list:
     0 .. m - n + 1, and the histogram lists how many recurrent stable
     configurations sit at each level.  The total is the number of spanning
     trees.  The configurations come from a prefix walk over the recurrent
-    up-set, one fire-the-sink stabilization per prefix (at most
-    (n - 1)·|Jac(G)| kernel calls), never from the whole stable cube;
-    graphs with more than ``_ENUM_LIMIT`` spanning trees are refused before
-    any kernel call.
+    up-set, never from the whole stable cube: two fire-the-sink
+    stabilizations range all the children of a prefix that has several,
+    and one those of a prefix that has one (at most (n - 1)·|Jac(G)| kernel
+    calls); graphs with more than ``_ENUM_LIMIT`` spanning trees are
+    refused before any kernel call.
     """
-    hist = _prefix_walk(G, _recurrent_range(G))
+    hist = _prefix_walk(G, *_recurrent_range(G))
     shift = G.m - G.degrees[-1]
     # the lowest recurrent sum is shift, the highest the end of hist
     if any(hist[:shift]):
@@ -404,20 +504,22 @@ def effective_class_counts(G: MultiGraph, d_max: int) -> dict:
     Counted two independent ways, through different kernels, which must
     agree:
 
-    * walk the parking configurations (a down-set: each prefix's next entry
-      ranges over what one burning test leaves) and take the running sum of
-      their non-sink sums up to d; each effective class of degree d has
-      exactly one parking representative, with sink = d - sum >= 0;
+    * walk the parking configurations (a down-set: two burning tests range
+      the next entry after every child of a prefix) and take the running
+      sum of their non-sink sums up to d; each effective class of degree d
+      has exactly one parking representative, with sink = d - sum >= 0;
     * walk the recurrent configurations by level (``recurrent_level_counts``)
       and sum the histogram tail, using the complement bijection between
       parking sums and levels.
 
-    Each walk makes at most (n - 1)·|Jac(G)| kernel calls; graphs with more
-    than ``_ENUM_LIMIT`` spanning trees are refused before any kernel call.
+    Each walk makes at most two kernel calls per prefix that has children
+    and one for the empty prefix, and never more than (n - 1)·|Jac(G)|;
+    graphs with more than ``_ENUM_LIMIT`` spanning trees are refused before
+    any kernel call.
     """
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
-    parking = _prefix_walk(G, _parking_range(G))
+    parking = _prefix_walk(G, *_parking_range(G))
     levels = recurrent_level_counts(G)
     top = G.m - G.n + 1
     out = {}

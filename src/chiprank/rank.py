@@ -35,9 +35,9 @@ from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple, Sequence
 
-# is_effective_class is bound here for the CLI's effective command, which
-# answers through rank.is_effective_class (the uncached parking route)
-from .dynamics import is_effective_class, parking_representative
+# is_effective_class (the uncached parking route) is not used here; it stays
+# importable as rank.is_effective_class
+from .dynamics import _park, is_effective_class
 from .graphs import MultiGraph, _borrow, _lattice_form, _residue, check_config, degree
 
 __all__ = [
@@ -119,7 +119,7 @@ def _delta(G: MultiGraph, res: tuple, f: tuple) -> int:
     step of the table reaches its residue."""
     e = G._eff_cache.get(res)
     if e is None:
-        e = G._eff_cache[res] = _Entry(res, parking_representative(G, f)[:-1])
+        e = G._eff_cache[res] = _Entry(res, _park(G, f)[:-1])
     return e.delta
 
 
@@ -139,7 +139,7 @@ def _step(G: MultiGraph, e: _Entry, i: int) -> _Entry:
         p = e.p
         p = (*p[:i], p[i] - 1, *p[i + 1:])
         if p[i] < 0:
-            p = parking_representative(G, p + (0,))[:-1]
+            p = _park(G, p + (0,))[:-1]
         w = cache[v] = _Entry(v, p)
     e.steps[i] = w.res
     return w

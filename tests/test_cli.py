@@ -176,6 +176,29 @@ def test_rank_on_kn_checks_the_config_once(capsys, monkeypatch, options):
     assert payload["rank"] == 4
 
 
+@pytest.mark.parametrize("command, expected", [
+    ("stabilize", {"stable": [2, 0, 2, 3, 3], "odometer": [1, 1, 1, 1, 0]}),
+    ("parking", {"parking": [0, 3, 0, 1, 6]}),
+    ("recurrent", {"recurrent": [2, 0, 2, 3, 3]}),
+    ("effective", {"effective": True}),
+])
+def test_config_commands_check_the_config_once(capsys, monkeypatch, command, expected):
+    """The configuration is checked once, against N, and the command's
+    library core then runs on the checked tuple; K5's five rows are the
+    other checks."""
+    checks = []
+    as_ints = graphs._as_ints
+
+    def counting(*args):
+        checks.append(args)
+        return as_ints(*args)
+
+    monkeypatch.setattr(graphs, "_as_ints", counting)
+    payload = run_json(capsys, command, "--complete", "5", "--config", "3,1,3,4,-1")
+    assert payload == expected
+    assert checks.count(((3, 1, 3, 4, -1),)) == 1 and len(checks) == 6
+
+
 @pytest.mark.parametrize("method", ["auto", "formula", "greedy"])
 @pytest.mark.parametrize("n, config, err", [
     ("0", "1", "graph needs at least one vertex"),
@@ -350,7 +373,7 @@ def test_runtime_error_exits_1(capsys, monkeypatch):
     def refuse(G, f):
         raise RuntimeError("parking reduction did not settle (input too extreme)")
 
-    monkeypatch.setattr("chiprank.rank.is_effective_class", refuse)
+    monkeypatch.setattr("chiprank.dynamics._is_effective", refuse)
     code, out, err = run(capsys, "effective", "--complete", "3", "--config", "1,0,0")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "did not settle" in err

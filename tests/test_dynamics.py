@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import chiprank
-from chiprank import dynamics
+from chiprank import dynamics, graphs
 from chiprank.complete import parking_via_cyclic_lemma
 from chiprank.graphs import MultiGraph, laplacian_row, topple
 
@@ -243,9 +243,60 @@ def _cube_reference(G):
 @given(st.one_of(st.sampled_from(SMALL_GRAPHS), small_multigraphs()))
 def test_prefix_walks_match_the_stable_cube(G):
     parking, levels = _cube_reference(G)
-    hist = dynamics._prefix_walk(G, dynamics._parking_range(G))
+    hist = dynamics._prefix_walk(G, *dynamics._parking_range(G))
     assert Counter({s: c for s, c in enumerate(hist) if c}) == parking
     assert dynamics.recurrent_level_counts(G) == levels
+
+
+def _check_split(G):
+    """Walk both prefix trees with the per-child ranges; at every parent,
+    ``_child_ranges`` must give each child c the range
+    ``entry_range(prefix + (c,))``."""
+    for entry_range, split in (dynamics._parking_range(G),
+                               dynamics._recurrent_range(G)):
+        stack = [((), *entry_range(()))] if G.n >= 3 else []
+        while stack:
+            prefix, lo, hi = stack.pop()
+            each = [entry_range(prefix + (c,)) for c in range(lo, hi)]
+            assert dynamics._child_ranges(entry_range, split, prefix, lo, hi) == each
+            if len(prefix) + 3 < G.n:
+                stack.extend((prefix + (c,), *r) for c, r in enumerate(each, lo))
+
+
+def test_split_agrees_with_each_childs_range():
+    for G in SMALL_GRAPHS + [MultiGraph.complete(6), MultiGraph.wheel(7)]:
+        _check_split(G)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_multigraphs())
+def test_split_agrees_with_each_childs_range_on_multigraphs(G):
+    _check_split(G)
+
+
+@pytest.mark.parametrize("G, calls", [
+    (MultiGraph.wheel(7), 465),
+    (MultiGraph.complete(6), 277),
+    (MultiGraph.wheel(6), 177),
+    (MultiGraph.from_edges(300, [(i, i + 1) for i in range(1, 300)]), 299),
+])
+def test_prefix_walks_make_two_kernel_calls_per_split(monkeypatch, G, calls):
+    """A parent with two or more children costs two kernel calls, a parent
+    with one child one.  The bound of one call per prefix is 609, 570 and
+    232 on W7, K6 and W6; the path, whose parents each have one child,
+    meets it."""
+    made = Counter()
+    for name in ("burning_test", "stabilize"):
+        kernel = getattr(dynamics._backend, name)
+
+        def counting(*args, name=name, kernel=kernel):
+            made[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(dynamics._backend, name, counting)
+    dynamics._prefix_walk(G, *dynamics._parking_range(G))
+    dynamics._prefix_walk(G, *dynamics._recurrent_range(G))
+    assert made == {"burning_test": calls, "stabilize": calls}
 
 
 def test_class_counts_smallest_graphs():
@@ -305,3 +356,47 @@ def test_invariant_checks_survive_optimize_flag():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_recurrent_self_check_survives_optimize_flag():
+    """The recurrent route runs the same parking self-check under ``-O``:
+    beta(f) = (-1, 0, 1) is reduced from itself, and the stand-in kernel
+    leaves its debt."""
+    script = (
+        "from chiprank import _backend, dynamics\n"
+        "from chiprank.graphs import MultiGraph\n"
+        "_backend.parking_reduce = lambda n, degs, flat, cfg: None\n"
+        "try:\n"
+        "    dynamics.recurrent_representative(MultiGraph.complete(3), (2, 1, 0))\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('no AssertionError under -O')\n"
+    )
+    src = os.path.dirname(os.path.dirname(chiprank.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("call", [
+    dynamics.parking_representative,
+    dynamics.recurrent_representative,
+    dynamics.is_effective_class,
+    dynamics.is_parking,
+])
+def test_parking_checks_the_config_once(monkeypatch, K5, call):
+    """One integer check per public call: the reduction and its self-check
+    run on the checked tuple."""
+    checks = []
+    as_ints = graphs._as_ints
+
+    def counting(*args):
+        checks.append(args)
+        return as_ints(*args)
+
+    monkeypatch.setattr(graphs, "_as_ints", counting)
+    for f in [(3, 1, 3, 4, -1), (0, 1, 2, 3, 0), (10**6, 0, 0, 0, -10**6)]:
+        checks.clear()
+        call(K5, f)
+        assert checks == [(f,)]
