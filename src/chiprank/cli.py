@@ -98,7 +98,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     if method == "formula":
         # f is checked already, so the closed form runs unchecked
         counter = complete.OpCounter() if args.count_ops else None
-        out["rank"] = complete._formula(f, counter)["rank"]
+        out["rank"] = complete._rank(f, counter)
         if counter is not None:
             out["ops"] = counter.ops
     elif method == "greedy":
@@ -113,7 +113,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _cmd_rr_check(args: argparse.Namespace) -> int:
-    rr = rank.riemann_roch_data(*_load(args))
+    rr = rank._riemann_roch(*_load(args))
     _emit(rr._asdict())
     return 0 if rr.holds else 1
 

@@ -7,10 +7,23 @@ b's).  Everything here runs in O(n) integer operations: normalization,
 parking via the cyclic lemma, and a closed-form rank.  Words travel as ASCII
 strings at the API boundary; the pipelines themselves work on value
 histograms so no strings are built unless asked for.
+
+The rank is read off the parking walk (``_walk``), the heights after each b
+of the word of the residues' histogram.  On a path whose strict prefixes stay
+non-negative, every level is crossed upwards as often as downwards, so the
+parked word's a-heights, which the closed form sums over, are as a multiset
+its heights after its first n - 1 b's, and those are a rotation of the walk.
+The rank is then a few passes over slices of the walk (``_walk_rank``), with
+no per-vertex list of values, heights or terms; ``rank_formula_details``
+builds those lists as an inspection view.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from functools import partial
+from itertools import accumulate, repeat
+from operator import ge, gt
 from typing import NamedTuple, Sequence
 
 from .dyck import _first_return_rotation, is_dn_word, to_dn_word, to_dyck_word
@@ -43,8 +56,9 @@ class SortedParking(NamedTuple):
 
 
 class OpCounter:
-    """Tallies elementary integer operations (+ - * // %) for complexity
-    demonstrations; each pipeline loop adds its per-iteration cost."""
+    """Tallies the work of the closed-form rank for complexity
+    demonstrations: each pass adds the number of items it reads, and a
+    bisection the most probes it can make."""
 
     __slots__ = ("ops",)
 
@@ -84,23 +98,17 @@ def is_equiv_zero_kn(f: Sequence[int]) -> bool:
     return is_equiv_kn(f, (0,) * len(f))
 
 
-def compact_normalize(f: Sequence[int], counter: OpCounter | None = None) -> tuple:
+def compact_normalize(f: Sequence[int]) -> tuple:
     """The equivalent configuration with non-sink entries reduced mod n
     relative to the first entry (so they land in 0..n-1, first entry 0) and
     the degree balanced onto the sink."""
-    return _compact_normalize(_as_config(f), counter)
-
-
-def _compact_normalize(f: tuple, counter: OpCounter | None = None) -> tuple:
+    f = _as_config(f)
     n = len(f)
     if n == 1:
         return f
     base = f[0]
     body = [(x - base) % n for x in f[:-1]]
-    total = sum(f)
-    if counter is not None:
-        counter.add(4 * n)  # subtract+mod per entry, two running sums
-    return tuple(body) + (total - sum(body),)
+    return tuple(body) + (sum(f) - sum(body),)
 
 
 def is_compact_sorted(f: Sequence[int]) -> bool:
@@ -152,45 +160,32 @@ def decode_word(word: str) -> tuple:
 # ---------- parking via the cyclic lemma ----------
 
 
-def _pipeline(f: tuple, counter: OpCounter | None = None):
-    """Shared O(n) reduction of a validated configuration on n >= 2
-    vertices: sorted parking values plus sink.
+def _walk(f: tuple, counter: OpCounter | None = None) -> tuple:
+    """The cyclic lemma on a validated configuration of n >= 2 vertices.
 
-    Returns (n, values, sink) where values lists the non-sink vertices'
-    parking values in weakly increasing order, plus the per-vertex shift
-    data (q, normalized body) so callers can also reconstruct vertex-order
-    results.
+    With residues r_i = (f_i - f_0) mod n over the non-sink entries, d[v] is
+    one less than the number of residues equal to v, and the walk H, the
+    prefix sums of d, is the height after the (v+1)-th b of the word that
+    writes, for each v, the a's of value v and then a b; H[n-1] = -1.
+    Rotating the prefix up to H's first minimum best (q b's and p = best + q
+    a's) to the back parks f: each residue drops by q mod n, and the sink
+    becomes deg f - sum(r) + n(q - p) - q.  Returns (d, H, best, q, sink).
     """
     n = len(f)
-    g = _compact_normalize(f, counter)
-    body = g[:-1]
-    hist = [0] * n
-    for v in body:
-        hist[v] += 1
-    # Walk the word phi1(sorted(body)) without building it: for each value v
-    # come hist[v] a's, then the (v+1)-th b.  Track the first position where
-    # the height reaches its minimum; that prefix u (p a's, q b's) rotates to
-    # the back, which is exactly the cyclic lemma's conjugation.
-    best = 0
-    p = q = 0
-    a_seen = 0
-    for v in range(n):
-        a_seen += hist[v]
-        h = a_seen - (v + 1)
-        if h < best:
-            best = h
-            p, q = a_seen, v + 1
+    base = f[0]
+    d = [-1] * n
+    for x in f[:-1]:
+        d[(x - base) % n] += 1
+    H = list(accumulate(d))
+    best = min(H)
+    q = H.index(best) + 1
+    # sum(r) = n(n - 1) - sum(A), A[v] = H[v] + v + 1 the a's of value <= v,
+    # and n(q - p) = -n * best
+    sink = sum(f) + sum(H) + n * (3 - n) // 2 - n * best - q
     if counter is not None:
-        counter.add(5 * n)  # histogram fill + height walk
-    parked = [0] * n
-    for v in range(n):
-        if hist[v]:
-            parked[v - q if v >= q else v + n - q] += hist[v]
-    sink = g[-1] + n * (q - p) - q
-    if counter is not None:
-        counter.add(2 * n + 5)
-    values = [v for v in range(n) for _ in range(parked[v])]
-    return n, values, sink, q, body
+        # histogram; accumulate, min, index; sum(f), sum(H)
+        counter.add((n - 1) + (n + n + q) + (n + n))
+    return d, H, best, q, sink
 
 
 def parking_via_cyclic_lemma(f: Sequence[int]) -> tuple:
@@ -204,9 +199,11 @@ def parking_via_cyclic_lemma(f: Sequence[int]) -> tuple:
     f = _as_config(f)
     if len(f) == 1:
         return SortedParking("b", f[0]), f
-    n, values, sink, q, body = _pipeline(f)
-    word = phi1(values, n)
-    vertex_order = tuple(c - q if c >= q else c + n - q for c in body) + (sink,)
+    n = len(f)
+    d, _, _, q, sink = _walk(f)
+    word = "".join("a" * (k + 1) + "b" for k in d[q:] + d[:q])
+    shift = f[0] + q
+    vertex_order = tuple((x - shift) % n for x in f[:-1]) + (sink,)
     return SortedParking(word, sink), vertex_order
 
 
@@ -252,30 +249,62 @@ def rank_greedy(f: Sequence[int]) -> int:
         steps += 1
 
 
-def _formula(f: tuple, counter: OpCounter | None = None) -> dict:
-    """The closed form's data (see rank_formula_details), computed once for
-    both public views.  Unchecked: f is a validated configuration, a
-    non-empty tuple of ints."""
-    n = len(f)
-    if n == 1:
+def _rank(f: tuple, counter: OpCounter | None = None) -> int:
+    """The closed-form rank of a validated configuration, a non-empty tuple
+    of ints; the one core behind ``rank_formula`` and the CLI."""
+    if len(f) == 1:
         if counter is not None:
             counter.add(1)
-        rank = f[0] if f[0] >= 0 else -1
-        return {"q": None, "r": None, "heights": [], "terms": [], "rank": rank}
-    _, values, sink, _, _ = _pipeline(f, counter)
-    # position i (0-based) of the sorted parking values sits at height i - v
-    heights = [i - v for i, v in enumerate(values)]
-    q, r, terms, rank = _sink_step(heights, sink)
+        return f[0] if f[0] >= 0 else -1
+    _, H, best, q, sink = _walk(f, counter)
+    return _walk_rank(H, best, q, sink, counter)
+
+
+def _walk_rank(H: list, best: int, q: int, sink: int,
+               counter: OpCounter | None = None) -> int:
+    """The closed form's last stage, read off ``_walk``'s heights.
+
+    The sorted parking word's heights after its first n - 1 b's are
+    beta = H[q:] - best, then H[:q-1] - best - 1, and as a multiset they
+    are its a-heights eta (up-crossings of each level match down-crossings).
+    With sink + 1 = Q(n-1) + R, the sum of max(0, Q - eta_i + [i < R]) is
+    rank + 1.  It is the sum of max(0, Q - beta_j), plus the number of
+    a's before index R at a level <= Q.  The prefix before the a at index R
+    holds V b's and ends at height R - V, so those a's are the j < V with
+    beta_j <= Q plus one up-step for each level 0..min(Q, R - V - 1) that
+    no down-step in the prefix matches.  Each part is a pass over a slice
+    of H.
+    """
+    n = len(H)
+    Q, R = divmod(sink + 1, n - 1)
+    if Q < 0:  # every term is at most Q + 1 <= 0
+        return -1
+    T = Q + best  # beta_j <= Q iff H <= T in the tail, H <= T + 1 in the head
+    tail, head = H[q:], H[:q - 1]
+    low = list(filter(partial(gt, T), tail))
+    low_head = list(filter(partial(gt, T + 1), head))
+    below = T * len(low) - sum(low) + (T + 1) * len(low_head) - sum(low_head)
+    # the a at index R of the parked word is the a at index p + R (mod n - 1)
+    # of the unparked one, of value w, the least w with A[w] > that index
+    i = (best + q + R) % (n - 1)
+    w = bisect_right(range(n), i, key=lambda v: H[v] + v + 1)
+    V = (w - q) % n
+    seen = (sum(map(ge, repeat(T), tail[:V]))
+            + sum(map(ge, repeat(T + 1), head[:max(0, V - len(tail))])))
     if counter is not None:
-        counter.add(5 * (n - 1) + 3)
-    return {"q": q, "r": r, "heights": heights, "terms": terms, "rank": rank}
+        # slices; filters; sums of the lows; bisection probes (at most
+        # n.bit_length()); the first V heights' slices and count
+        counter.add((n - 1) + (n - 1) + len(low) + len(low_head)
+                    + n.bit_length() + 2 * V)
+    return below + seen + max(0, min(Q + 1, R - V)) - 1
 
 
 def _sink_step(heights: list, sink: int) -> tuple:
-    """The closed form's last step, the only one that reads the sink: with
+    """The closed form's last step as per-position lists: with
     sink + 1 = q(n-1) + r, the terms q - eta_i + [i < r] over the n - 1
     heights of the sorted parking word, and the rank, the sum of the
-    positive terms minus one.  Returns (q, r, terms, rank)."""
+    positive terms minus one.  Returns (q, r, terms, rank).  Cheaper than
+    ``_walk_rank`` on small n when the heights are already at hand."""
     q, r = divmod(sink + 1, len(heights))
     terms = [q - h + (i < r) for i, h in enumerate(heights)]
     return q, r, terms, sum([t for t in terms if t > 0]) - 1
@@ -284,20 +313,37 @@ def _sink_step(heights: list, sink: int) -> tuple:
 def rank_formula(f: Sequence[int], count_ops: bool = False):
     """Closed-form rank on K_n in O(n) integer operations.
 
-    Parks f, writes sink + 1 = q(n-1) + r, and sums the positive parts of
-    q - eta_i + [i <= r] over the word's heights; the rank is that sum minus
-    one.  With ``count_ops=True`` returns ``(rank, ops)`` where ops tallies
-    the elementary integer operations used end to end.
+    Parks f by the cyclic lemma, writes sink + 1 = q(n-1) + r, and the rank
+    is the sum of the positive parts of q - eta_i + [i < r] over the sorted
+    parking word's a-heights eta, minus one.  On a path whose strict
+    prefixes stay non-negative, the up-crossings of each level equal its
+    down-crossings, so the a-heights are, as a multiset, the heights after
+    the first n - 1 b's; those come straight from the parking walk, and the
+    rank is read off them with a few passes over slices of it, without a
+    per-vertex list (``_walk_rank``).  ``rank_formula_details`` is an
+    inspection view that builds the per-position lists.
+
+    With ``count_ops=True`` returns ``(rank, ops)``, ops tallying the items
+    read by each pass the computation runs.
     """
     counter = OpCounter() if count_ops else None
-    rank = _formula(_as_config(f), counter)["rank"]
+    rank = _rank(_as_config(f), counter)
     return (rank, counter.ops) if count_ops else rank
 
 
 def rank_formula_details(f: Sequence[int]) -> dict:
     """The formula's intermediate data, for inspection: quotient q,
-    remainder r, the heights, the per-position terms, and the rank."""
-    return _formula(_as_config(f))
+    remainder r, the sorted parking word's heights, the per-position terms,
+    and the rank (which ``rank_formula`` finds without these lists)."""
+    f = _as_config(f)
+    if len(f) == 1:
+        return {"q": None, "r": None, "heights": [], "terms": [], "rank": _rank(f)}
+    d, H, best, q, sink = _walk(f)
+    values = [v for v, k in enumerate(d[q:] + d[:q]) for _ in range(k + 1)]
+    heights = [i - v for i, v in enumerate(values)]
+    Q, R, terms, _ = _sink_step(heights, sink)
+    return {"q": Q, "r": R, "heights": heights, "terms": terms,
+            "rank": _walk_rank(H, best, q, sink)}
 
 
 def theta_iterate(word: str, sink: int, k: int) -> tuple:

@@ -51,7 +51,12 @@ def _require_sandpile(G: MultiGraph, f: tuple) -> tuple:
 
 def is_stable(G: MultiGraph, f: Sequence[int]) -> bool:
     """True when every non-sink vertex holds fewer chips than its degree."""
-    f = _require_sandpile(G, check_config(G, f))
+    return _is_stable(G, check_config(G, f))
+
+
+def _is_stable(G: MultiGraph, f: tuple) -> bool:
+    """``is_stable`` on a checked configuration."""
+    f = _require_sandpile(G, f)
     return all(f[i] < G.degrees[i] for i in range(G.n - 1))
 
 
@@ -79,7 +84,7 @@ def is_recurrent_burning(G: MultiGraph, f: Sequence[int]) -> bool:
     Laplacian row topples every non-sink vertex exactly once and returns to f.
     """
     f = check_config(G, f)
-    if not is_stable(G, f):
+    if not _is_stable(G, f):
         raise ValueError("burning test expects a stable configuration")
     return _is_recurrent(G, f)
 
@@ -114,7 +119,7 @@ def is_recurrent_subsets(G: MultiGraph, f: Sequence[int]) -> bool:
     vertex whose chip count is at least its degree inside Y.
     """
     f = check_config(G, f)
-    if not is_stable(G, f):
+    if not _is_stable(G, f):
         raise ValueError("subset criterion expects a stable configuration")
     nonsink = range(G.n - 1)
     for size in range(1, G.n):

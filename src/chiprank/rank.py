@@ -306,7 +306,11 @@ class RiemannRochData(NamedTuple):
 def riemann_roch_data(G: MultiGraph, f: Sequence[int]) -> RiemannRochData:
     """Brute-force ranks of f and of kappa - f, and whether
     rank(f) - rank(kappa - f) equals deg(f) + n - m."""
-    f = check_config(G, f)
+    return _riemann_roch(G, check_config(G, f))
+
+
+def _riemann_roch(G: MultiGraph, f: tuple) -> RiemannRochData:
+    """``riemann_roch_data`` on a checked configuration."""
     dual = _kappa_dual(G, f)
     r = _rank(G, f).rank
     rd = _rank(G, dual).rank

@@ -19,7 +19,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterator, Sequence
 
-from .complete import _formula, _sink_step, decode_word
+from .complete import _rank, _sink_step, decode_word
 from .dyck import _dn, _heights, dn_words, dyck_words, phi_involution
 from .graphs import _as_ints
 from .series import TruncatedSeries
@@ -307,7 +307,7 @@ def Kn_bistatistic_check(n: int, window: Sequence[int] = (-5, 15)) -> bool:
         raise ValueError("need n >= 1")
     if n == 1:
         return all(
-            _formula((s,))["rank"] == (s if s >= 0 else -1) for s in range(lo, hi + 1)
+            _rank((s,)) == (s if s >= 0 else -1) for s in range(lo, hi + 1)
         )
     base = comb(n - 1, 2)
     stair = "ab" * (n - 1) + "b"

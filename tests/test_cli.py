@@ -70,7 +70,7 @@ def test_rank_methods_and_ops(capsys):
         capsys, "rank", "--complete", "5", "--config", "3,1,3,4,-1", "--count-ops"
     )
     assert payload["rank"] == 4
-    assert payload["ops"] == 16 * 5 + 3
+    assert payload["ops"] == 48
     assert payload["degree"] == 10
     assert "wall_ms" in payload
 
@@ -197,6 +197,27 @@ def test_config_commands_check_the_config_once(capsys, monkeypatch, command, exp
     payload = run_json(capsys, command, "--complete", "5", "--config", "3,1,3,4,-1")
     assert payload == expected
     assert checks.count(((3, 1, 3, 4, -1),)) == 1 and len(checks) == 6
+
+
+@pytest.mark.parametrize("graph, config, vertices", [
+    (("--complete", "5"), (3, 1, 3, 4, -1), 5),
+    (("--wheel", "5"), (0, 1, 0, 1, 0, 1), 6),
+])
+def test_rr_check_checks_the_config_once(capsys, monkeypatch, graph, config, vertices):
+    """rr-check checks the configuration once, against the graph, and the
+    Riemann-Roch core then runs on the checked tuple; the graph's rows are
+    the other checks."""
+    checks = []
+    as_ints = graphs._as_ints
+
+    def counting(*args):
+        checks.append(args)
+        return as_ints(*args)
+
+    monkeypatch.setattr(graphs, "_as_ints", counting)
+    payload = run_json(capsys, "rr-check", *graph, "--config", ",".join(map(str, config)))
+    assert payload["holds"] is True
+    assert checks.count((config,)) == 1 and len(checks) == vertices + 1
 
 
 @pytest.mark.parametrize("method", ["auto", "formula", "greedy"])

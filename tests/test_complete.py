@@ -1,3 +1,7 @@
+import random
+from collections import Counter
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,6 +100,77 @@ def test_formula_equals_bruteforce(f):
     assert complete.rank_formula(f) == rank.rank_bruteforce(G, f).rank
 
 
+def _terms_rank(f):
+    """The rank the details' per-position terms give."""
+    return sum(t for t in complete.rank_formula_details(f)["terms"] if t > 0) - 1
+
+
+@pytest.mark.parametrize("n, lo, hi", [(2, -6, 8), (3, -4, 7), (4, -3, 5), (5, -2, 3)])
+def test_formula_matches_greedy_and_terms_on_a_window(n, lo, hi):
+    """Every configuration with entries in lo..hi: the closed form read off
+    the walk against the greedy steps and against the per-position terms."""
+    for f in product(range(lo, hi + 1), repeat=n):
+        r = complete.rank_formula(f)
+        assert r == complete.rank_greedy(f) == _terms_rank(f), f
+        assert complete.rank_formula_details(f)["rank"] == r
+
+
+def _regime(f):
+    """Which parts of the closed form f's rank runs through: the sign and
+    size of Q, and whether the prefix before the a at index R keeps to the
+    walk's tail (V < n - q) or reaches into its head."""
+    n = len(f)
+    _, _, best, q, sink = complete._walk(f)
+    Q, R = divmod(sink + 1, n - 1)
+    if Q < 0:
+        return "Q < 0"
+    size = "Q < n - 2" if Q < n - 2 else "Q >= n - 2"
+    p = best + q
+    return size, "R < n - 1 - p" if R < n - 1 - p else "R >= n - 1 - p"
+
+
+def test_formula_matches_terms_on_random_large_n():
+    """Seeded configurations up to n = 400 in every regime of the closed
+    form, against the per-position terms, and against greedy where the
+    rank is small enough for its O(n * rank) steps."""
+    rng = random.Random(17)
+    seen = Counter()
+    for _ in range(400):
+        n = rng.randint(3, 400)
+        body = [rng.randint(-3 * n, 3 * n) for _ in range(n - 1)]
+        f = tuple(body) + (rng.randint(-2 * n * n, 2 * n * n),)
+        seen[_regime(f)] += 1
+        r = complete.rank_formula(f)
+        assert r == _terms_rank(f), f
+        if r < 2 * n:
+            assert r == complete.rank_greedy(f), f
+    regimes = {"Q < 0"} | {(size, side) for size in ("Q < n - 2", "Q >= n - 2")
+                           for side in ("R < n - 1 - p", "R >= n - 1 - p")}
+    assert set(seen) == regimes
+
+
+def test_formula_on_one_and_two_vertices():
+    """K_1 and K_2 have genus 0: the rank is the degree, or -1 below 0."""
+    for a in range(-6, 7):
+        assert complete.rank_formula((a,)) == max(a, -1)
+        assert complete.rank_formula_details((a,))["rank"] == max(a, -1)
+        for b in range(-6, 7):
+            assert complete.rank_formula((a, b)) == max(a + b, -1), (a, b)
+            assert complete.rank_greedy((a, b)) == max(a + b, -1), (a, b)
+
+
+def test_sink_step_matches_the_walk():
+    """The per-position last step genfun runs on a word's heights agrees
+    with the rank read off the walk, on every word with n <= 7."""
+    for n in range(2, 8):
+        for w in dyck.dn_words(n):
+            values = complete.decode_word(w)
+            heights = [i - v for i, v in enumerate(values)]
+            for s in range(-8, 3 * n + 1):
+                assert complete._sink_step(heights, s)[3] == complete.rank_formula(
+                    values + (s,)), (w, s)
+
+
 def test_single_vertex_rank():
     assert complete.rank_formula((4,)) == 4
     assert complete.rank_formula((0,)) == 0
@@ -104,12 +179,15 @@ def test_single_vertex_rank():
 
 
 def test_operation_count_is_linear():
-    for n in (2, 3, 5, 11, 60):
+    # (0, 1, ..., n - 2, 3) parks with q = n, sink 3 and V = R: the walk
+    # reads 6n - 1 items, the slices and filters 2(n - 1), the head's lows
+    # n - 1 when Q > 0, the bisection n.bit_length() and the V count 2R
+    for n, expected in ((2, 16), (3, 25), (5, 44), (11, 97), (60, 491)):
         f = tuple(range(n - 1)) + (3,)
         res, ops = complete.rank_formula(f, count_ops=True)
         assert res == complete.rank_formula(f)
-        assert ops == 16 * n + 3
-        if n >= 3:  # 16n + 3 <= 17n from n = 3 on
+        assert ops == expected
+        if n >= 3:
             assert ops <= 17 * n
 
 

@@ -400,3 +400,29 @@ def test_parking_checks_the_config_once(monkeypatch, K5, call):
         checks.clear()
         call(K5, f)
         assert checks == [(f,)]
+
+
+@pytest.mark.parametrize("call", [
+    dynamics.is_recurrent_burning,
+    dynamics.is_recurrent_subsets,
+])
+def test_recurrence_checks_the_config_once(monkeypatch, K5, call):
+    """One integer check per public call: the stability test and the
+    criterion run on the checked tuple."""
+    checks = []
+    as_ints = graphs._as_ints
+
+    def counting(*args):
+        checks.append(args)
+        return as_ints(*args)
+
+    monkeypatch.setattr(graphs, "_as_ints", counting)
+    for f, recurrent in [((3, 3, 3, 3, 0), True), ((0, 1, 2, 3, 0), True),
+                         ((0, 0, 2, 3, 0), False)]:
+        checks.clear()
+        assert call(K5, f) is recurrent
+        assert checks == [(f,)]
+    checks.clear()
+    with pytest.raises(ValueError, match="stable configuration"):
+        call(K5, (4, 0, 0, 0, 0))
+    assert checks == [((4, 0, 0, 0, 0),)]
