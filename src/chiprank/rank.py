@@ -21,6 +21,14 @@ only those of degree rank + 1.  Both take every step from the step table,
 so ``graphs._borrow`` runs at most once per (residue, i): at most
 (n - 1) |Jac(G)| times over the graph's life, however many calls it serves.
 
+The two searches are two stages, each refused on the size of what it
+searches.  The value stage (``_rank``: f's delta test, then the ball) is all
+that ``riemann_roch_data``, ``rank_bounds_check`` and ``chiprank rr-check``
+run; it refuses when both |Jac(G)| and the number of mu with |mu| <= deg f
+exceed ``_MAX_CANDIDATES``.  ``rank_bruteforce`` alone adds the witness
+stage on f's cache entry, and refuses when the walk's patterns, the mu
+with |mu| <= rank + 1, exceed it.
+
 Every residue a step reaches is w = v - e_i for a residue v already in the
 cache, so its entry comes from p_v: parking configurations are closed
 downwards (Dhar's burning), so when p_v[i] > 0, p_v - e_i is the parking
@@ -150,9 +158,7 @@ def _step(G: MultiGraph, e: _Entry, i: int) -> _Entry:
 _MAX_CANDIDATES = 5_000_000
 
 
-def rank_bruteforce(
-    G: MultiGraph, f: Sequence[int], *, max_candidates: int = _MAX_CANDIDATES
-) -> RankResult:
+def rank_bruteforce(G: MultiGraph, f: Sequence[int]) -> RankResult:
     """Rank by a breadth-first search over the residues of f - lambda, then
     the lex-first removal pattern of degree rank + 1 as the witness.
 
@@ -160,12 +166,11 @@ def rank_bruteforce(
     iff delta(res_f - mu) <= deg(f) - r, and the sink chips of lambda do not
     move the residue; so rank(f) >= r iff every residue within distance r of
     res_f (reached by some mu with |mu| <= r) has delta <= deg(f) - r.  The
-    ball around res_f grows one layer per degree (``_ball_rank``) and stops
-    at the first residue that breaks that bound, or when a layer comes out
-    empty because the ball covers Jac(G).  For rank < deg(f) the witness is
-    the lex-first failing pattern of degree rank + 1 (``_lex_witness``);
-    for rank = deg(f), removing deg(f) + 1 chips leaves negative degree, and
-    the witness is (0, ..., 0, deg(f) + 1).
+    value stage (``_rank``) finds the rank that way; the witness stage,
+    which only this function runs, reads the witness off f's cache entry:
+    zeros for rank -1; (0, ..., 0, deg(f) + 1) for rank = deg(f), since
+    removing deg(f) + 1 chips leaves negative degree; otherwise the
+    lex-first failing pattern of degree rank + 1 (``_lex_witness``).
 
     delta is read from G's cache of parking configurations (``_delta``).
     Only res_f's entry parks f itself; the ball and the walk take every
@@ -174,33 +179,43 @@ def rank_bruteforce(
     one chip, and only if that chip is missing does the kernel park it, so
     no kernel input but f's grows with f.
 
-    Raises if the patterns of degree max(deg(f) - m + n, deg(f)) + 1 (beyond
-    which no failure can first occur) would exceed ``max_candidates``: both
-    the ball, whose residues are each reached by some mu of at most that
-    size, and the witness walk fit inside that count.
+    Raises if the walk's patterns, the mu with |mu| <= rank + 1, number
+    more than ``_MAX_CANDIDATES``; they are at most the ball's count, so
+    this is checked only when |Jac(G)| admitted the ball.
     """
-    return _rank(G, check_config(G, f), max_candidates)
-
-
-def _rank(G: MultiGraph, f: tuple, max_candidates: int = _MAX_CANDIDATES) -> RankResult:
-    """``rank_bruteforce`` on a checked configuration."""
-    k = G.n - 1
+    f = check_config(G, f)
     d = degree(f)
+    r, start, count = _rank(G, f, d)
+    if r < 0 or r == d:
+        return RankResult(r, (0,) * (G.n - 1) + (r + 1,))
+    # C(r + n, n - 1): the mu with |mu| <= r + 1
+    if count > _MAX_CANDIDATES and (walk := comb(r + G.n, G.n - 1)) > _MAX_CANDIDATES:
+        raise ValueError(f"witness search space: {walk} patterns mu with |mu| <= {r + 1}"
+                         f" exceed {_MAX_CANDIDATES}")
+    return RankResult(r, _lex_witness(G, start, d, r + 1))
+
+
+def _rank(G: MultiGraph, f: tuple, d: int) -> tuple:
+    """The value stage, on a checked configuration f of degree d: the delta
+    test on f's residue, then the residue ball (``_ball_rank``).  Returns
+    (rank, f's cache entry, C(d + n - 1, n - 1)), the last two for the
+    witness stage of ``rank_bruteforce``; ``riemann_roch_data``,
+    ``rank_bounds_check`` and ``chiprank rr-check`` read the rank alone.
+
+    The ball holds at most min(|Jac(G)|, C(d + n - 1, n - 1)) residues, the
+    second being the number of mu with |mu| <= d; raises if both exceed
+    ``_MAX_CANDIDATES``.
+    """
+    k = G.n - 1
     res_f = _residue(_lattice_form(G), f, k)
     if _delta(G, res_f, f) > d:
-        return RankResult(-1, (0,) * G.n)
-    # C(ceiling + n - 1, n - 1): the patterns of degree ceiling, or the mu
-    # with |mu| <= ceiling
-    ceiling = max(d - G.m + G.n, d) + 1
-    if comb(ceiling + k, k) > max_candidates:
-        raise ValueError(
-            f"rank search space exceeds {max_candidates} candidate patterns"
-        )
+        return -1, None, 0
+    count = comb(d + k, k)
+    if count > _MAX_CANDIDATES and (jac := G.spanning_tree_count()) > _MAX_CANDIDATES:
+        raise ValueError(f"rank search space: |Jac(G)| = {jac} residues and {count}"
+                         f" patterns mu with |mu| <= {d} both exceed {_MAX_CANDIDATES}")
     start = G._eff_cache[res_f]
-    r = _ball_rank(G, start, d)
-    if r == d:
-        return RankResult(d, (0,) * k + (d + 1,))
-    return RankResult(r, _lex_witness(G, start, d, r + 1))
+    return _ball_rank(G, start, d), start, count
 
 
 def _ball_rank(G: MultiGraph, start: _Entry, d: int) -> int:
@@ -305,16 +320,17 @@ class RiemannRochData(NamedTuple):
 
 def riemann_roch_data(G: MultiGraph, f: Sequence[int]) -> RiemannRochData:
     """Brute-force ranks of f and of kappa - f, and whether
-    rank(f) - rank(kappa - f) equals deg(f) + n - m."""
+    rank(f) - rank(kappa - f) equals deg(f) + n - m.  Runs the value stage
+    alone: no witness is searched for."""
     return _riemann_roch(G, check_config(G, f))
 
 
 def _riemann_roch(G: MultiGraph, f: tuple) -> RiemannRochData:
     """``riemann_roch_data`` on a checked configuration."""
     dual = _kappa_dual(G, f)
-    r = _rank(G, f).rank
-    rd = _rank(G, dual).rank
     d = degree(f)
+    r = _rank(G, f, d)[0]
+    rd = _rank(G, dual, degree(dual))[0]
     return RiemannRochData(r, dual, rd, d, r - rd == d + G.n - G.m)
 
 
@@ -323,26 +339,23 @@ def riemann_roch_check(G: MultiGraph, f: Sequence[int]) -> bool:
     return riemann_roch_data(G, f).holds
 
 
-def rank_bounds_check(G: MultiGraph, f: Sequence[int], *, trials: int = 4) -> bool:
-    """Spot-check rank inequalities around f.
+def rank_bounds_check(G: MultiGraph, f: Sequence[int]) -> bool:
+    """Spot-check rank inequalities around f, from the value stage alone.
 
     (i) if deg(f) > 2m - 2n the rank equals deg(f) - m + n - 1 exactly;
-    (ii) adding an effective mu moves the rank up by between 0 and deg(mu);
-    (iii) adding a single chip moves the rank up by 0 or 1.
+    (ii) adding an effective mu moves the rank up by between 0 and
+    deg(mu), checked on four mu and then on each single chip.
     """
     f = check_config(G, f)
-    r = _rank(G, f).rank
     d = degree(f)
+    r = _rank(G, f, d)[0]
     if d > 2 * G.m - 2 * G.n and r != d - G.m + G.n - 1:
         return False
-    for t in range(trials):
-        mu = tuple((t + i) % 2 + (1 if i == t % G.n else 0) for i in range(G.n))
-        r2 = _rank(G, tuple(x + y for x, y in zip(f, mu))).rank
-        if not (r <= r2 <= r + degree(mu)):
-            return False
-    for i in range(G.n):
-        bumped = tuple(x + (1 if j == i else 0) for j, x in enumerate(f))
-        r2 = _rank(G, bumped).rank
-        if r2 not in (r, r + 1):
+    trials = [tuple((t + i) % 2 + (i == t % G.n) for i in range(G.n)) for t in range(4)]
+    chips = [tuple(int(i == j) for i in range(G.n)) for j in range(G.n)]
+    for mu in trials + chips:
+        dm = degree(mu)
+        r2 = _rank(G, tuple(x + y for x, y in zip(f, mu)), d + dm)[0]
+        if not r <= r2 <= r + dm:
             return False
     return True

@@ -19,7 +19,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterator, Sequence
 
-from .complete import _rank, _sink_step, decode_word
+from .complete import _rank, _sink_step
 from .dyck import _dn, _heights, dn_words, dyck_words, phi_involution
 from .graphs import _as_ints
 from .series import TruncatedSeries
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _DIRECT_LIMIT = 200_000  # refuse Ln_direct beyond this many words
+_WALK_LIMIT = 10_000_000  # refuse the K_n (word, sink) walk beyond this many pairs
 
 
 def vertex_label(n: int, x: int, y: int) -> int:
@@ -67,11 +68,16 @@ def cell_label(n: int, x: int, y: int) -> int:
 
 def _row_labels(wd: str) -> tuple:
     """(n, L) for a validated word wd with its trailing extra b: n is its
-    number of b's, and L the per-row first left-region labels: row i holds
-    the cell just west of the path's i-th north step, labeled
-    (i-1) + eta_i * (n-1)."""
+    number of b's, and L its row labels (``_labels``)."""
     n = wd.count("b")
-    return n, [i + h * (n - 1) for i, h in enumerate(_heights(wd))]
+    return n, _labels(_heights(wd), n)
+
+
+def _labels(heights: list, n: int) -> list:
+    """The per-row first left-region labels of an n-strip word whose a's
+    sit at the given heights: row i holds the cell just west of the path's
+    i-th north step, labeled (i-1) + eta_i * (n-1)."""
+    return [i + h * (n - 1) for i, h in enumerate(heights)]
 
 
 def left_right(w: str, s: int) -> tuple:
@@ -301,6 +307,7 @@ def Kn_bistatistic_check(n: int, window: Sequence[int] = (-5, 15)) -> bool:
     decoded from (w, s) must satisfy rank = left(w, s) - 1 and
     degree = C(n-1, 2) - 1 + left - right.  For n = 1 (no strip) the rank
     closed form rank = f1 (or -1 when negative) is checked instead.
+    Refuses more than 10^7 (word, sink) pairs, as ``_kn_walk`` does.
     """
     lo, hi = _as_ints(window, "window bounds")
     if n < 1:
@@ -322,7 +329,8 @@ def Kn_bistatistic_check(n: int, window: Sequence[int] = (-5, 15)) -> bool:
 
 def kn_degree_rank_table(n: int, lo: int, hi: int) -> dict:
     """How many (word, sink) pairs on K_n carry each (degree, rank), the sink
-    running over lo..hi.  Returns {(degree, rank): count}."""
+    running over lo..hi.  Returns {(degree, rank): count}.  Refuses more
+    than 10^7 (word, sink) pairs, as ``_kn_walk`` does."""
     if n < 2:
         raise ValueError("need n >= 2")
     lo, hi = _as_ints((lo, hi), "sink bounds")
@@ -335,13 +343,20 @@ def kn_degree_rank_table(n: int, lo: int, hi: int) -> dict:
 
 def _kn_walk(n: int, lo: int, hi: int) -> Iterator[tuple]:
     """(word, row labels, configuration, rank) for every word of K_n, n >= 2,
-    and every sink lo..hi.  The word's decoded values are already its sorted
-    parking values (the closed form's parking leaves them and the sink as
-    they are), so each word's row labels and heights are found once and
-    each sink costs only the closed form's last step."""
-    for w in dn_words(n):
-        values = decode_word(w)
-        L = _row_labels(w)[1]
-        heights = [i - v for i, v in enumerate(values)]
+    and every sink lo..hi; refused before the first word when those pairs
+    number more than ``_WALK_LIMIT``.  The word's decoded values are already
+    its sorted parking values (the closed form's parking leaves them and the
+    sink as they are), and the i-th of them is i minus the height eta_i
+    before the word's i-th a, so each word's heights are read once, for its
+    values and its row labels alike, and each sink costs only the closed
+    form's last step."""
+    words, sinks = comb(2 * (n - 1), n - 1) // n, max(hi - lo + 1, 0)
+    if words * sinks > _WALK_LIMIT:
+        raise ValueError(f"{words} words x {sinks} sinks is past the walk limit"
+                         f" of {_WALK_LIMIT} (word, sink) pairs")
+    for w in dn_words(n) if sinks else ():
+        heights = _heights(w)
+        L = _labels(heights, n)
+        values = tuple(i - h for i, h in enumerate(heights))
         for s in range(lo, hi + 1):
             yield w, L, values + (s,), _sink_step(heights, s)[3]

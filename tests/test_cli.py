@@ -384,6 +384,12 @@ def test_genfun_ln_formats(capsys):
     assert lines[0] == "degree,rank,count"
     assert "0,0,1" in lines
 
+    for fmt in ("json", "csv"):
+        code, out, err = run(capsys, "genfun", "ln", "--n", "16", "--trunc", "4",
+                             "--format", fmt)
+        assert code == 1 and not out
+        assert err.startswith("error: 9694845 words")
+
 
 def test_genfun_identity(capsys):
     payload = run_json(capsys, "genfun", "identity", "--max-n", "3", "--trunc", "5")

@@ -212,6 +212,26 @@ def test_rank_greedy_is_step_consistent():
             assert complete.rank_greedy(g) == r - 1
 
 
+def test_rank_greedy_checks_no_word_per_step(monkeypatch):
+    """rank_greedy steps its parked word unchecked: it makes as many word
+    checks (none) whether it takes 0, 1 or 45 zero-coordinate steps."""
+    is_dyck = dyck._is_dyck
+    calls = 0
+
+    def counting(w):
+        nonlocal calls
+        calls += 1
+        return is_dyck(w)
+
+    monkeypatch.setattr(dyck, "_is_dyck", counting)
+    counts = []
+    for f, r in [((0, 1, 2, 3, 0), 0), ((0, 0, 0, 0, 0), 0), ((0,) * 10 + (200,), 155)]:
+        calls = 0
+        assert complete.rank_greedy(f) == r == complete.rank_formula(f)
+        counts.append(calls)
+    assert counts == [0, 0, 0]
+
+
 def test_t_operator_roundtrip_and_power():
     f = (0, 1, 1, 3, -1)
     g = complete.t_operator(f)

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiprank import _backend, dynamics, rank
+from chiprank.cli import main
 from chiprank.complete import parking_via_cyclic_lemma, rank_formula
 from chiprank.graphs import MultiGraph, _lattice_form, _residue, laplacian_row
 
@@ -322,10 +324,59 @@ def test_all_smaller_removals_stay_effective(K3):
             assert dynamics.is_effective_class(K3, g)
 
 
-def test_search_space_guard():
+def test_search_space_guard(monkeypatch):
+    monkeypatch.setattr(rank, "_MAX_CANDIDATES", 100)
     G = MultiGraph.complete(5)
     with pytest.raises(ValueError, match="search space"):
-        rank.rank_bruteforce(G, (50, 0, 0, 0, 0), max_candidates=100)
+        rank.rank_bruteforce(G, (50, 0, 0, 0, 0))
+
+
+def test_value_stage_callers_search_no_witness(monkeypatch, tmp_path):
+    """riemann_roch_data, riemann_roch_check, rank_bounds_check and
+    ``chiprank rr-check`` read ranks alone, so the witness walk never runs."""
+
+    def refuse(*args):
+        raise AssertionError("witness walk entered")
+
+    monkeypatch.setattr(rank, "_lex_witness", refuse)
+    rng = random.Random(18)
+    for G in SMALL_GRAPHS + [MultiGraph.wheel(6)]:
+        edges = [[i + 1, j + 1, e] for i, row in enumerate(G.mult)
+                 for j, e in enumerate(row) if i < j and e]
+        path = tmp_path / f"g{G.n}.json"
+        path.write_text(json.dumps({"n": G.n, "edges": edges}))
+        for _ in range(30):
+            f = tuple(rng.randint(-4, 8) for _ in range(G.n))
+            rr = rank.riemann_roch_data(G, f)
+            assert rr.holds and rank.riemann_roch_check(G, f)
+            assert rank.rank_bounds_check(G, f)
+            config = "--config=" + ",".join(map(str, f))
+            assert main(["rr-check", "--graph", str(path), config]) == 0
+    with pytest.raises(AssertionError, match="witness walk"):
+        rank.rank_bruteforce(MultiGraph.complete(3), (2, 0, 0))
+
+
+def test_value_stage_answers_past_the_witness_bound(monkeypatch, capsys):
+    """W6 (6,)*7: the ball covers |Jac(W6)| = 320 residues, though the mu
+    with |mu| <= 42 number C(48, 6) > 5e6, so the value stage answers; the
+    witness walk would range over the C(43, 6) > 5e6 mu with |mu| <= 37,
+    which the witness stage refuses."""
+    W6 = MultiGraph.wheel(6)
+    f = (6,) * 7
+    rr = rank.riemann_roch_data(W6, f)
+    assert (rr.rank, rr.dual_rank, rr.holds) == (36, -1, True)
+    assert main(["rr-check", "--wheel", "6", "--config", "6,6,6,6,6,6,6"]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 36
+    with pytest.raises(ValueError, match="witness search"):
+        rank.rank_bruteforce(W6, f)
+    # the 4-cycle (|Jac| = 4) at degree 40, with the limit lowered to 100:
+    # C(43, 3) mu with |mu| <= 40, and as many for the witness walk
+    monkeypatch.setattr(rank, "_MAX_CANDIDATES", 100)
+    C4 = MultiGraph.from_edges(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    rr = rank.riemann_roch_data(C4, (10, 10, 10, 10))
+    assert (rr.rank, rr.dual_rank, rr.holds) == (39, -1, True)
+    with pytest.raises(ValueError, match="witness search"):
+        rank.rank_bruteforce(C4, (10, 10, 10, 10))
 
 
 @pytest.mark.parametrize(

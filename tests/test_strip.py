@@ -186,6 +186,26 @@ def test_degree_rank_table_matches_direct_ranks():
         assert strip.kn_degree_rank_table(n, lo, hi) == rebuilt, n
 
 
+def test_kn_walk_refuses_before_the_first_word(monkeypatch):
+    """Past the pair limit the K_n walk refuses with its count and the
+    limit, before a word is made; an empty sink range makes no word."""
+
+    def refuse(n):
+        raise AssertionError("word made before the guard")
+
+    monkeypatch.setattr(strip, "dn_words", refuse)
+    with pytest.raises(ValueError, match=r"9694845 words x 21 sinks .* 10000000"):
+        strip.kn_degree_rank_table(16, -5, 15)
+    with pytest.raises(ValueError, match="9694845 words x 2 sinks"):
+        strip.Kn_bistatistic_check(16, (0, 1))
+    assert strip.kn_degree_rank_table(16, 1, 0) == {}
+    monkeypatch.setattr(strip, "_WALK_LIMIT", 20)
+    with pytest.raises(ValueError, match="5 words x 5 sinks"):
+        strip.kn_degree_rank_table(4, 0, 4)
+    monkeypatch.undo()
+    assert strip.Kn_bistatistic_check(4, (0, 3))
+
+
 NOT_STRINGS = [None, b"ab", ["a", "b"]]
 STRAY_LETTERS = ["ab\n", " ab", "aXb", "abb ", "\tabb"]
 
