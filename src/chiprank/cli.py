@@ -8,20 +8,40 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 
 from . import acceptance, complete, dyck, dynamics, rank, strip
-from .graphs import MultiGraph, _check_length, _check_order, _wheel_order, check_config
+from .graphs import MultiGraph, _check_order, _require_length, _wheel_order
+
+# the comma form's characters: JSON can read such text only as ints
+_COMMA_FORM = re.compile(r"[-0-9, \t\n\r]*")
 
 
 def _parse_config(text: str) -> tuple:
-    """Chip counts as ``3,1,-2``, ``@file``, or ``-`` for stdin."""
+    """Chip counts as ``3,1,-2``, ``@file``, or ``-`` for stdin, separated
+    by commas and/or whitespace: the one place where a configuration's text
+    becomes a tuple of ints.
+
+    Text of ASCII digits, minus signs, commas and JSON whitespace is read
+    by one C-level JSON scan, whose items can then only be ints (no bool,
+    float or list).  Any other text (``+3``, ``1_000``, ``1.0``, ...) and
+    any the scan refuses (``1 2``, ``1,,2``, ``03``, ...) goes to the token
+    parse, which gives the same tuple or the same error as it always has."""
     if text == "-":
         text = sys.stdin.read()
     elif text.startswith("@"):
         with open(text[1:], encoding="utf-8") as fh:
             text = fh.read()
+    if _COMMA_FORM.fullmatch(text):
+        try:
+            values = json.loads("[" + text + "]")
+        except ValueError:
+            pass
+        else:
+            if values:
+                return tuple(values)
     parts = text.replace(",", " ").split()
     if not parts:
         raise ValueError("empty configuration")
@@ -51,17 +71,18 @@ def _named_config(args: argparse.Namespace) -> tuple:
         n = _check_order(args.complete)
     else:
         n = _wheel_order(args.wheel)
-    return _check_length(n, _parse_config(args.config))
+    return _require_length(n, _parse_config(args.config))
 
 
 def _load(args: argparse.Namespace) -> tuple:
-    """The graph and the checked configuration.  A named graph's dense
-    matrix is built only after the configuration's length matches, so a
-    short configuration on a huge N fails at once rather than out of
-    memory."""
+    """The graph and the checked configuration, whose entries
+    ``_parse_config`` has made ints, so only their count is checked.  A
+    named graph's dense matrix is built only after the configuration's
+    length matches, so a short configuration on a huge N fails at once
+    rather than out of memory."""
     if args.graph is not None:
         G = _load_graph(args)
-        return G, check_config(G, _parse_config(args.config))
+        return G, _require_length(G.n, _parse_config(args.config))
     f = _named_config(args)
     return _load_graph(args), f
 
@@ -95,16 +116,16 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     if args.count_ops and method != "formula":
         raise ValueError("--count-ops only applies to the formula method")
     out: dict = {"method": method, "degree": sum(f)}
+    # f is checked already, so each method runs its unchecked core
     if method == "formula":
-        # f is checked already, so the closed form runs unchecked
         counter = complete.OpCounter() if args.count_ops else None
         out["rank"] = complete._rank(f, counter)
         if counter is not None:
             out["ops"] = counter.ops
     elif method == "greedy":
-        out["rank"] = complete.rank_greedy(f)
+        out["rank"] = complete._rank_greedy(f)
     else:
-        result = rank.rank_bruteforce(G, f)
+        result = rank._rank_bruteforce(G, f)
         out["rank"] = result.rank
         out["witness"] = list(result.witness)
     out["wall_ms"] = round((time.perf_counter() - t0) * 1000, 3)

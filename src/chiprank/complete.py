@@ -196,7 +196,11 @@ def parking_via_cyclic_lemma(f: Sequence[int]) -> tuple:
     normalized value shifts by -q mod n, q the number of b's rotated away;
     the result is toppling-equivalent to f, not merely a permutation).
     """
-    f = _as_config(f)
+    return _park_kn(_as_config(f))
+
+
+def _park_kn(f: tuple) -> tuple:
+    """``parking_via_cyclic_lemma`` on a validated configuration."""
     if len(f) == 1:
         return SortedParking("b", f[0]), f
     n = len(f)
@@ -245,8 +249,14 @@ def rank_greedy(f: Sequence[int]) -> int:
     about 10^6, 28096 steps) it took 0.09 s, against 0.5 ms for
     ``rank_formula`` (Python 3.11, shared 2-core x86-64 machine).
     """
-    (word, sink), parked = parking_via_cyclic_lemma(f)
-    stair = "ab" * (len(parked) - 1) + "b"
+    return _rank_greedy(_as_config(f))
+
+
+def _rank_greedy(f: tuple) -> int:
+    """``rank_greedy`` on a validated configuration, a non-empty tuple of
+    ints."""
+    (word, sink), _ = _park_kn(f)
+    stair = "ab" * (len(f) - 1) + "b"
     steps = 0
     while True:
         if sink < 0:
@@ -356,6 +366,7 @@ def rank_formula_details(f: Sequence[int]) -> dict:
 
 def theta_iterate(word: str, sink: int, k: int) -> tuple:
     """Apply the zero-coordinate step k times to (word, sink)."""
+    (k,) = _as_ints((k,), "the step count k")
     if k < 0:
         raise ValueError("k must be >= 0")
     (sink,) = _as_ints((sink,), "the sink entry")

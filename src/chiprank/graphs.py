@@ -208,13 +208,13 @@ def _as_ints(values: Iterable, what: str = "configuration entries") -> tuple:
 
 def check_config(G: MultiGraph, f: Sequence[int]) -> tuple:
     """Validate one-entry-per-vertex and return the configuration as a tuple."""
-    return _check_length(G.n, f)
+    return _require_length(G.n, _as_ints(f))
 
 
-def _check_length(n: int, f: Sequence[int]) -> tuple:
-    """``check_config`` against a vertex count n, for callers that know n
+def _require_length(n: int, f: tuple) -> tuple:
+    """f, a tuple of ints already, once it has one entry per vertex of an
+    n-vertex graph; the CLI calls it with n from --complete N or --wheel K
     before (or without) building the graph."""
-    f = _as_ints(f)
     if len(f) != n:
         raise ValueError(f"configuration must have {n} entries, got {len(f)}")
     return f

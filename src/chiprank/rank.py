@@ -39,7 +39,6 @@ Only f's own residue parks f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple, Sequence
 
@@ -61,8 +60,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RankResult:
+class RankResult(NamedTuple):
     """Outcome of a rank computation.
 
     ``witness`` is an effective configuration of degree rank + 1 such that
@@ -183,7 +181,11 @@ def rank_bruteforce(G: MultiGraph, f: Sequence[int]) -> RankResult:
     more than ``_MAX_CANDIDATES``; they are at most the ball's count, so
     this is checked only when |Jac(G)| admitted the ball.
     """
-    f = check_config(G, f)
+    return _rank_bruteforce(G, check_config(G, f))
+
+
+def _rank_bruteforce(G: MultiGraph, f: tuple) -> RankResult:
+    """``rank_bruteforce`` on a checked configuration f."""
     d = degree(f)
     r, start, count = _rank(G, f, d)
     if r < 0 or r == d:

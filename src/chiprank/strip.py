@@ -43,6 +43,21 @@ _DIRECT_LIMIT = 200_000  # refuse Ln_direct beyond this many words
 _WALK_LIMIT = 10_000_000  # refuse the K_n (word, sink) walk beyond this many pairs
 
 
+def _word_count(n: int) -> tuple:
+    """(count, text) for the words of K_n, n >= 1: the Catalan number
+    C(2n - 2, n - 1)/n and its decimal text.  The count is built up term by
+    term, C_(k+1) = C_k * 2(2k + 1)/(k + 2), and stops at the first term
+    past the larger limit, so a huge n costs a few dozen steps; the count
+    is then that term (a lower bound) and the text "more than" the limit."""
+    cap = max(_DIRECT_LIMIT, _WALK_LIMIT)
+    words = 1
+    for k in range(n - 1):
+        words = words * 2 * (2 * k + 1) // (k + 2)
+        if words > cap:
+            return words, f"more than {cap}"
+    return words, str(words)
+
+
 def vertex_label(n: int, x: int, y: int) -> int:
     """Label of the lattice point (x, y) in the n-strip (rows 0..n-1)."""
     if n < 1:
@@ -150,9 +165,9 @@ def Ln_direct(n: int, trunc: int) -> TruncatedSeries:
         raise ValueError("need n >= 1")
     if n == 1:
         return h_series(trunc)
-    words = comb(2 * (n - 1), n - 1) // n  # Catalan number
+    words, text = _word_count(n)
     if words > _DIRECT_LIMIT:
-        raise ValueError(f"{words} words is past the direct-enumeration limit")
+        raise ValueError(f"{text} words is past the direct-enumeration limit")
     total: dict = {}
     for w in dn_words(n):
         L = _row_labels(w)[1]
@@ -350,9 +365,9 @@ def _kn_walk(n: int, lo: int, hi: int) -> Iterator[tuple]:
     before the word's i-th a, so each word's heights are read once, for its
     values and its row labels alike, and each sink costs only the closed
     form's last step."""
-    words, sinks = comb(2 * (n - 1), n - 1) // n, max(hi - lo + 1, 0)
+    (words, text), sinks = _word_count(n), max(hi - lo + 1, 0)
     if words * sinks > _WALK_LIMIT:
-        raise ValueError(f"{words} words x {sinks} sinks is past the walk limit"
+        raise ValueError(f"{text} words x {sinks} sinks is past the walk limit"
                          f" of {_WALK_LIMIT} (word, sink) pairs")
     for w in dn_words(n) if sinks else ():
         heights = _heights(w)

@@ -1,8 +1,11 @@
 import json
 import random
 import time
+import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chiprank import cli, complete, graphs
 from chiprank.cli import main
@@ -157,67 +160,136 @@ def test_rank_on_kn_matches_the_library(capsys, n):
             "method": "greedy", "degree": sum(g), "rank": complete.rank_greedy(g)}
 
 
-@pytest.mark.parametrize("options", [(), ("--method", "formula"), ("--count-ops",)])
-def test_rank_on_kn_checks_the_config_once(capsys, monkeypatch, options):
-    """The configuration is checked once, against N, and the closed form
-    then runs on the checked tuple."""
-    checks = []
-    as_ints = graphs._as_ints
+@pytest.fixture()
+def conversions(monkeypatch):
+    """Record the arguments of every ``graphs._as_ints`` call in ``checks``,
+    and count the ``_parse_config`` calls in ``parses``."""
+    calls = types.SimpleNamespace(checks=[], parses=0)
+    as_ints, parse = graphs._as_ints, cli._parse_config
 
     def counting(*args):
-        checks.append(args)
+        calls.checks.append(args)
         return as_ints(*args)
+
+    def counting_parse(text):
+        calls.parses += 1
+        return parse(text)
 
     monkeypatch.setattr(graphs, "_as_ints", counting)
     monkeypatch.setattr(complete, "_as_ints", counting)
-    f = (3, 1, 3, 4, -1)
-    payload = _rank_payload(capsys, f, *options)
-    assert checks == [(f,)]
+    monkeypatch.setattr(cli, "_parse_config", counting_parse)
+    return calls
+
+
+@pytest.mark.parametrize("options", [(), ("--method", "formula"), ("--count-ops",)])
+def test_rank_on_kn_checks_the_config_once(capsys, conversions, options):
+    """The configuration's text is converted once, by _parse_config, and
+    only its length is checked against N: f never reaches _as_ints, and the
+    closed form runs on the parsed tuple."""
+    payload = _rank_payload(capsys, (3, 1, 3, 4, -1), *options)
+    assert conversions.checks == [] and conversions.parses == 1
     assert payload["rank"] == 4
 
 
-@pytest.mark.parametrize("command, expected", [
+CONFIG_COMMANDS = [
     ("stabilize", {"stable": [2, 0, 2, 3, 3], "odometer": [1, 1, 1, 1, 0]}),
     ("parking", {"parking": [0, 3, 0, 1, 6]}),
     ("recurrent", {"recurrent": [2, 0, 2, 3, 3]}),
     ("effective", {"effective": True}),
-])
-def test_config_commands_check_the_config_once(capsys, monkeypatch, command, expected):
-    """The configuration is checked once, against N, and the command's
-    library core then runs on the checked tuple; K5's five rows are the
-    other checks."""
-    checks = []
-    as_ints = graphs._as_ints
+]
 
-    def counting(*args):
-        checks.append(args)
-        return as_ints(*args)
 
-    monkeypatch.setattr(graphs, "_as_ints", counting)
+@pytest.mark.parametrize("command, expected", CONFIG_COMMANDS)
+def test_config_commands_check_the_config_once(capsys, conversions, command, expected):
+    """The configuration's text is converted once, by _parse_config, and the
+    command's library core then runs on the parsed tuple: f never reaches
+    _as_ints, and K5's five rows are the checks there are."""
     payload = run_json(capsys, command, "--complete", "5", "--config", "3,1,3,4,-1")
     assert payload == expected
-    assert checks.count(((3, 1, 3, 4, -1),)) == 1 and len(checks) == 6
+    assert len(conversions.checks) == 5 and conversions.parses == 1
+
+
+@pytest.mark.parametrize("graph, command", [
+    (graph, command)
+    for graph in ("--complete", "--wheel", "--graph")
+    for command in (("stabilize",), ("parking",), ("recurrent",), ("effective",),
+                    ("rr-check",), ("rank",), ("rank", "--method", "bruteforce"),
+                    ("rank", "--method", "greedy"))
+    if graph != "--wheel" or "greedy" not in command  # greedy needs K_n
+], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+def test_no_command_converts_the_config_twice(capsys, conversions, tmp_path,
+                                              graph, command):
+    """On every graph source, each command parses f once and hands the tuple
+    to an unchecked core: f never reaches _as_ints.  The graph file holds
+    K5, the other checks are its count, edges and rows."""
+    source = {"--complete": "5", "--wheel": "4"}.get(graph)
+    if source is None:
+        p = tmp_path / "k5.json"
+        p.write_text(json.dumps({"n": 5, "edges": [[i, j] for i in range(1, 6)
+                                                   for j in range(i + 1, 6)]}))
+        source = str(p)
+    f = (3, 1, 3, 4, -1)
+    code, _, err = run(capsys, command[0], graph, source,
+                       "--config", ",".join(map(str, f)), *command[1:])
+    assert code == 0, err
+    assert (f,) not in conversions.checks
+    assert conversions.parses == 1
 
 
 @pytest.mark.parametrize("graph, config, vertices", [
     (("--complete", "5"), (3, 1, 3, 4, -1), 5),
     (("--wheel", "5"), (0, 1, 0, 1, 0, 1), 6),
 ])
-def test_rr_check_checks_the_config_once(capsys, monkeypatch, graph, config, vertices):
-    """rr-check checks the configuration once, against the graph, and the
-    Riemann-Roch core then runs on the checked tuple; the graph's rows are
-    the other checks."""
-    checks = []
-    as_ints = graphs._as_ints
-
-    def counting(*args):
-        checks.append(args)
-        return as_ints(*args)
-
-    monkeypatch.setattr(graphs, "_as_ints", counting)
+def test_rr_check_checks_the_config_once(capsys, conversions, graph, config, vertices):
+    """rr-check converts the configuration's text once, by _parse_config,
+    and the Riemann-Roch core then runs on the parsed tuple: f never
+    reaches _as_ints, and the graph's rows are the checks there are."""
     payload = run_json(capsys, "rr-check", *graph, "--config", ",".join(map(str, config)))
     assert payload["holds"] is True
-    assert checks.count((config,)) == 1 and len(checks) == vertices + 1
+    assert (config,) not in conversions.checks
+    assert len(conversions.checks) == vertices and conversions.parses == 1
+
+
+def _token_parse(text):
+    """The token parse: how any configuration text was read before the
+    comma form got its own scan, the oracle for ``_parse_config``."""
+    parts = text.replace(",", " ").split()
+    if not parts:
+        raise ValueError("empty configuration")
+    return tuple(map(int, parts))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+_SEPARATORS = st.sampled_from([",", ", ", " ", "\n", " ,\t", ",\r\n"])
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers() | st.integers(-10**400, 10**400), min_size=1, max_size=30),
+       st.data(), st.sampled_from(["", "\n"]))
+def test_parse_config_matches_the_token_parse(values, data, end):
+    """Whatever the separators, huge entries included, the comma form's
+    scan and the token parse read the same tuple."""
+    seps = data.draw(st.lists(_SEPARATORS, min_size=len(values) - 1,
+                              max_size=len(values) - 1))
+    text = str(values[0]) + "".join(s + str(x) for s, x in zip(seps, values[1:])) + end
+    assert cli._parse_config(text) == _token_parse(text) == tuple(values)
+
+
+@pytest.mark.parametrize("text", [
+    "+3", "03", "-0", "1_000", "1.0", "1e3", "true", "1,true", "NaN", "Infinity",
+    "null", "[1]", "1,[2]", '"3"', "", " \n ", "1,,2", "1,2,", ",1", "1 2, 3",
+    "1,x,3", "[" * 10**5, "9" * 5000, "-" + "9" * 4000,
+], ids=lambda t: repr(t) if len(t) < 20 else f"{t[:2]!r}...({len(t)} chars)")
+def test_parse_config_keeps_odd_inputs(text):
+    """Text outside the plain comma form gets the tuple, or the error text,
+    that the token parse gives."""
+    assert _outcome(cli._parse_config, text) == _outcome(_token_parse, text)
 
 
 @pytest.mark.parametrize("method", ["auto", "formula", "greedy"])

@@ -200,6 +200,14 @@ def test_theta_iterate_pinned():
     assert complete.theta_iterate("abaabbb", 10, 1) == ("aabbabb", 9)
 
 
+@pytest.mark.parametrize("k", [1.5, "2", None, -1])
+def test_theta_iterate_refuses_a_bad_step_count(k):
+    with pytest.raises(ValueError, match="step count|k must be >= 0"):
+        complete.theta_iterate("abb", 0, k)
+    # bools are ints, as for every integer argument
+    assert complete.theta_iterate("abb", 0, True) == complete.theta_iterate("abb", 0, 1)
+
+
 def test_rank_greedy_is_step_consistent():
     """Each zero-coordinate step costs exactly one rank."""
     for f in [(3, 1, 3, 4, -1), (5, 0, 0), (2, 2, 2, 0)]:

@@ -1,11 +1,15 @@
 import json
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chiprank
 from chiprank import _backend, dynamics, rank
 from chiprank.cli import main
 from chiprank.complete import parking_via_cyclic_lemma, rank_formula
@@ -468,3 +472,16 @@ def test_large_degree_rank_is_exact(K4, W5):
 def test_rank_bounds_spot_checks(K3, K4):
     assert rank.rank_bounds_check(K3, (2, 1, 0))
     assert rank.rank_bounds_check(K4, (1, 1, 0, -1))
+
+
+def test_rank_result_is_a_named_tuple(K3):
+    """A RankResult is a tuple (rank, witness), so importing the package
+    loads no dataclasses machinery."""
+    res = rank.rank_bruteforce(K3, (5, 0, 0))
+    assert res == (4, (0, 0, 5)) and (res.rank, res.witness) == tuple(res)
+    src = str(Path(chiprank.__file__).parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import chiprank; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -206,6 +206,25 @@ def test_kn_walk_refuses_before_the_first_word(monkeypatch):
     assert strip.Kn_bistatistic_check(4, (0, 3))
 
 
+def test_word_count_stops_past_the_limit():
+    """The K_n word count is the Catalan number while it stays under the
+    limit; past it, a huge n is refused at once with the limit's message."""
+    for n in range(1, 17):  # C_15 = 9694845, C_16 = 35357670
+        words, text = strip._word_count(n)
+        assert words == comb(2 * n - 2, n - 1) // n and text == str(words)
+    assert strip._word_count(17) == (35357670, "more than 10000000")
+    for n in (10**4, 10**5):
+        with pytest.raises(ValueError, match=r"^more than 10000000 words x 1 sinks"
+                                             r" is past the walk limit"):
+            strip.kn_degree_rank_table(n, 0, 0)
+        with pytest.raises(ValueError, match=r"^more than 10000000 words is past"
+                                             r" the direct-enumeration limit"):
+            strip.Ln_direct(n, 2)
+        with pytest.raises(ValueError, match="walk limit"):
+            strip.Kn_bistatistic_check(n, (0, 1))
+        assert strip.kn_degree_rank_table(n, 1, 0) == {}
+
+
 NOT_STRINGS = [None, b"ab", ["a", "b"]]
 STRAY_LETTERS = ["ab\n", " ab", "aXb", "abb ", "\tabb"]
 
