@@ -99,7 +99,6 @@ def _cmd_config(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
     method = args.method
     if args.complete is not None and method != "bruteforce":
         # the formula and greedy read f alone, so K_N is never built: its
@@ -128,7 +127,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         result = rank._rank_bruteforce(G, f)
         out["rank"] = result.rank
         out["witness"] = list(result.witness)
-    out["wall_ms"] = round((time.perf_counter() - t0) * 1000, 3)
+    out["wall_ms"] = round((time.perf_counter() - args.t0) * 1000, 3)
     _emit(out)
     return 0
 
@@ -226,6 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         "on multigraphs, in exact integer arithmetic.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config_help = "chip counts: inline, @file, or -; a negative first entry as --config=-1,2,3"
 
     # _load checks f, so each command runs the unchecked core of its library
     # function; the core is looked up when the command runs, so a wrapper or
@@ -243,12 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=blurb)
         _add_graph_args(p)
-        p.add_argument("--config", required=True, help="chip counts: inline, @file, or -")
+        p.add_argument("--config", required=True, help=config_help)
         p.set_defaults(func=_cmd_config, compute=compute)
 
     p = sub.add_parser("rank", help="divisor rank of a configuration")
     _add_graph_args(p)
-    p.add_argument("--config", required=True, help="chip counts: inline, @file, or -")
+    p.add_argument("--config", required=True, help=config_help)
     p.add_argument(
         "--method",
         choices=("auto", "formula", "greedy", "bruteforce"),
@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rr-check", help="rank symmetry against the dual configuration")
     _add_graph_args(p)
-    p.add_argument("--config", required=True, help="chip counts: inline, @file, or -")
+    p.add_argument("--config", required=True, help=config_help)
     p.set_defaults(func=_cmd_rr_check)
 
     p = sub.add_parser("tutte-counts", help="effective class counts by degree")
@@ -313,9 +313,12 @@ _parser = None
 
 def main(argv=None) -> int:
     global _parser
+    t0 = time.perf_counter()
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
+    # the command's start, so rank's wall_ms covers parsing the arguments too
+    args.t0 = t0
     try:
         return args.func(args)
     except (ValueError, AssertionError, OSError, OverflowError, RuntimeError) as exc:

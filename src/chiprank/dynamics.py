@@ -295,7 +295,7 @@ def acyclic_orientation_from_parking(G: MultiGraph, f: Sequence[int]) -> Orienta
     f(i) < indegree(i).
     """
     f = check_config(G, f)
-    if not is_parking(G, f):
+    if not _is_parking(G, _require_sandpile(G, f)):
         raise ValueError("peeling requires a parking configuration")
     n = G.n
     order = [n - 1]  # 0-based processing order, sink first

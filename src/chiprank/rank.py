@@ -26,8 +26,8 @@ searches.  The value stage (``_rank``: f's delta test, then the ball) is all
 that ``riemann_roch_data``, ``rank_bounds_check`` and ``chiprank rr-check``
 run; it refuses when both |Jac(G)| and the number of mu with |mu| <= deg f
 exceed ``_MAX_CANDIDATES``.  ``rank_bruteforce`` alone adds the witness
-stage on f's cache entry, and refuses when the walk's patterns, the mu
-with |mu| <= rank + 1, exceed it.
+stage, one walk from f's cache entry, refused only past its first pattern
+(the sink pile) when the mu with |mu| <= rank + 1 exceed it.
 
 Every residue a step reaches is w = v - e_i for a residue v already in the
 cache, so its entry comes from p_v: parking configurations are closed
@@ -92,7 +92,7 @@ def is_effective_cached(G: MultiGraph, f: Sequence[int]) -> bool:
     probe into an element of Jac(G), a probe costs one class key and one
     dictionary lookup.  A miss parks f itself."""
     f = check_config(G, f)
-    return sum(f) >= _delta(G, _residue(_lattice_form(G), f, G.n - 1), f)
+    return sum(f) >= _entry(G, f).delta
 
 
 class _Entry:
@@ -113,20 +113,20 @@ class _Entry:
         self.steps = [None] * len(p)
 
 
-def _delta(G: MultiGraph, res: tuple, f: tuple) -> int:
-    """delta(res), the non-sink chip count of the parking representative of
-    the classes with non-sink residue res; a class of degree d and residue
-    res is effective iff d >= delta(res).
+def _entry(G: MultiGraph, f: tuple) -> _Entry:
+    """The cache entry of f's non-sink residue: a class of degree d and that
+    residue is effective iff d >= delta, the non-sink chip count of its
+    parking representative.
 
     G's cache maps each residue to its ``_Entry``, which holds delta and the
-    residue's row of the step table.  f is a configuration of residue res,
-    parked on a miss; this is the one entry made from a configuration given
-    from outside.  Every other entry is made by ``_step``, the first time a
-    step of the table reaches its residue."""
+    residue's row of the step table.  A miss parks f itself, the one entry
+    made from a configuration given from outside; every other entry is made
+    by ``_step``, the first time a step of the table reaches its residue."""
+    res = _residue(_lattice_form(G), f, G.n - 1)
     e = G._eff_cache.get(res)
     if e is None:
         e = G._eff_cache[res] = _Entry(res, _park(G, f)[:-1])
-    return e.delta
+    return e
 
 
 def _step(G: MultiGraph, e: _Entry, i: int) -> _Entry:
@@ -165,21 +165,20 @@ def rank_bruteforce(G: MultiGraph, f: Sequence[int]) -> RankResult:
     move the residue; so rank(f) >= r iff every residue within distance r of
     res_f (reached by some mu with |mu| <= r) has delta <= deg(f) - r.  The
     value stage (``_rank``) finds the rank that way; the witness stage,
-    which only this function runs, reads the witness off f's cache entry:
-    zeros for rank -1; (0, ..., 0, deg(f) + 1) for rank = deg(f), since
-    removing deg(f) + 1 chips leaves negative degree; otherwise the
-    lex-first failing pattern of degree rank + 1 (``_lex_witness``).
+    which only this function runs, walks from f's cache entry to the
+    lex-first failing pattern of degree rank + 1 (``_lex_witness``), whose
+    first pattern, the sink pile (0, ..., 0, rank + 1), already fails at
+    rank -1 and rank = deg(f).
 
-    delta is read from G's cache of parking configurations (``_delta``).
+    delta is read from G's cache of parking configurations (``_entry``).
     Only res_f's entry parks f itself; the ball and the walk take every
     other residue from the step table, and a step taken for the first time
     (``_step``) makes the new residue's entry from its neighbour's minus
     one chip, and only if that chip is missing does the kernel park it, so
     no kernel input but f's grows with f.
 
-    Raises if the walk's patterns, the mu with |mu| <= rank + 1, number
-    more than ``_MAX_CANDIDATES``; they are at most the ball's count, so
-    this is checked only when |Jac(G)| admitted the ball.
+    Raises if the walk would pass the sink pile and its patterns, the mu
+    with |mu| <= rank + 1, number more than ``_MAX_CANDIDATES``.
     """
     return _rank_bruteforce(G, check_config(G, f))
 
@@ -187,11 +186,10 @@ def rank_bruteforce(G: MultiGraph, f: Sequence[int]) -> RankResult:
 def _rank_bruteforce(G: MultiGraph, f: tuple) -> RankResult:
     """``rank_bruteforce`` on a checked configuration f."""
     d = degree(f)
-    r, start, count = _rank(G, f, d)
-    if r < 0 or r == d:
-        return RankResult(r, (0,) * (G.n - 1) + (r + 1,))
-    # C(r + n, n - 1): the mu with |mu| <= r + 1
-    if count > _MAX_CANDIDATES and (walk := comb(r + G.n, G.n - 1)) > _MAX_CANDIDATES:
+    r, start = _rank(G, f, d)
+    # past the sink pile (kept when f minus r + 1 sink chips is effective)
+    # the walk ranges over the C(r + n, n - 1) mu with |mu| <= r + 1
+    if start.delta <= d - r - 1 and (walk := comb(r + G.n, G.n - 1)) > _MAX_CANDIDATES:
         raise ValueError(f"witness search space: {walk} patterns mu with |mu| <= {r + 1}"
                          f" exceed {_MAX_CANDIDATES}")
     return RankResult(r, _lex_witness(G, start, d, r + 1))
@@ -199,25 +197,23 @@ def _rank_bruteforce(G: MultiGraph, f: tuple) -> RankResult:
 
 def _rank(G: MultiGraph, f: tuple, d: int) -> tuple:
     """The value stage, on a checked configuration f of degree d: the delta
-    test on f's residue, then the residue ball (``_ball_rank``).  Returns
-    (rank, f's cache entry, C(d + n - 1, n - 1)), the last two for the
-    witness stage of ``rank_bruteforce``; ``riemann_roch_data``,
-    ``rank_bounds_check`` and ``chiprank rr-check`` read the rank alone.
+    test on f's cache entry, then the residue ball (``_ball_rank``).
+    Returns (rank, f's entry); ``riemann_roch_data``, ``rank_bounds_check``
+    and ``chiprank rr-check`` read the rank alone.
 
     The ball holds at most min(|Jac(G)|, C(d + n - 1, n - 1)) residues, the
     second being the number of mu with |mu| <= d; raises if both exceed
     ``_MAX_CANDIDATES``.
     """
+    start = _entry(G, f)
+    if start.delta > d:
+        return -1, start
     k = G.n - 1
-    res_f = _residue(_lattice_form(G), f, k)
-    if _delta(G, res_f, f) > d:
-        return -1, None, 0
     count = comb(d + k, k)
     if count > _MAX_CANDIDATES and (jac := G.spanning_tree_count()) > _MAX_CANDIDATES:
         raise ValueError(f"rank search space: |Jac(G)| = {jac} residues and {count}"
                          f" patterns mu with |mu| <= {d} both exceed {_MAX_CANDIDATES}")
-    start = G._eff_cache[res_f]
-    return _ball_rank(G, start, d), start, count
+    return _ball_rank(G, start, d), start
 
 
 def _ball_rank(G: MultiGraph, start: _Entry, d: int) -> int:
@@ -255,13 +251,13 @@ def _ball_rank(G: MultiGraph, start: _Entry, d: int) -> int:
 
 
 def _lex_witness(G: MultiGraph, start: _Entry, d: int, dd: int) -> tuple:
-    """The lex-first lambda of degree dd = rank(f) + 1 <= d with f - lambda
-    not effective, for f of degree d whose non-sink residue has the cache
-    entry start.  The walk goes depth-first over lambda's non-sink part mu
-    (the sink entry is whatever degree mu leaves); each step raises one
-    entry j of mu, so the residue of res_f - mu is entry j of the previous
-    pattern's row of the step table (or of the row saved where the walk
-    backs up), filled by ``_step`` if the table lacks it."""
+    """The lex-first lambda of degree dd = rank(f) + 1 <= d + 1 with
+    f - lambda not effective, for f of degree d whose non-sink residue has
+    the cache entry start.  The walk goes depth-first over lambda's non-sink
+    part mu (the sink entry is whatever degree mu leaves); each step raises
+    one entry j of mu, so the residue of res_f - mu is entry j of the
+    previous pattern's row of the step table (or of the row saved where the
+    walk backs up), filled by ``_step`` if the table lacks it."""
     k = G.n - 1
     bound = d - dd
     mu = [0] * k

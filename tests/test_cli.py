@@ -90,14 +90,14 @@ def test_rank_methods_and_ops(capsys):
     assert payload["rank"] == 2
 
 
-def _slow_down(monkeypatch, name):
-    step = getattr(cli, name)
+def _slow_down(monkeypatch, name, owner=cli):
+    step = getattr(owner, name)
 
     def slow(*args):
         time.sleep(0.05)
         return step(*args)
 
-    monkeypatch.setattr(cli, name, slow)
+    monkeypatch.setattr(owner, name, slow)
 
 
 def test_rank_wall_ms_covers_the_whole_command(capsys, monkeypatch):
@@ -115,6 +115,30 @@ def test_rank_wall_ms_covers_config_parsing_on_kn(capsys, monkeypatch):
     payload = run_json(capsys, "rank", "--complete", "3", "--config", "5,0,0")
     assert payload["rank"] == 4
     assert payload["wall_ms"] >= 50
+
+
+def test_rank_wall_ms_covers_argument_parsing(capsys, monkeypatch):
+    """wall_ms starts before the arguments are parsed: a parse slowed by
+    50 ms shows in it."""
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "_parser", parser)
+    _slow_down(monkeypatch, "parse_args", parser)
+    payload = run_json(capsys, "rank", "--complete", "3", "--config", "5,0,0")
+    assert payload["rank"] == 4
+    assert payload["wall_ms"] >= 50
+
+
+def test_config_with_a_negative_first_entry(capsys):
+    """argparse takes "-1,2,3" after a space for an option: a usage error
+    (exit 2, no traceback); written --config=-1,2,3 it is read."""
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", "--complete", "3", "--config", "-1,2,3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "--config: expected one argument" in err
+    assert "Traceback" not in err
+    assert run_json(capsys, "rank", "--complete", "3", "--config=-1,2,3")["rank"] == 3
+    assert run_json(capsys, "rank", "--complete", "3", "--config", "-1 2 3")["rank"] == 3
 
 
 class GraphBuilt(Exception):

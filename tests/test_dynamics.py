@@ -426,3 +426,26 @@ def test_recurrence_checks_the_config_once(monkeypatch, K5, call):
     with pytest.raises(ValueError, match="stable configuration"):
         call(K5, (4, 0, 0, 0, 0))
     assert checks == [((4, 0, 0, 0, 0),)]
+
+
+def test_orientation_from_parking_checks_the_config_once(monkeypatch, K5):
+    """One integer check per call, with the same errors: a negative
+    non-sink entry is not a sandpile configuration, and a sandpile that
+    is not parking cannot be peeled."""
+    checks = []
+    as_ints = graphs._as_ints
+
+    def counting(*args):
+        checks.append(args)
+        return as_ints(*args)
+
+    monkeypatch.setattr(graphs, "_as_ints", counting)
+    f = (0, 1, 2, 3, 0)
+    assert dynamics.acyclic_orientation_from_parking(K5, f).is_acyclic()
+    assert checks == [(f,)]
+    for f, err in [((0, -1, 2, 3, 0), "not a sandpile configuration"),
+                   ((3, 3, 3, 3, 0), "peeling requires a parking configuration")]:
+        checks.clear()
+        with pytest.raises(ValueError, match=err):
+            dynamics.acyclic_orientation_from_parking(K5, f)
+        assert checks == [(f,)]

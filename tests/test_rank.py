@@ -383,6 +383,16 @@ def test_value_stage_answers_past_the_witness_bound(monkeypatch, capsys):
         rank.rank_bruteforce(C4, (10, 10, 10, 10))
 
 
+@pytest.mark.parametrize("N", [36, 40, 200])
+def test_sink_pile_witness_is_not_refused(N):
+    """W6 (0, 1, 1, 1, 1, 2, N): the mu with |mu| <= N + 1 number more than
+    5e6, but f minus N + 1 sink chips is not effective, so the witness
+    walk stops at its first pattern, the sink pile, and is not refused."""
+    W6 = MultiGraph.wheel(6)
+    f = (0, 1, 1, 1, 1, 2, N)
+    assert rank.rank_bruteforce(W6, f) == rank.RankResult(N, (0,) * 6 + (N + 1,))
+
+
 @pytest.mark.parametrize(
     "G",
     [
@@ -397,7 +407,7 @@ def test_rank_work_is_bounded_by_the_jacobian(G, monkeypatch):
     """Each call borrows at most (n - 1) |Jac(G)| times in the ball search,
     which expands every residue once, plus one borrow per probe of the
     witness walk, whatever the rank."""
-    borrow, delta, walk = rank._borrow, rank._delta, rank._lex_witness
+    borrow, delta, walk = rank._borrow, rank._entry, rank._lex_witness
     counts = {"borrows": 0, "walk_probes": 0, "in_walk": False}
 
     def counting_borrow(*args):
@@ -416,7 +426,7 @@ def test_rank_work_is_bounded_by_the_jacobian(G, monkeypatch):
             counts["in_walk"] = False
 
     monkeypatch.setattr(rank, "_borrow", counting_borrow)
-    monkeypatch.setattr(rank, "_delta", counting_delta)
+    monkeypatch.setattr(rank, "_entry", counting_delta)
     monkeypatch.setattr(rank, "_lex_witness", flagged_walk)
     limit = (G.n - 1) * G.spanning_tree_count()
     rng = random.Random(9)
