@@ -192,6 +192,8 @@ def _cmd_genfun_ln(args: argparse.Namespace) -> int:
         for (deg, rk), c in sorted(table.items()):
             print(f"{deg},{rk},{c}")
         return 0
+    if args.trunc is None:
+        args.usage_error(f"--format {args.format} needs --trunc")
     series = strip.Ln_direct(args.n, args.trunc)
     if args.format == "text":
         print(series.to_text())
@@ -287,11 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen_sub = p_gen.add_subparsers(dest="genfun_command", required=True)
     p = gen_sub.add_parser("ln", help="two-variable series for a fixed n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trunc", type=int, required=True)
+    p.add_argument("--trunc", type=int, help="total-degree truncation (json, text)")
     p.add_argument("--format", choices=("json", "text", "csv"), default="json")
-    p.add_argument("--lo", type=int, default=-5, help="lowest degree for --format csv")
-    p.add_argument("--hi", type=int, default=15, help="highest degree for --format csv")
-    p.set_defaults(func=_cmd_genfun_ln)
+    p.add_argument("--lo", type=int, default=-5, help="lowest sink for --format csv")
+    p.add_argument("--hi", type=int, default=15, help="highest sink for --format csv")
+    p.set_defaults(func=_cmd_genfun_ln, usage_error=p.error)
     p = gen_sub.add_parser("identity", help="check the stacked-series identity")
     p.add_argument("--max-n", type=int, default=4)
     p.add_argument("--trunc", type=int, default=8)

@@ -26,7 +26,7 @@ from itertools import accumulate, repeat
 from operator import ge, gt
 from typing import NamedTuple, Sequence
 
-from .dyck import _first_return_rotation, is_dn_word
+from .dyck import _first_return_rotation, _heights, is_dn_word
 from .graphs import _as_ints
 
 __all__ = [
@@ -147,14 +147,8 @@ def decode_word(word: str) -> tuple:
     """Inverse of phi1: number of b's before each a."""
     if not is_dn_word(word):
         raise ValueError("expected a word with one trailing extra b")
-    values = []
-    b = 0
-    for c in word:
-        if c == "a":
-            values.append(b)
-        else:
-            b += 1
-    return tuple(values)
+    # the i-th a follows i a's and i - eta_i b's, eta_i its height
+    return tuple(i - h for i, h in enumerate(_heights(word)))
 
 
 # ---------- parking via the cyclic lemma ----------
@@ -317,17 +311,6 @@ def _walk_rank(H: list, best: int, q: int, sink: int,
     return below + seen + max(0, min(Q + 1, R - V)) - 1
 
 
-def _sink_step(heights: list, sink: int) -> tuple:
-    """The closed form's last step as per-position lists: with
-    sink + 1 = q(n-1) + r, the terms q - eta_i + [i < r] over the n - 1
-    heights of the sorted parking word, and the rank, the sum of the
-    positive terms minus one.  Returns (q, r, terms, rank).  Cheaper than
-    ``_walk_rank`` on small n when the heights are already at hand."""
-    q, r = divmod(sink + 1, len(heights))
-    terms = [q - h + (i < r) for i, h in enumerate(heights)]
-    return q, r, terms, sum([t for t in terms if t > 0]) - 1
-
-
 def rank_formula(f: Sequence[int], count_ops: bool = False):
     """Closed-form rank on K_n in O(n) integer operations.
 
@@ -359,8 +342,9 @@ def rank_formula_details(f: Sequence[int]) -> dict:
     d, H, best, q, sink = _walk(f)
     values = [v for v, k in enumerate(d[q:] + d[:q]) for _ in range(k + 1)]
     heights = [i - v for i, v in enumerate(values)]
-    Q, R, terms, _ = _sink_step(heights, sink)
-    return {"q": Q, "r": R, "heights": heights, "terms": terms,
+    Q, R = divmod(sink + 1, len(heights))
+    return {"q": Q, "r": R, "heights": heights,
+            "terms": [Q - h + (i < R) for i, h in enumerate(heights)],
             "rank": _walk_rank(H, best, q, sink)}
 
 

@@ -19,7 +19,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterator, Sequence
 
-from .complete import _rank, _sink_step
+from .complete import _rank
 from .dyck import _dn, _heights, dn_words, dyck_words, phi_involution
 from .graphs import _as_ints
 from .series import TruncatedSeries
@@ -333,11 +333,11 @@ def Kn_bistatistic_check(n: int, window: Sequence[int] = (-5, 15)) -> bool:
         )
     base = comb(n - 1, 2)
     stair = "ab" * (n - 1) + "b"
-    for w, L, f, rank in _kn_walk(n, lo, hi):
-        left, right = _counts(L, n, f[-1])
-        if rank != left - 1 or sum(f) != base - 1 + left - right:
+    for w, L, degree, s, rank in _kn_walk(n, lo, hi):
+        left, right = _counts(L, n, s)
+        if rank != left - 1 or degree != base - 1 + left - right:
             return False
-        if f[-1] == 0 and w == stair and rank != 0:
+        if s == 0 and w == stair and rank != 0:
             return False
     return True
 
@@ -350,21 +350,25 @@ def kn_degree_rank_table(n: int, lo: int, hi: int) -> dict:
         raise ValueError("need n >= 2")
     lo, hi = _as_ints((lo, hi), "sink bounds")
     out: dict = {}
-    for _, _, f, rank in _kn_walk(n, lo, hi):
-        key = (sum(f), rank)
-        out[key] = out.get(key, 0) + 1
+    for _, _, degree, _, rank in _kn_walk(n, lo, hi):
+        out[degree, rank] = out.get((degree, rank), 0) + 1
     return out
 
 
 def _kn_walk(n: int, lo: int, hi: int) -> Iterator[tuple]:
-    """(word, row labels, configuration, rank) for every word of K_n, n >= 2,
+    """(word, row labels, degree, sink, rank) for every word of K_n, n >= 2,
     and every sink lo..hi; refused before the first word when those pairs
-    number more than ``_WALK_LIMIT``.  The word's decoded values are already
-    its sorted parking values (the closed form's parking leaves them and the
-    sink as they are), and the i-th of them is i minus the height eta_i
-    before the word's i-th a, so each word's heights are read once, for its
-    values and its row labels alike, and each sink costs only the closed
-    form's last step."""
+    number more than ``_WALK_LIMIT``.
+
+    A word's decoded values are already its sorted parking values (the
+    closed form's parking leaves them and the sink as they are), and the
+    i-th of them is i minus the height eta_i before the word's i-th a, so
+    each word's heights are read once, for its values and its row labels
+    alike.  The closed form ranks the first sink; every later sink costs
+    one comparison.  With s + 1 = q(n-1) + r, the closed form sums the
+    positive parts of q - eta_i + [i < r].  Moving the sink from s to s + 1
+    raises only term r, by one, also at the wrap from (q, n - 2) to
+    (q + 1, 0), so the rank rises by one iff eta_r <= q."""
     (words, text), sinks = _word_count(n), max(hi - lo + 1, 0)
     if words * sinks > _WALK_LIMIT:
         raise ValueError(f"{text} words x {sinks} sinks is past the walk limit"
@@ -373,5 +377,10 @@ def _kn_walk(n: int, lo: int, hi: int) -> Iterator[tuple]:
         heights = _heights(w)
         L = _labels(heights, n)
         values = tuple(i - h for i, h in enumerate(heights))
-        for s in range(lo, hi + 1):
-            yield w, L, values + (s,), _sink_step(heights, s)[3]
+        degree, rank = sum(values) + lo, _rank(values + (lo,))
+        yield w, L, degree, lo, rank
+        for s in range(lo, hi):
+            q, r = divmod(s + 1, n - 1)
+            rank += heights[r] <= q
+            degree += 1
+            yield w, L, degree, s + 1, rank

@@ -487,6 +487,20 @@ def test_genfun_ln_formats(capsys):
         assert err.startswith("error: 9694845 words")
 
 
+def test_genfun_ln_csv_needs_no_trunc(capsys):
+    """csv ignores the truncation, so only json and text ask for it, and
+    then as a usage error."""
+    code, out, _ = run(capsys, "genfun", "ln", "--n", "3", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[0] == "degree,rank,count" and "0,0,1" in out
+    for fmt in ("json", "text"):
+        with pytest.raises(SystemExit) as exc:
+            main(["genfun", "ln", "--n", "3", "--format", fmt])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "needs --trunc" in err and "Traceback" not in err
+
+
 def test_genfun_identity(capsys):
     payload = run_json(capsys, "genfun", "identity", "--max-n", "3", "--trunc", "5")
     assert payload == {"max_n": 3, "trunc": 5, "holds": True}

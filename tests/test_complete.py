@@ -159,18 +159,6 @@ def test_formula_on_one_and_two_vertices():
             assert complete.rank_greedy((a, b)) == max(a + b, -1), (a, b)
 
 
-def test_sink_step_matches_the_walk():
-    """The per-position last step genfun runs on a word's heights agrees
-    with the rank read off the walk, on every word with n <= 7."""
-    for n in range(2, 8):
-        for w in dyck.dn_words(n):
-            values = complete.decode_word(w)
-            heights = [i - v for i, v in enumerate(values)]
-            for s in range(-8, 3 * n + 1):
-                assert complete._sink_step(heights, s)[3] == complete.rank_formula(
-                    values + (s,)), (w, s)
-
-
 def test_single_vertex_rank():
     assert complete.rank_formula((4,)) == 4
     assert complete.rank_formula((0,)) == 0

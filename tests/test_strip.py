@@ -177,13 +177,26 @@ def test_degree_rank_table_matches_direct_ranks():
     """Each table row is reproduced by running the public rank formula,
     which validates its input, on the configurations it claims to count;
     the table's own walk ranks them unchecked."""
-    for n, lo, hi in [(2, -4, 6), (3, -5, 7), (4, -2, 8), (5, -3, 12)]:
+    for n, lo, hi in [(2, -4, 6), (3, -5, 7), (4, -2, 8), (5, -3, 12), (6, -9, 20)]:
         rebuilt = Counter(
             (sum(f), complete.rank_formula(f))
             for w in dyck.dn_words(n)
             for f in (complete.decode_word(w) + (s,) for s in range(lo, hi + 1))
         )
         assert strip.kn_degree_rank_table(n, lo, hi) == rebuilt, n
+
+
+def test_kn_walk_matches_the_closed_form():
+    """The walk's stepped rank and degree agree with the public rank formula
+    on every (word, sink) pair with n <= 7 and sinks -8..3n."""
+    for n in range(2, 8):
+        lo, hi = -8, 3 * n
+        walked = list(strip._kn_walk(n, lo, hi))
+        pairs = [(w, s) for w in dyck.dn_words(n) for s in range(lo, hi + 1)]
+        assert [(w, s) for w, _, _, s, _ in walked] == pairs, n
+        for w, _, degree, s, rank in walked:
+            f = complete.decode_word(w) + (s,)
+            assert (degree, rank) == (sum(f), complete.rank_formula(f)), (w, s)
 
 
 def test_kn_walk_refuses_before_the_first_word(monkeypatch):
