@@ -1,20 +1,17 @@
-"""Pure-Python kernels for stabilization, burning, and parking reduction.
+"""Kernels for stabilization, burning, and parking reduction.
 
 These are the inner loops shared by the dynamics layer and the rank engine.
-A compiled twin lives in ``chiprank._kernels``; both expose the same three
-functions over (n, degs, flat) graph buffers, where ``flat`` is the row-major
-multiplicity matrix.  Everything is exact integer arithmetic; the pure
-versions accept arbitrarily large entries.
+Each takes (n, degs, flat) graph buffers, where ``flat`` is the row-major
+multiplicity matrix, and a configuration.  Everything is exact integer
+arithmetic, so entries may be arbitrarily large.
 
-The two backends traverse the graph differently.  The compiled kernels sweep
-every vertex in index order, round after round, and scan dense rows of
-``flat``.  These kernels read per-vertex ``(neighbour, multiplicity)`` lists,
-built from ``flat`` and kept for the last buffer seen, and visit only the
-vertices a worklist holds: ``stabilize`` fires unstable vertices from a FIFO
-queue, and burning spreads heat along the edges of each vertex that burns.
-The results are identical, because each is unique: the stable configuration
-and its odometer (least action), the unburnt set (the largest set no fire
-can enter), and the parking representative of a class.
+The kernels read per-vertex ``(neighbour, multiplicity)`` lists, built from
+``flat`` and kept for the last buffer seen, and visit only the vertices a
+worklist holds: ``stabilize`` fires unstable vertices from a FIFO queue, and
+burning spreads heat along the edges of each vertex that burns.  The order
+of the work cannot change the results, because each is unique: the stable
+configuration and its odometer (least action), the unburnt set (the largest
+set no fire can enter), and the parking representative of a class.
 """
 
 from __future__ import annotations
@@ -66,9 +63,11 @@ def stabilize(n, degs, flat, cfg):
     the times its chips allow at once, so a vertex that gathers chips while
     it waits fires them together.  Each generation fires at least what one
     parallel step (every unstable vertex at once) would, and n - 1 parallel
-    steps fire at least what one sweep of the round-robin kernel does, so
-    one round is counted per n - 1 generations: any input the round-robin
-    kernel settles within ``MAX_ROUNDS`` settles here too.
+    steps fire at least what one sweep of a round-robin loop over the
+    non-sink vertices in index order does (the dense reference in
+    ``tests/test_pykernels.py``), so one round is counted per n - 1
+    generations: any input that reference settles within ``MAX_ROUNDS``
+    sweeps settles here too.
     """
     adj = _adjacency(n, flat)
     sink = n - 1

@@ -127,6 +127,7 @@ def phi1(values: Sequence[int], n: int) -> str:
     """Word of a weakly increasing value list: the i-th a is preceded by
     values[i] b's, padded to n b's total."""
     values = _as_ints(values, "parking values")
+    (n,) = _as_ints((n,), "n")
     if len(values) != n - 1:
         raise ValueError(f"need {n - 1} values for n = {n}")
     if any(x > y for x, y in zip(values, values[1:])) or any(

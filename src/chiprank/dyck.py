@@ -205,7 +205,7 @@ def cdinv(w: str) -> int:
     labels differ by at most n - 1."""
     wd = _dn(w)
     n = wd.count("b")
-    from .strip import vertex_label
+    from .strip import _vertex_label
 
     eta = _heights(wd)
     contacts = []
@@ -213,7 +213,7 @@ def cdinv(w: str) -> int:
     i = 0
     for c in wd:
         if c == "a":
-            contacts.append(vertex_label(n, x, i))
+            contacts.append(_vertex_label(n, x, i))
             i += 1
         else:
             x += 1

@@ -14,7 +14,7 @@ from itertools import accumulate, combinations
 from typing import Sequence
 
 from . import _backend
-from .graphs import MultiGraph, _lattice_form, _residue, check_config
+from .graphs import MultiGraph, _as_ints, _lattice_form, _residue, check_config
 
 __all__ = [
     "is_stable",
@@ -522,6 +522,7 @@ def effective_class_counts(G: MultiGraph, d_max: int) -> dict:
     graphs with more than ``_ENUM_LIMIT`` spanning trees are refused before
     any kernel call.
     """
+    (d_max,) = _as_ints((d_max,), "d_max")
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
     parking = _prefix_walk(G, *_parking_range(G))

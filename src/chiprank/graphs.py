@@ -55,7 +55,7 @@ class MultiGraph:
         self.m = sum(self.degrees) // 2
         if not self._connected():
             raise ValueError("graph must be connected")
-        self._flat = None       # flat buffers for the compiled kernels
+        self._flat = None       # the kernels' buffers, on demand (see flat)
         self._hnf = None        # Hermite form of the reduced Laplacian, on demand
         self._eff_cache = {}    # parking part per non-sink residue (see rank)
 
@@ -76,6 +76,7 @@ class MultiGraph:
     @classmethod
     def complete(cls, n: int) -> "MultiGraph":
         """The complete graph K_n (K_1 is the single-vertex graph)."""
+        (n,) = _as_ints((n,), "the vertex count")
         return cls([[0 if i == j else 1 for j in range(n)] for i in range(n)])
 
     @classmethod
@@ -84,6 +85,7 @@ class MultiGraph:
 
         The hub is the last vertex (k+1), so it is the sink by convention.
         """
+        (k,) = _as_ints((k,), "the rim length")
         n = _wheel_order(k)
         mult = [[0] * n for _ in range(n)]
         for i in range(k):
@@ -178,7 +180,10 @@ class MultiGraph:
             raise ValueError(f"vertex {i} out of range 1..{self.n}")
 
     def flat(self) -> tuple:
-        """(n, degrees, row-major multiplicities) — buffer view for kernels."""
+        """(n, degrees, row-major multiplicities): the kernels' graph
+        arguments, built once per graph.  The kernels keep their adjacency
+        lists for the last ``flat`` they saw, so that one tuple lets them
+        build the lists once per graph."""
         if self._flat is None:
             flat = tuple(e for row in self.mult for e in row)
             self._flat = (self.n, self.degrees, flat)

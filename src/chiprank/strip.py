@@ -60,10 +60,16 @@ def _word_count(n: int) -> tuple:
 
 def vertex_label(n: int, x: int, y: int) -> int:
     """Label of the lattice point (x, y) in the n-strip (rows 0..n-1)."""
+    n, x, y = _as_ints((n, x, y), "the strip size and coordinates")
     if n < 1:
         raise ValueError("need n >= 1")
     if not 0 <= y <= n - 1:
         raise ValueError(f"vertex row {y} outside the strip (0..{n - 1})")
+    return _vertex_label(n, x, y)
+
+
+def _vertex_label(n: int, x: int, y: int) -> int:
+    """``vertex_label`` of ints already in range, unchecked."""
     return y + (y - x) * (n - 1)
 
 
@@ -74,6 +80,7 @@ def cell_label(n: int, x: int, y: int) -> int:
     the west, +1 to the northeast, and the cell northwest of the origin has
     label 0; the cells touching the diagonal carry 1..n-2.
     """
+    n, x, y = _as_ints((n, x, y), "the strip size and coordinates")
     if n < 2:
         raise ValueError("the strip needs n >= 2")
     if not 0 <= y <= n - 2:
@@ -287,6 +294,7 @@ def LnC_identity_check(max_n: int, trunc: int) -> bool:
     """Does sum over n of L_n z^(n-1) match the closed rational form
     H (C_x + C_y - C_x C_y) / (1 - C_x z C_y), with C_x = C(x, xz) and
     C_y = C(y, yz), on the window z-degree < max_n, xy-degree <= trunc?"""
+    max_n, trunc = _as_ints((max_n, trunc), "max_n and trunc")
     if max_n < 1:
         raise ValueError("need max_n >= 1")
     tz = max_n - 1
@@ -324,6 +332,7 @@ def Kn_bistatistic_check(n: int, window: Sequence[int] = (-5, 15)) -> bool:
     closed form rank = f1 (or -1 when negative) is checked instead.
     Refuses more than 10^7 (word, sink) pairs, as ``_kn_walk`` does.
     """
+    (n,) = _as_ints((n,), "n")
     lo, hi = _as_ints(window, "window bounds")
     if n < 1:
         raise ValueError("need n >= 1")
@@ -346,9 +355,9 @@ def kn_degree_rank_table(n: int, lo: int, hi: int) -> dict:
     """How many (word, sink) pairs on K_n carry each (degree, rank), the sink
     running over lo..hi.  Returns {(degree, rank): count}.  Refuses more
     than 10^7 (word, sink) pairs, as ``_kn_walk`` does."""
+    n, lo, hi = _as_ints((n, lo, hi), "n and the sink bounds")
     if n < 2:
         raise ValueError("need n >= 2")
-    lo, hi = _as_ints((lo, hi), "sink bounds")
     out: dict = {}
     for _, _, degree, _, rank in _kn_walk(n, lo, hi):
         out[degree, rank] = out.get((degree, rank), 0) + 1

@@ -227,10 +227,10 @@ CONFIG_COMMANDS = [
 def test_config_commands_check_the_config_once(capsys, conversions, command, expected):
     """The configuration's text is converted once, by _parse_config, and the
     command's library core then runs on the parsed tuple: f never reaches
-    _as_ints, and K5's five rows are the checks there are."""
+    _as_ints, and K5's vertex count and five rows are the checks there are."""
     payload = run_json(capsys, command, "--complete", "5", "--config", "3,1,3,4,-1")
     assert payload == expected
-    assert len(conversions.checks) == 5 and conversions.parses == 1
+    assert len(conversions.checks) == 1 + 5 and conversions.parses == 1
 
 
 @pytest.mark.parametrize("graph, command", [
@@ -267,11 +267,12 @@ def test_no_command_converts_the_config_twice(capsys, conversions, tmp_path,
 def test_rr_check_checks_the_config_once(capsys, conversions, graph, config, vertices):
     """rr-check converts the configuration's text once, by _parse_config,
     and the Riemann-Roch core then runs on the parsed tuple: f never
-    reaches _as_ints, and the graph's rows are the checks there are."""
+    reaches _as_ints, and the graph's size and rows are the checks there
+    are."""
     payload = run_json(capsys, "rr-check", *graph, "--config", ",".join(map(str, config)))
     assert payload["holds"] is True
     assert (config,) not in conversions.checks
-    assert len(conversions.checks) == vertices and conversions.parses == 1
+    assert len(conversions.checks) == 1 + vertices and conversions.parses == 1
 
 
 def _token_parse(text):

@@ -132,11 +132,22 @@ def test_check_config_validates_length(K3):
     lambda K3: strip.kn_degree_rank_table(3, -2, 3.5),
     lambda K3: TruncatedSeries(1, 3, {(1,): 1}).map_exponents(lambda e: (e[0] + 0.5,)),
     lambda K3: TruncatedSeries(1, 3, {(1,): 1}).map_exponents(lambda e: e, trunc=2.5),
+    lambda K3: strip.vertex_label(3, 0.5, 1),
+    lambda K3: strip.cell_label(3, 0.5, 1),
+    lambda K3: dynamics.effective_class_counts(K3, 2.5),
+    lambda K3: strip.Kn_bistatistic_check(3.0),
+    lambda K3: strip.kn_degree_rank_table(3.0, 0, 2),
+    lambda K3: strip.LnC_identity_check(2, 2.0),
+    lambda K3: MultiGraph.complete(2.0),
+    lambda K3: MultiGraph.wheel(3.0),
+    lambda K3: complete.phi1((0, 1), 3.0),
 ], ids=["rank_formula", "rank_bruteforce", "stabilize", "matrix", "n", "edge",
         "series_coeff", "series_exponent", "series_trunc", "series_nvars",
         "psi_threshold", "bistatistic_window", "rank_formula_details",
         "leftright_threshold", "carlitz_orders", "table_bounds",
-        "map_exponents_image", "map_exponents_trunc"])
+        "map_exponents_image", "map_exponents_trunc", "vertex_label",
+        "cell_label", "class_counts_degree", "bistatistic_n", "table_n",
+        "identity_trunc", "complete_n", "wheel_k", "phi1_n"])
 def test_non_integers_rejected_not_truncated(K3, call):
     with pytest.raises(ValueError, match="must be integers"):
         call(K3)

@@ -1,16 +1,16 @@
-"""The pure kernels against the dense round-robin loops they replaced.
+"""The kernels against dense round-robin reference loops.
 
 The references below sweep every non-sink vertex in index order, round after
 round, over dense rows of ``flat``.  They share no code with
-``chiprank._pykernels``, so they check its worklist traversal whether or not
-the compiled extension is built.
+``chiprank._pykernels``, so they check its worklist traversal.
 """
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chiprank import _pykernels
+import chiprank
+from chiprank import _backend, _pykernels
 from chiprank.graphs import MultiGraph
 
 from conftest import SMALL_GRAPHS
@@ -167,3 +167,10 @@ def test_round_guards_raise(monkeypatch, K3):
     for cfg in ([-1, 5], [3, 0]):  # the sink-firing phase, then the burning one
         with pytest.raises(RuntimeError, match="parking reduction"):
             _pykernels.parking_reduce(*K2.flat(), cfg)
+
+
+def test_backend_names_are_the_kernels_themselves():
+    # dynamics calls the kernels through _backend with no wrapper in between
+    for name in ("stabilize", "burning_test", "parking_reduce"):
+        assert getattr(_backend, name) is getattr(_pykernels, name)
+    assert chiprank.COMPILED_KERNELS is False
