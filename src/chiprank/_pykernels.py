@@ -1,57 +1,30 @@
 """Kernels for stabilization, burning, and parking reduction.
 
 These are the inner loops shared by the dynamics layer and the rank engine.
-Each takes (n, degs, flat) graph buffers, where ``flat`` is the row-major
-multiplicity matrix, and a configuration.  Everything is exact integer
-arithmetic, so entries may be arbitrarily large.
+Each takes a graph as ``(degs, adj, cfg)``: the vertex degrees, the
+per-vertex ``(neighbour, multiplicity)`` tuples ``graphs._adjacency`` keeps
+on each graph, and a configuration; vertex ``len(degs) - 1`` is the sink.
+Everything is exact integer arithmetic, so entries may be arbitrarily large.
 
-The kernels read per-vertex ``(neighbour, multiplicity)`` lists, built from
-``flat`` and kept for the last buffer seen, and visit only the vertices a
-worklist holds: ``stabilize`` fires unstable vertices from a FIFO queue, and
-burning spreads heat along the edges of each vertex that burns.  The order
-of the work cannot change the results, because each is unique: the stable
-configuration and its odometer (least action), the unburnt set (the largest
-set no fire can enter), and the parking representative of a class.
+The kernels visit only the vertices a worklist holds: ``stabilize`` fires
+unstable vertices from a FIFO queue, and burning spreads heat along the
+edges of each vertex that burns.  The order of the work cannot change the
+results, because each is unique: the stable configuration and its odometer
+(least action), the unburnt set (the largest set no fire can enter), and the
+parking representative of a class.
 """
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from itertools import compress
 from operator import ge, lt
 
 # Safety valve against runaway loops on adversarial inputs; generous compared
 # to anything the library itself generates.
 MAX_ROUNDS = 10_000_000
 
-# The adjacency lists of the last ``flat`` buffer seen.  ``MultiGraph.flat()``
-# returns one cached tuple per graph, so repeated calls on a graph hit this.
-_last = (None, None)
 
-
-def _adjacency(n, flat):
-    """Per-vertex lists of ``(neighbour, multiplicity)`` pairs, for the
-    non-zero entries of each row of ``flat``.  They are kept for the last
-    buffer seen, so a buffer must not change between calls."""
-    global _last
-    key, adj = _last
-    if key is not flat:
-        # rows share one tuple per distinct pair, so a list costs a pointer
-        # per neighbour (8.5 MB on K_1000, against 81.5 MB unshared); when
-        # every multiplicity is 0 or 1, each row picks its pairs from one
-        # table of (j, 1) at C speed
-        rows = range(0, n * n, n)
-        if max(flat) <= 1:
-            ones = list(zip(range(n), repeat(1)))
-            adj = [list(compress(ones, flat[i:i + n])) for i in rows]
-        else:
-            pairs = {}
-            adj = [[pairs.setdefault(p, p) for p in enumerate(flat[i:i + n]) if p[1]]
-                   for i in rows]
-        _last = (flat, adj)
-    return adj
-
-
-def stabilize(n, degs, flat, cfg):
+def stabilize(degs, adj, cfg):
     """Topple unstable non-sink vertices (batched) until none remain.
 
     Mutates ``cfg`` in place and returns the odometer (times toppled, one
@@ -69,7 +42,7 @@ def stabilize(n, degs, flat, cfg):
     generations: any input that reference settles within ``MAX_ROUNDS``
     sweeps settles here too.
     """
-    adj = _adjacency(n, flat)
+    n = len(degs)
     sink = n - 1
     odo = [0] * n
     queued = list(map(ge, cfg, degs))
@@ -98,7 +71,7 @@ def stabilize(n, degs, flat, cfg):
     return odo
 
 
-def burning_test(n, degs, flat, cfg):
+def burning_test(degs, adj, cfg):
     """Dhar burning closure from the sink.
 
     Returns the list of vertices (0-based) that stay unburnt; empty means the
@@ -110,9 +83,11 @@ def burning_test(n, degs, flat, cfg):
     burns with no edge to the sink at all); then each vertex that burns
     passes heat along its edges, which may burn its neighbours.
     """
-    adj = _adjacency(n, flat)
+    n = len(degs)
     sink = n - 1
-    heat = list(flat[sink * n:])
+    heat = [0] * n
+    for j, e in adj[sink]:
+        heat[j] = e
     burnt = list(map(lt, cfg, heat))
     burnt[sink] = False
     fire = list(compress(range(n), burnt))
@@ -128,7 +103,7 @@ def burning_test(n, degs, flat, cfg):
     return [k for k in range(sink) if not burnt[k]]
 
 
-def parking_reduce(n, degs, flat, cfg):
+def parking_reduce(degs, adj, cfg):
     """Reduce ``cfg`` (in place) to the parking configuration of its class.
 
     Phase 1: while some non-sink entry is negative, fire the sink once and
@@ -138,21 +113,19 @@ def parking_reduce(n, degs, flat, cfg):
     configuration down to the unique parking representative, reached exactly
     when the fire consumes every vertex.
     """
-    if n == 1:
-        return
-    adj = _adjacency(n, flat)
+    n = len(degs)
     sink = n - 1
     rounds = 0
     while any(cfg[i] < 0 for i in range(sink)):
         cfg[sink] -= degs[sink]
         for j, e in adj[sink]:
             cfg[j] += e
-        stabilize(n, degs, flat, cfg)
+        stabilize(degs, adj, cfg)
         rounds += 1
         if rounds > MAX_ROUNDS:
             raise RuntimeError("parking reduction did not settle (input too extreme)")
     while True:
-        unburnt = burning_test(n, degs, flat, cfg)
+        unburnt = burning_test(degs, adj, cfg)
         if not unburnt:
             return
         inside = [False] * n

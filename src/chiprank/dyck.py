@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from .graphs import _as_ints
+
 __all__ = [
     "heights",
     "delta",
@@ -309,28 +311,31 @@ def r_map(w: str) -> str:
 
 def dyck_words(p: int) -> Iterator[str]:
     """All balanced words with p a's, lexicographically."""
-
-    def rec(prefix, na, nb):
-        if na == p and nb == p:
-            yield "".join(prefix)
-            return
-        if na < p:
-            prefix.append("a")
-            yield from rec(prefix, na + 1, nb)
-            prefix.pop()
-        if nb < na:
-            prefix.append("b")
-            yield from rec(prefix, na, nb + 1)
-            prefix.pop()
-
+    (p,) = _as_ints((p,), "the word size p")
     if p < 0:
         raise ValueError("need p >= 0")
-    yield from rec([], 0, 0)
+    return _balanced(p, [], 0, 0)
+
+
+def _balanced(p: int, prefix: list, na: int, nb: int) -> Iterator[str]:
+    """The balanced words with p a's that start with ``prefix``, which holds
+    na a's and nb b's, lexicographically."""
+    if na == p and nb == p:
+        yield "".join(prefix)
+        return
+    if na < p:
+        prefix.append("a")
+        yield from _balanced(p, prefix, na + 1, nb)
+        prefix.pop()
+    if nb < na:
+        prefix.append("b")
+        yield from _balanced(p, prefix, na, nb + 1)
+        prefix.pop()
 
 
 def dn_words(n: int) -> Iterator[str]:
     """All words with n b's, n - 1 a's, and no b-heavy strict prefix."""
+    (n,) = _as_ints((n,), "the word size n")
     if n < 1:
         raise ValueError("need n >= 1")
-    for w in dyck_words(n - 1):
-        yield w + "b"
+    return (w + "b" for w in _balanced(n - 1, [], 0, 0))

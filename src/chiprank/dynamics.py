@@ -14,7 +14,7 @@ from itertools import accumulate, combinations
 from typing import Sequence
 
 from . import _backend
-from .graphs import MultiGraph, _as_ints, _lattice_form, _residue, check_config
+from .graphs import MultiGraph, _adjacency, _as_ints, _lattice_form, _residue, check_config
 
 __all__ = [
     "is_stable",
@@ -71,9 +71,8 @@ def stabilize(G: MultiGraph, f: Sequence[int]) -> tuple:
 
 def _stabilize(G: MultiGraph, f: tuple) -> tuple:
     """``stabilize`` on a checked configuration."""
-    n, degs, flat = G.flat()
     cfg = list(_require_sandpile(G, f))
-    odo = _backend.stabilize(n, degs, flat, cfg)
+    odo = _backend.stabilize(G.degrees, _adjacency(G), cfg)
     return tuple(cfg), tuple(odo)
 
 
@@ -106,10 +105,12 @@ def _fire_sink(G: MultiGraph, f: Sequence[int]) -> tuple:
     non-sink vertex exactly once is the recurrence criterion), and the
     stabilized result.
     """
-    n, degs, flat = G.flat()
-    cfg = [x + e for x, e in zip(f, flat[(n - 1) * n:])]
+    degs, adj = G.degrees, _adjacency(G)
+    cfg = list(f)
+    for j, e in adj[-1]:
+        cfg[j] += e
     cfg[-1] -= degs[-1]
-    return _backend.stabilize(n, degs, flat, cfg), cfg
+    return _backend.stabilize(degs, adj, cfg), cfg
 
 
 def is_recurrent_subsets(G: MultiGraph, f: Sequence[int]) -> bool:
@@ -196,14 +197,13 @@ def _park(G: MultiGraph, f: tuple) -> tuple:
     """``parking_representative`` on a checked configuration.  Raises
     AssertionError, whatever the optimization flags, if the kernel's
     result is not parking."""
-    n, degs, flat = G.flat()
     chips = sum(map(abs, f[:-1]))
-    if chips > G.m - n + 1:
-        res = _residue(_lattice_form(G), f, n - 1)
+    if chips > G.m - G.n + 1:
+        res = _residue(_lattice_form(G), f, G.n - 1)
         if chips > sum(res):
             f = res + (sum(f) - sum(res),)
     cfg = list(f)
-    _backend.parking_reduce(n, degs, flat, cfg)
+    _backend.parking_reduce(G.degrees, _adjacency(G), cfg)
     out = tuple(cfg)
     if not _is_parking(G, out):
         raise AssertionError("internal error: reduction left a non-parking state")
@@ -418,11 +418,11 @@ def _parking_range(G: MultiGraph) -> tuple:
     h = deg(j) - e(j, U0); every c >= h leaves U0 as well, and every c < h
     burns j and leaves U1, what the fire leaves with j at 0.
     """
-    n, degs, flat = G.flat()
+    n, degs, adj = G.n, G.degrees, _adjacency(G)
     mult = G.mult
 
     def burn(cfg):
-        return _backend.burning_test(n, degs, flat, cfg)
+        return _backend.burning_test(degs, adj, cfg)
 
     def heat(i, unburnt):
         # the edges the burnt vertices send i

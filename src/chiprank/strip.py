@@ -152,6 +152,7 @@ def psi_involution(w: str, s: int) -> tuple:
 
 def h_series(trunc: int) -> TruncatedSeries:
     """(1 - xy) / ((1 - x)(1 - y)) = 1 + sum of x^i + y^i."""
+    (trunc,) = _as_ints((trunc,), "trunc")
     coeffs = {(0, 0): 1}
     for i in range(1, trunc + 1):
         coeffs[(i, 0)] = 1
@@ -168,6 +169,7 @@ def Ln_direct(n: int, trunc: int) -> TruncatedSeries:
     downward from the smallest left label while the right count stays within
     the truncation, and upward until the left count leaves it.
     """
+    n, trunc = _as_ints((n, trunc), "n and trunc")
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
@@ -229,6 +231,7 @@ def Ln_via_toxy(n: int, trunc: int) -> TruncatedSeries:
     """The same series as Ln_direct, from the boundary-word expansion:
     H times (sum of weights of b...b words minus weights of a...a words)
     over all words with n b's and n - 1 a's."""
+    n, trunc = _as_ints((n, trunc), "n and trunc")
     if n < 2:
         raise ValueError("the boundary-word expansion needs n >= 2")
     inner: dict = {}

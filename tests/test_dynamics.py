@@ -344,7 +344,7 @@ def test_invariant_checks_survive_optimize_flag():
     script = (
         "from chiprank import _backend, dynamics\n"
         "from chiprank.graphs import MultiGraph\n"
-        "_backend.parking_reduce = lambda n, degs, flat, cfg: None\n"
+        "_backend.parking_reduce = lambda degs, adj, cfg: None\n"
         "try:\n"
         "    dynamics.parking_representative(MultiGraph.complete(3), (0, 2, 0))\n"
         "except AssertionError:\n"
@@ -365,7 +365,7 @@ def test_recurrent_self_check_survives_optimize_flag():
     script = (
         "from chiprank import _backend, dynamics\n"
         "from chiprank.graphs import MultiGraph\n"
-        "_backend.parking_reduce = lambda n, degs, flat, cfg: None\n"
+        "_backend.parking_reduce = lambda degs, adj, cfg: None\n"
         "try:\n"
         "    dynamics.recurrent_representative(MultiGraph.complete(3), (2, 1, 0))\n"
         "except AssertionError:\n"

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from chiprank import complete, dynamics, rank, strip
+from chiprank import complete, dyck, dynamics, rank, strip
 from chiprank.graphs import (
-    MultiGraph, _borrow, _lattice_form, _residue, check_config, degree,
-    laplacian_row, topple,
+    MultiGraph, _adjacency, _borrow, _lattice_form, _residue, check_config,
+    degree, laplacian_row, topple,
 )
 from chiprank.series import TruncatedSeries
 
@@ -141,13 +141,21 @@ def test_check_config_validates_length(K3):
     lambda K3: MultiGraph.complete(2.0),
     lambda K3: MultiGraph.wheel(3.0),
     lambda K3: complete.phi1((0, 1), 3.0),
+    lambda K3: dyck.dyck_words(1.5),
+    lambda K3: dyck.dyck_words(2.0),
+    lambda K3: dyck.dn_words(2.0),
+    lambda K3: strip.Ln_direct(3.0, 4),
+    lambda K3: strip.Ln_via_toxy(3.0, 4),
+    lambda K3: strip.h_series(2.5),
 ], ids=["rank_formula", "rank_bruteforce", "stabilize", "matrix", "n", "edge",
         "series_coeff", "series_exponent", "series_trunc", "series_nvars",
         "psi_threshold", "bistatistic_window", "rank_formula_details",
         "leftright_threshold", "carlitz_orders", "table_bounds",
         "map_exponents_image", "map_exponents_trunc", "vertex_label",
         "cell_label", "class_counts_degree", "bistatistic_n", "table_n",
-        "identity_trunc", "complete_n", "wheel_k", "phi1_n"])
+        "identity_trunc", "complete_n", "wheel_k", "phi1_n", "dyck_words_half",
+        "dyck_words_float", "dn_words_n", "Ln_direct_n", "Ln_via_toxy_n",
+        "h_series_trunc"])
 def test_non_integers_rejected_not_truncated(K3, call):
     with pytest.raises(ValueError, match="must be integers"):
         call(K3)
@@ -261,10 +269,21 @@ def test_hermite_entries_are_bounded_by_the_diagonal():
             assert all(0 <= col[r] < cols[r][r] for r in range(c + 1, k)), (G, c)
 
 
-def test_flat_buffer_matches_matrix(multi4):
-    n, degs, flat = multi4.flat()
-    assert n == multi4.n
-    assert list(degs) == list(multi4.degrees)
-    for i in range(n):
-        for j in range(n):
-            assert flat[i * n + j] == multi4.multiplicity(i + 1, j + 1)
+def test_adjacency_matches_matrix(multi4):
+    for G in [multi4, *SMALL_GRAPHS, _sink_grid(4), MultiGraph([[0]])]:
+        adj = _adjacency(G)
+        assert adj == tuple(
+            tuple((j, e) for j, e in enumerate(row) if e) for row in G.mult
+        )
+        # equal pairs are one shared tuple
+        pairs = {}
+        assert all(pairs.setdefault(p, p) is p for row in adj for p in row)
+
+
+def test_adjacency_survives_kernel_calls_on_another_graph():
+    K4, W5 = MultiGraph.complete(4), MultiGraph.wheel(5)
+    adj = _adjacency(K4)
+    for f in range(3):
+        dynamics.parking_representative(K4, (f, -1, 2, 0))
+        dynamics.parking_representative(W5, (f, 0, -1, 2, 0, 1))
+    assert _adjacency(K4) is adj

@@ -1,7 +1,7 @@
 """The kernels against dense round-robin reference loops.
 
 The references below sweep every non-sink vertex in index order, round after
-round, over dense rows of ``flat``.  They share no code with
+round, over the dense rows of ``G.mult``.  They share no code with
 ``chiprank._pykernels``, so they check its worklist traversal.
 """
 
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import chiprank
 from chiprank import _backend, _pykernels
-from chiprank.graphs import MultiGraph
+from chiprank.graphs import MultiGraph, _adjacency
 
 from conftest import SMALL_GRAPHS
 from test_graphs import _sink_grid
@@ -19,8 +19,9 @@ from test_graphs import _sink_grid
 GRAPHS = SMALL_GRAPHS + [MultiGraph.wheel(8), MultiGraph.wheel(12), _sink_grid(5)]
 
 
-def dense_stabilize(n, degs, flat, cfg):
+def dense_stabilize(G, cfg):
     """Returns ``(odometer, rounds)``; rounds counts the final idle sweep."""
+    n, degs = G.n, G.degrees
     odo = [0] * n
     rounds = 0
     active = True
@@ -32,9 +33,9 @@ def dense_stabilize(n, degs, flat, cfg):
                 q = cfg[i] // d
                 odo[i] += q
                 cfg[i] -= q * d
-                row = i * n
+                row = G.mult[i]
                 for j in range(n):
-                    e = flat[row + j]
+                    e = row[j]
                     if e and j != i:
                         cfg[j] += q * e
                 active = True
@@ -42,50 +43,52 @@ def dense_stabilize(n, degs, flat, cfg):
     return odo, rounds
 
 
-def dense_burning(n, degs, flat, cfg):
+def dense_burning(G, cfg):
+    n = G.n
     burnt = [False] * n
     burnt[n - 1] = True
-    heat = [flat[(n - 1) * n + k] for k in range(n)]
+    heat = [G.mult[n - 1][k] for k in range(n)]
     changed = True
     while changed:
         changed = False
         for k in range(n - 1):
             if not burnt[k] and cfg[k] < heat[k]:
                 burnt[k] = True
-                row = k * n
+                row = G.mult[k]
                 for j in range(n):
-                    heat[j] += flat[row + j]
+                    heat[j] += row[j]
                 changed = True
     return [k for k in range(n - 1) if not burnt[k]]
 
 
-def dense_parking(n, degs, flat, cfg):
+def dense_parking(G, cfg):
     """Returns the smallest ``MAX_ROUNDS`` under which the dense reduction
     settles: its own rounds, or those of a stabilization inside it."""
+    n, degs = G.n, G.degrees
     if n == 1:
         return 0
     rounds = need = 0
     while any(cfg[i] < 0 for i in range(n - 1)):
-        row = (n - 1) * n
+        row = G.mult[n - 1]
         cfg[n - 1] -= degs[n - 1]
         for j in range(n - 1):
-            cfg[j] += flat[row + j]
-        need = max(need, dense_stabilize(n, degs, flat, cfg)[1])
+            cfg[j] += row[j]
+        need = max(need, dense_stabilize(G, cfg)[1])
         rounds += 1
     while True:
-        unburnt = dense_burning(n, degs, flat, cfg)
+        unburnt = dense_burning(G, cfg)
         if not unburnt:
             return max(need, rounds)
         inside = [False] * n
         for k in unburnt:
             inside[k] = True
         for k in unburnt:
-            row = k * n
+            row = G.mult[k]
             out = 0
             for j in range(n):
                 if not inside[j]:
-                    out += flat[row + j]
-                    cfg[j] += flat[row + j]
+                    out += row[j]
+                    cfg[j] += row[j]
             cfg[k] -= out
         rounds += 1
 
@@ -116,13 +119,12 @@ def graph_and_config(draw, pile):
 def test_stabilize_matches_dense(gc):
     """Also under the smallest guard the dense loop settles within."""
     G, f = gc
-    n, degs, flat = G.flat()
     want_cfg = list(f)
-    want, rounds = dense_stabilize(n, degs, flat, want_cfg)
+    want, rounds = dense_stabilize(G, want_cfg)
     cfg = list(f)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_pykernels, "MAX_ROUNDS", rounds)
-        assert _pykernels.stabilize(n, degs, flat, cfg) == want
+        assert _pykernels.stabilize(G.degrees, _adjacency(G), cfg) == want
     assert cfg == want_cfg
 
 
@@ -130,9 +132,8 @@ def test_stabilize_matches_dense(gc):
 @given(graph_and_config(pile=10**5))
 def test_burning_matches_dense(gc):
     G, f = gc
-    n, degs, flat = G.flat()
     cfg = list(f)
-    assert _pykernels.burning_test(n, degs, flat, cfg) == dense_burning(n, degs, flat, f)
+    assert _pykernels.burning_test(G.degrees, _adjacency(G), cfg) == dense_burning(G, f)
     assert cfg == f
 
 
@@ -141,32 +142,30 @@ def test_burning_matches_dense(gc):
 def test_parking_matches_dense(gc):
     """Also under the smallest guard the dense loops settle within."""
     G, f = gc
-    n, degs, flat = G.flat()
     want = list(f)
-    rounds = dense_parking(n, degs, flat, want)
+    rounds = dense_parking(G, want)
     cfg = list(f)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_pykernels, "MAX_ROUNDS", rounds)
-        _pykernels.parking_reduce(n, degs, flat, cfg)
+        _pykernels.parking_reduce(G.degrees, _adjacency(G), cfg)
     assert cfg == want
 
 
 def test_burning_starts_from_every_vertex_below_its_heat(multi4):
     """Vertex 2 holds -1 chips and has no edge to the sink: it burns at
     once, and its heat burns vertices 1 and 3."""
-    n, degs, flat = multi4.flat()
-    assert _pykernels.burning_test(n, degs, flat, [1, -1, 3, 0]) == []
-    assert dense_burning(n, degs, flat, [1, -1, 3, 0]) == []
+    assert _pykernels.burning_test(multi4.degrees, _adjacency(multi4), [1, -1, 3, 0]) == []
+    assert dense_burning(multi4, [1, -1, 3, 0]) == []
 
 
 def test_round_guards_raise(monkeypatch, K3):
     K2 = MultiGraph.complete(2)
     monkeypatch.setattr(_pykernels, "MAX_ROUNDS", 0)
     with pytest.raises(RuntimeError, match="stabilization"):
-        _pykernels.stabilize(*K3.flat(), [2, 0, 0])
+        _pykernels.stabilize(K3.degrees, _adjacency(K3), [2, 0, 0])
     for cfg in ([-1, 5], [3, 0]):  # the sink-firing phase, then the burning one
         with pytest.raises(RuntimeError, match="parking reduction"):
-            _pykernels.parking_reduce(*K2.flat(), cfg)
+            _pykernels.parking_reduce(K2.degrees, _adjacency(K2), cfg)
 
 
 def test_backend_names_are_the_kernels_themselves():

@@ -225,10 +225,10 @@ def test_cache_misses_reduce_the_smaller_representative(G, f, monkeypatch):
     parked = []
     kernel = _backend.parking_reduce
 
-    def parking_reduce(n, degs, flat, cfg):
+    def parking_reduce(degs, adj, cfg):
         parked.append(tuple(cfg))
         assert sum(map(abs, cfg[:-1])) <= bound
-        return kernel(n, degs, flat, cfg)
+        return kernel(degs, adj, cfg)
 
     monkeypatch.setattr(_backend, "parking_reduce", parking_reduce)
     res = rank.rank_bruteforce(G, f)

@@ -1,0 +1,187 @@
+"""Print chiprank's answers on a seeded corpus, one call after another.
+
+    PYTHONPATH=src python tools/transcript.py --seed 1 > transcript.txt
+
+The corpus is a few complete graphs, wheels and sink grids plus random
+multigraphs, each with random configurations: a stable one, one with debt,
+one tall pile and zero.  On the small graphs the script calls every public
+function of ``chiprank.dynamics`` and ``chiprank.rank`` and runs the CLI's
+``stabilize``, ``parking``, ``recurrent``, ``effective``, ``rank``,
+``rr-check`` and ``tutte-counts`` in-process.  The large ones (|Jac| past
+10^5, too many classes to count or rank) get only the calls that run the
+kernels once or a few times: stabilization, recurrence, parking and
+effectiveness.  A function call prints its value or the
+exception it raised; a command prints its exit code, stdout and stderr,
+with the one timing field, rank's ``wall_ms``, masked.
+
+Everything is drawn from the seed alone, so two checkouts run on the same
+seed print the same transcript exactly when they give the same answers:
+
+    PYTHONPATH=src python tools/transcript.py --seed 1 > new.txt
+    PYTHONPATH=../old/src python tools/transcript.py --seed 1 > old.txt
+    diff old.txt new.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import os
+import random
+import re
+import sys
+import tempfile
+
+from chiprank import cli, dynamics, rank
+from chiprank.graphs import MultiGraph
+
+_WALL_MS = re.compile(r'"wall_ms": [0-9.e+-]+')
+
+
+def sink_grid(side: int) -> MultiGraph:
+    """side x side grid whose boundary edges all lead to one sink."""
+    sink = side * side + 1
+    edges = []
+    for r in range(side):
+        for c in range(side):
+            i = r * side + c + 1
+            edges.append((i, i + 1) if c + 1 < side else (i, sink))
+            edges.append((i, i + side) if r + 1 < side else (i, sink))
+            if c == 0:
+                edges.append((i, sink))
+            if r == 0:
+                edges.append((i, sink))
+    return MultiGraph.from_edges(sink, edges)
+
+
+def random_multigraph(rng: random.Random) -> MultiGraph:
+    """A connected multigraph on 3..6 vertices, multiplicities up to 2."""
+    while True:
+        n = rng.randint(3, 6)
+        edges = [(i, j, rng.randint(0, 2))
+                 for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        try:
+            return MultiGraph.from_edges(n, edges)
+        except ValueError:  # disconnected
+            continue
+
+
+def corpus(rng: random.Random) -> list:
+    """``(name, graph, named_flag, small, configurations)``; ``named_flag``
+    is the CLI's ``--complete N`` or ``--wheel K`` for a named graph, else
+    None."""
+    graphs = [("K3", MultiGraph.complete(3), ["--complete", "3"], True),
+              ("K5", MultiGraph.complete(5), ["--complete", "5"], True),
+              ("W4", MultiGraph.wheel(4), ["--wheel", "4"], True),
+              ("W6", MultiGraph.wheel(6), ["--wheel", "6"], True),
+              ("grid2", sink_grid(2), None, True),
+              ("K12", MultiGraph.complete(12), ["--complete", "12"], False),
+              ("W20", MultiGraph.wheel(20), ["--wheel", "20"], False),
+              ("grid6", sink_grid(6), None, False)]
+    graphs += [(f"random{k}", random_multigraph(rng), None, True) for k in range(3)]
+    out = []
+    for name, G, flag, small in graphs:
+        degs = G.degrees
+        stable = tuple(rng.randrange(d) for d in degs[:-1]) + (rng.randint(-3, 3),)
+        debt = tuple(rng.randint(-3, 2 * d) for d in degs)
+        pile = [0] * G.n
+        pile[rng.randrange(G.n - 1)] = rng.randint(10, 60) if small else rng.randint(10**3, 10**5)
+        out.append((name, G, flag, small, [stable, debt, tuple(pile), (0,) * G.n]))
+    return out
+
+
+# per configuration: what runs the kernels a few times, then the rest
+KERNEL_CALLS = (dynamics.is_stable, dynamics.stabilize, dynamics.is_recurrent_burning,
+                dynamics.is_parking, dynamics.beta, dynamics.parking_representative,
+                dynamics.recurrent_representative, dynamics.is_effective_class)
+EXHAUSTIVE_CALLS = (dynamics.is_recurrent_subsets, dynamics.acyclic_orientation_from_parking,
+                    rank.canonical_class_key, rank.is_effective_cached,
+                    rank.rank_bruteforce, rank.kappa_dual, rank.riemann_roch_data,
+                    rank.riemann_roch_check, rank.rank_bounds_check)
+KERNEL_COMMANDS = ("stabilize", "parking", "recurrent", "effective")
+EXHAUSTIVE_COMMANDS = ("rank", "rr-check")
+
+
+def show(label: str, fn, *args) -> None:
+    try:
+        value = fn(*args)
+    except Exception as exc:  # an error is one of the answers compared
+        print(f"{label} !! {type(exc).__name__}: {exc}")
+    else:
+        print(f"{label} -> {value!r}")
+
+
+def library(name: str, G: MultiGraph, small: bool, configs: list) -> None:
+    print(f"== {name}: {G!r} {G.to_json()}")
+    show("kappa", rank.kappa, G)
+    if small:
+        show("recurrent_level_counts", dynamics.recurrent_level_counts, G)
+        show("effective_class_counts(4)", dynamics.effective_class_counts, G, 4)
+    for f in configs:
+        print(f"-- f = {f}")
+        for fn in KERNEL_CALLS + (EXHAUSTIVE_CALLS if small else ()):
+            show(fn.__name__, fn, G, f)
+        if not small:
+            continue
+        show("is_parking(subsets)", dynamics.is_parking, G, f, "subsets")
+        show("orientation of the parking representative", orientation, G, f)
+
+
+def orientation(G: MultiGraph, f: tuple) -> tuple:
+    """The acyclic orientation peeled from f's parking representative,
+    whether it is acyclic, and its configuration."""
+    o = dynamics.acyclic_orientation_from_parking(G, dynamics.parking_representative(G, f))
+    return o, o.is_acyclic(), dynamics.orientation_configuration(o)
+
+
+def run_cli(shown: list, argv: list) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    stdout = _WALL_MS.sub('"wall_ms": "-"', out.getvalue())
+    print(f"$ chiprank {' '.join(shown)} -> exit {code}")
+    print(f"  stdout: {stdout!r}")
+    print(f"  stderr: {err.getvalue()!r}")
+
+
+def commands(name: str, G: MultiGraph, flag, small: bool, configs: list,
+             workdir: str) -> None:
+    path = os.path.join(workdir, f"{name}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(G.to_json())
+    sources = [(["--graph", path], ["--graph", f"{name}.json"])]
+    if flag is not None:
+        sources.append((flag, flag))
+    texts = ["--config=" + ",".join(map(str, f)) for f in configs]
+    texts += ["--config=" + ",".join(map(str, configs[0][:-1])), "--config=1,x"]
+    for argv, shown in sources:
+        if small:
+            run_cli(["tutte-counts", *shown, "--max-degree", "4"],
+                    ["tutte-counts", *argv, "--max-degree", "4"])
+        for text in texts:
+            for cmd in KERNEL_COMMANDS + (EXHAUSTIVE_COMMANDS if small else ()):
+                run_cli([cmd, *shown, text], [cmd, *argv, text])
+    if flag is not None and flag[0] == "--complete":
+        for method in ("formula", "greedy", "bruteforce"):
+            argv = ["rank", *flag, texts[1], "--method", method]
+            run_cli(argv, argv)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+    rng = random.Random(args.seed)
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, G, flag, small, configs in corpus(rng):
+            library(name, G, small, configs)
+            commands(name, G, flag, small, configs, workdir)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
