@@ -2,8 +2,8 @@
 
 These are the inner loops shared by the dynamics layer and the rank engine.
 Each takes a graph as ``(degs, adj, cfg)``: the vertex degrees, the
-per-vertex ``(neighbour, multiplicity)`` tuples ``graphs._adjacency`` keeps
-on each graph, and a configuration; vertex ``len(degs) - 1`` is the sink.
+per-vertex ``(neighbour, multiplicity)`` tuples that a ``MultiGraph`` stores
+as its ``_adj``, and a configuration; vertex ``len(degs) - 1`` is the sink.
 Everything is exact integer arithmetic, so entries may be arbitrarily large.
 
 The kernels visit only the vertices a worklist holds: ``stabilize`` fires

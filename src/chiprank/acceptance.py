@@ -26,13 +26,10 @@ def random_multigraph(n: int, rng: random.Random, max_mult: int = 2) -> MultiGra
     """A connected random multigraph: i.i.d. pair multiplicities, resampled
     until connected."""
     while True:
-        mult = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                e = rng.randint(0, max_mult)
-                mult[i][j] = mult[j][i] = e
+        edges = [(i, j, rng.randint(0, max_mult))
+                 for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         try:
-            return MultiGraph(mult)
+            return MultiGraph.from_edges(n, edges)
         except ValueError:
             continue
 

@@ -14,7 +14,7 @@ from itertools import accumulate, combinations
 from typing import Sequence
 
 from . import _backend
-from .graphs import MultiGraph, _adjacency, _as_ints, _lattice_form, _residue, check_config
+from .graphs import MultiGraph, _as_ints, _lattice_form, _residue, check_config
 
 __all__ = [
     "is_stable",
@@ -72,7 +72,7 @@ def stabilize(G: MultiGraph, f: Sequence[int]) -> tuple:
 def _stabilize(G: MultiGraph, f: tuple) -> tuple:
     """``stabilize`` on a checked configuration."""
     cfg = list(_require_sandpile(G, f))
-    odo = _backend.stabilize(G.degrees, _adjacency(G), cfg)
+    odo = _backend.stabilize(G.degrees, G._adj, cfg)
     return tuple(cfg), tuple(odo)
 
 
@@ -105,7 +105,7 @@ def _fire_sink(G: MultiGraph, f: Sequence[int]) -> tuple:
     non-sink vertex exactly once is the recurrence criterion), and the
     stabilized result.
     """
-    degs, adj = G.degrees, _adjacency(G)
+    degs, adj = G.degrees, G._adj
     cfg = list(f)
     for j, e in adj[-1]:
         cfg[j] += e
@@ -203,7 +203,7 @@ def _park(G: MultiGraph, f: tuple) -> tuple:
         if chips > sum(res):
             f = res + (sum(f) - sum(res),)
     cfg = list(f)
-    _backend.parking_reduce(G.degrees, _adjacency(G), cfg)
+    _backend.parking_reduce(G.degrees, G._adj, cfg)
     out = tuple(cfg)
     if not _is_parking(G, out):
         raise AssertionError("internal error: reduction left a non-parking state")
@@ -418,7 +418,7 @@ def _parking_range(G: MultiGraph) -> tuple:
     h = deg(j) - e(j, U0); every c >= h leaves U0 as well, and every c < h
     burns j and leaves U1, what the fire leaves with j at 0.
     """
-    n, degs, adj = G.n, G.degrees, _adjacency(G)
+    n, degs, adj = G.n, G.degrees, G._adj
     mult = G.mult
 
     def burn(cfg):

@@ -1,18 +1,18 @@
 """Loopless connected multigraphs and chip configurations.
 
-A multigraph on vertices 1..n is stored as a symmetric n x n matrix of edge
-multiplicities with a zero diagonal.  Configurations are plain sequences of
-Python ints (exact arithmetic throughout), one entry per vertex; vertex n is
-the sink wherever a sink matters.  Public vertex arguments are 1-based, like
-the JSON interchange format.
+A multigraph on vertices 1..n is stored once, as the per-vertex tuples of
+0-based ``(neighbour, multiplicity)`` pairs that the kernels read; its n x n
+multiplicity matrix is a view derived on demand.  Configurations are plain
+sequences of Python ints (exact arithmetic throughout), one entry per vertex;
+vertex n is the sink wherever a sink matters.  Public vertex arguments are
+1-based, like the JSON interchange format.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from collections import deque
-from itertools import compress
+from itertools import compress, repeat
 from math import prod
 from typing import Iterable, Sequence
 
@@ -25,21 +25,23 @@ class MultiGraph:
     mult : square matrix of non-negative ints
         ``mult[i][j]`` is the number of edges between vertices i+1 and j+1.
         Must be symmetric with a zero diagonal, and the graph it describes
-        must be connected (checked eagerly).
+        must be connected (checked eagerly).  ``from_edges``, ``from_json``,
+        ``complete`` and ``wheel`` build a graph without any matrix.
 
     Attributes
     ----------
     n : number of vertices
     m : number of edges (with multiplicity)
-    mult : the multiplicity matrix, as a tuple of tuples
     degrees : tuple of vertex degrees
+    mult : the multiplicity matrix, as a tuple of tuples: a read-only view
+        derived from the adjacency on first access and then kept
     """
 
-    __slots__ = ("n", "m", "mult", "degrees", "_adj", "_hnf", "_eff_cache")
+    __slots__ = ("n", "m", "degrees", "_adj", "_mult", "_hnf", "_eff_cache")
 
     def __init__(self, mult: Sequence[Sequence[int]]):
         rows = [_as_ints(row, "edge multiplicities") for row in mult]
-        n = _check_order(len(rows))
+        n = len(rows)
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError("multiplicity matrix must be square")
@@ -50,27 +52,43 @@ class MultiGraph:
                     raise ValueError("edge multiplicities must be >= 0")
                 if rows[j][i] != e:
                     raise ValueError("multiplicity matrix must be symmetric")
-        self.n = n
-        self.mult = tuple(rows)
-        self.degrees = tuple(sum(row) for row in rows)
+        self._fill(n, [list(zip(compress(range(n), row), compress(row, row))) for row in rows])
+        self._mult = tuple(rows)
+
+    def _fill(self, n: int, rows: list) -> "MultiGraph":
+        """Store the graph whose vertex i has the sorted pairs ``rows[i]``
+        (multiplicities positive) and return self.  Equal pairs share one
+        tuple, so a row costs a pointer per neighbour (8.1 MB on K_1000)."""
+        self.n = _check_order(n)
+        pairs = {}
+        self._adj = tuple(tuple(map(pairs.setdefault, row, row)) for row in rows)
+        self.degrees = tuple(sum(map(operator.itemgetter(1), row)) for row in self._adj)
         self.m = sum(self.degrees) // 2
         if not self._connected():
             raise ValueError("graph must be connected")
-        self._adj = None        # the kernels' adjacency tuples, on demand
+        self._mult = None       # the dense matrix, on demand
         self._hnf = None        # Hermite form of the reduced Laplacian, on demand
         self._eff_cache = {}    # parking part per non-sink residue (see rank)
+        return self
 
     def _connected(self) -> bool:
         seen = [False] * self.n
         seen[0] = True
-        queue = deque([0])
-        while queue:
-            i = queue.popleft()
-            for j, e in enumerate(self.mult[i]):
-                if e and not seen[j]:
+        reached = [0]
+        for i in reached:  # grows as the search reaches vertices
+            for j, _ in self._adj[i]:
+                if not seen[j]:
                     seen[j] = True
-                    queue.append(j)
-        return all(seen)
+                    reached.append(j)
+        return len(reached) == self.n
+
+    @property
+    def mult(self) -> tuple:
+        """The multiplicity matrix as a tuple of tuples, kept once derived."""
+        if self._mult is None:
+            cols = range(self.n)
+            self._mult = tuple(tuple(map(dict(row).get, cols, repeat(0))) for row in self._adj)
+        return self._mult
 
     # ---------- constructors ----------
 
@@ -78,7 +96,8 @@ class MultiGraph:
     def complete(cls, n: int) -> "MultiGraph":
         """The complete graph K_n (K_1 is the single-vertex graph)."""
         (n,) = _as_ints((n,), "the vertex count")
-        return cls([[0 if i == j else 1 for j in range(n)] for i in range(n)])
+        ones = [(j, 1) for j in range(n)]
+        return cls.__new__(cls)._fill(n, [ones[:i] + ones[i + 1:] for i in range(n)])
 
     @classmethod
     def wheel(cls, k: int) -> "MultiGraph":
@@ -88,23 +107,18 @@ class MultiGraph:
         """
         (k,) = _as_ints((k,), "the rim length")
         n = _wheel_order(k)
-        mult = [[0] * n for _ in range(n)]
-        for i in range(k):
-            j = (i + 1) % k
-            mult[i][j] += 1
-            mult[j][i] += 1
-            mult[i][k] += 1
-            mult[k][i] += 1
-        return cls(mult)
+        rim = [sorted([((i - 1) % k, 1), ((i + 1) % k, 1)]) + [(k, 1)] for i in range(k)]
+        return cls.__new__(cls)._fill(n, rim + [[(i, 1) for i in range(k)]])
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "MultiGraph":
         """Build from an edge list with 1-based endpoints.
 
-        Each item is ``(i, j)`` or ``(i, j, mult)``; repeated pairs accumulate.
+        Each item is ``(i, j)`` or ``(i, j, mult)``; repeated and reversed
+        pairs accumulate, and pairs that total zero carry no edge.
         """
         (n,) = _as_ints((n,), "the vertex count")
-        mult = [[0] * n for _ in range(n)]
+        totals = {}
         for edge in edges:
             edge = _as_ints(edge, "edge endpoints and multiplicities")
             if len(edge) == 2:
@@ -120,9 +134,15 @@ class MultiGraph:
                 raise ValueError(f"self-loop at vertex {i}")
             if e < 0:
                 raise ValueError("edge multiplicity must be >= 0")
-            mult[i - 1][j - 1] += e
-            mult[j - 1][i - 1] += e
-        return cls(mult)
+            pair = (i - 1, j - 1) if i < j else (j - 1, i - 1)
+            totals[pair] = totals.get(pair, 0) + e
+        # in pair order, row j takes its (i, j) before its (j, k): rows come out sorted
+        rows = [[] for _ in range(n)]
+        for (i, j), e in sorted(totals.items()):
+            if e:
+                rows[i].append((j, e))
+                rows[j].append((i, e))
+        return cls.__new__(cls)._fill(n, rows)
 
     @classmethod
     def from_json(cls, text: str | dict) -> "MultiGraph":
@@ -135,11 +155,8 @@ class MultiGraph:
         return cls.from_edges(data["n"], data["edges"])
 
     def to_json(self) -> str:
-        edges = []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self.mult[i][j]:
-                    edges.append([i + 1, j + 1, self.mult[i][j]])
+        edges = [[i + 1, j + 1, e]
+                 for i, row in enumerate(self._adj) for j, e in row if j > i]
         return json.dumps({"n": self.n, "edges": edges})
 
     # ---------- queries ----------
@@ -153,21 +170,22 @@ class MultiGraph:
         """Number of edges between vertices i and j (1-based)."""
         self._check_vertex(i)
         self._check_vertex(j)
-        return self.mult[i - 1][j - 1]
+        return dict(self._adj[i - 1]).get(j - 1, 0)
 
     def laplacian_row(self, i: int) -> tuple:
         """Row of the Laplacian for vertex i: degree on the diagonal slot,
         minus the multiplicity towards every other vertex."""
         self._check_vertex(i)
-        k = i - 1
-        return tuple(
-            self.degrees[k] if j == k else -self.mult[k][j] for j in range(self.n)
-        )
+        row = [0] * self.n
+        for j, e in self._adj[i - 1]:
+            row[j] = -e
+        row[i - 1] = self.degrees[i - 1]
+        return tuple(row)
 
     def is_complete(self) -> bool:
-        # the diagonal is zero, so a row holds n - 1 ones exactly when every
-        # edge from its vertex is simple
-        return all(row.count(1) == self.n - 1 for row in self.mult)
+        # a row's pairs name distinct other vertices, each by one edge or
+        # more, so n - 1 pairs and degree n - 1 mean a single edge to each
+        return all(len(row) == d == self.n - 1 for row, d in zip(self._adj, self.degrees))
 
     def spanning_tree_count(self) -> int:
         """Number of spanning trees: the determinant of the reduced Laplacian
@@ -181,10 +199,10 @@ class MultiGraph:
             raise ValueError(f"vertex {i} out of range 1..{self.n}")
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MultiGraph) and self.mult == other.mult
+        return isinstance(other, MultiGraph) and self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash(self.mult)
+        return hash(self._adj)
 
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.n}, m={self.m})"
@@ -301,29 +319,8 @@ def _lattice_form(G: MultiGraph) -> list:
     columns span the lattice of non-sink toppling moves."""
     if G._hnf is None:
         k = G.n - 1
-        mat = [[-e for e in row[:k]] for row in G.mult[:k]]
-        for i in range(k):
-            mat[i][i] = G.degrees[i]
-        G._hnf = _column_hnf(mat)
+        G._hnf = _column_hnf([G.laplacian_row(i + 1)[:k] for i in range(k)])
     return G._hnf
-
-
-def _adjacency(G: MultiGraph) -> tuple:
-    """Per-vertex tuples of ``(neighbour, multiplicity)`` pairs, 0-based,
-    one for each edge-carrying entry of the vertex's row: the kernels' view
-    of G, built once per graph."""
-    if G._adj is None:
-        # compress picks each row's non-zero entries at C speed (from a list,
-        # so no int is made per entry), and rows share one tuple per
-        # distinct pair, so a row costs a pointer per neighbour (8.1 MB on
-        # K_1000, against 64 MB unshared)
-        pairs = {}
-        idx = list(range(G.n))
-        G._adj = tuple(
-            tuple(pairs.setdefault(p, p) for p in zip(compress(idx, row), compress(row, row)))
-            for row in G.mult
-        )
-    return G._adj
 
 
 def _residue(cols: list, f: Sequence[int], k: int) -> tuple:

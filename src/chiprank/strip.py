@@ -340,6 +340,7 @@ def Kn_bistatistic_check(n: int, window: Sequence[int] = (-5, 15)) -> bool:
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
+        _check_walk(1, lo, hi)
         return all(
             _rank((s,)) == (s if s >= 0 else -1) for s in range(lo, hi + 1)
         )
@@ -367,6 +368,14 @@ def kn_degree_rank_table(n: int, lo: int, hi: int) -> dict:
     return out
 
 
+def _check_walk(n: int, lo: int, hi: int) -> None:
+    """Refuse a K_n walk over sinks lo..hi past ``_WALK_LIMIT`` pairs, in O(1)."""
+    (words, text), sinks = _word_count(n), max(hi - lo + 1, 0)
+    if words * sinks > _WALK_LIMIT:
+        raise ValueError(f"{text} words x {sinks} sinks is past the walk limit"
+                         f" of {_WALK_LIMIT} (word, sink) pairs")
+
+
 def _kn_walk(n: int, lo: int, hi: int) -> Iterator[tuple]:
     """(word, row labels, degree, sink, rank) for every word of K_n, n >= 2,
     and every sink lo..hi; refused before the first word when those pairs
@@ -381,11 +390,8 @@ def _kn_walk(n: int, lo: int, hi: int) -> Iterator[tuple]:
     positive parts of q - eta_i + [i < r].  Moving the sink from s to s + 1
     raises only term r, by one, also at the wrap from (q, n - 2) to
     (q + 1, 0), so the rank rises by one iff eta_r <= q."""
-    (words, text), sinks = _word_count(n), max(hi - lo + 1, 0)
-    if words * sinks > _WALK_LIMIT:
-        raise ValueError(f"{text} words x {sinks} sinks is past the walk limit"
-                         f" of {_WALK_LIMIT} (word, sink) pairs")
-    for w in dn_words(n) if sinks else ():
+    _check_walk(n, lo, hi)
+    for w in dn_words(n) if hi >= lo else ():
         heights = _heights(w)
         L = _labels(heights, n)
         values = tuple(i - h for i, h in enumerate(heights))

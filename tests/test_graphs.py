@@ -1,13 +1,15 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 
 from chiprank import complete, dyck, dynamics, rank, strip
 from chiprank.graphs import (
-    MultiGraph, _adjacency, _borrow, _lattice_form, _residue, check_config,
-    degree, laplacian_row, topple,
+    MultiGraph, _borrow, _lattice_form, _residue, check_config, degree,
+    laplacian_row, topple,
 )
 from chiprank.series import TruncatedSeries
 
@@ -215,8 +217,9 @@ def test_spanning_trees_match_kirchhoff():
         assert MultiGraph.complete(n).spanning_tree_count() == n ** (n - 2)
 
 
-def _sink_grid(side: int) -> MultiGraph:
-    """side x side grid whose boundary edges all lead to one sink."""
+def _sink_grid_edges(side: int) -> tuple:
+    """``(n, edges)``: the side x side grid whose boundary edges all lead to
+    one sink, as a 1-based edge list that repeats each corner's sink pair."""
     sink = side * side + 1
     edges = []
     for r in range(side):
@@ -228,7 +231,12 @@ def _sink_grid(side: int) -> MultiGraph:
                 edges.append((i, sink))
             if r == 0:
                 edges.append((i, sink))
-    return MultiGraph.from_edges(sink, edges)
+    return sink, edges
+
+
+def _sink_grid(side: int) -> MultiGraph:
+    """side x side grid whose boundary edges all lead to one sink."""
+    return MultiGraph.from_edges(*_sink_grid_edges(side))
 
 
 def test_borrow_is_a_unit_step_of_the_residue():
@@ -271,7 +279,7 @@ def test_hermite_entries_are_bounded_by_the_diagonal():
 
 def test_adjacency_matches_matrix(multi4):
     for G in [multi4, *SMALL_GRAPHS, _sink_grid(4), MultiGraph([[0]])]:
-        adj = _adjacency(G)
+        adj = G._adj
         assert adj == tuple(
             tuple((j, e) for j, e in enumerate(row) if e) for row in G.mult
         )
@@ -282,8 +290,86 @@ def test_adjacency_matches_matrix(multi4):
 
 def test_adjacency_survives_kernel_calls_on_another_graph():
     K4, W5 = MultiGraph.complete(4), MultiGraph.wheel(5)
-    adj = _adjacency(K4)
+    adj = K4._adj
     for f in range(3):
         dynamics.parking_representative(K4, (f, -1, 2, 0))
         dynamics.parking_representative(W5, (f, 0, -1, 2, 0, 1))
-    assert _adjacency(K4) is adj
+    assert K4._adj is adj
+
+
+def _dense(n: int, edges) -> tuple:
+    """The multiplicity matrix of a 1-based edge list, added up cell by cell."""
+    mult = [[0] * n for _ in range(n)]
+    for i, j, *e in edges:
+        mult[i - 1][j - 1] += e[0] if e else 1
+        mult[j - 1][i - 1] += e[0] if e else 1
+    return tuple(map(tuple, mult))
+
+
+def _random_edge_lists(seed: int, count: int):
+    """``(n, edges)`` of connected random multigraphs on 2..8 vertices whose
+    edge lists repeat pairs, give some reversed and hold zero multiplicities."""
+    rng = random.Random(seed)
+    while count:
+        n = rng.randint(2, 8)
+        edges = []
+        for _ in range(rng.randint(n - 1, 3 * n)):
+            i, j = rng.sample(range(1, n + 1), 2)
+            edges.append((i, j) if rng.random() < 0.3 else (i, j, rng.randint(0, 3)))
+        try:
+            MultiGraph.from_edges(n, edges)
+        except ValueError:  # disconnected: draw again
+            continue
+        yield n, edges
+        count -= 1
+
+
+def test_constructors_agree():
+    """Every constructor stores the same graph for the same edges: the
+    matrix, the edge list, its JSON and the named graphs agree with a dense
+    matrix added up here, through the stored pairs, the derived matrix,
+    equality and hashing."""
+    cases = [(G.n, json.loads(G.to_json())["edges"], G) for G in SMALL_GRAPHS]
+    for n in range(1, 7):
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        cases.append((n, pairs, MultiGraph.complete(n)))
+    for k in range(3, 9):
+        rim = [(i, i % k + 1) for i in range(1, k + 1)]
+        cases.append((k + 1, rim + [(k + 1, i) for i in range(1, k + 1)], MultiGraph.wheel(k)))
+    for n, edges in _random_edge_lists(24, 60):
+        cases.append((n, edges, MultiGraph.from_edges(n, edges)))
+    for n, edges, G in cases:
+        dense = _dense(n, edges)
+        assert G.mult == dense
+        assert G._adj == tuple(tuple((j, e) for j, e in enumerate(row) if e) for row in dense)
+        assert G.degrees == tuple(map(sum, dense)) and G.m == sum(G.degrees) // 2
+        assert G.is_complete() == all(dense[i][j] == (i != j) for i in range(n) for j in range(n))
+        for i in range(n):
+            assert G.laplacian_row(i + 1) == tuple(
+                G.degrees[i] if j == i else -dense[i][j] for j in range(n))
+            assert all(G.multiplicity(i + 1, j + 1) == dense[i][j] for j in range(n))
+        for H in (MultiGraph(G.mult), MultiGraph.from_edges(n, edges),
+                  MultiGraph.from_json(G.to_json())):
+            assert H == G and hash(H) == hash(G) and H.mult == dense, G.to_json()
+
+
+def test_sink_grid_is_read_without_a_matrix():
+    """The 60 x 60 sink grid, read from its JSON edge list, stabilizes a pile
+    of 1000 chips in a fraction of the memory a dense 3601 x 3601 matrix
+    would take on its own (about 100 MiB), and in under a second."""
+    n, edges = _sink_grid_edges(60)
+    text = json.dumps({"n": n, "edges": edges})
+    f = [0] * n
+    f[30 * 60 + 30] = 1000
+    tracemalloc.start()
+    try:
+        start = perf_counter()
+        stable, odometer = dynamics.stabilize(MultiGraph.from_json(text), f)
+        elapsed = perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(stable) == 1000 and all(0 <= x < 4 for x in stable[:-1])
+    assert odometer[30 * 60 + 30] > 0 and odometer[-1] == 0
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert elapsed < 1, f"{elapsed:.2f} s"

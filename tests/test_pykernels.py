@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import chiprank
 from chiprank import _backend, _pykernels
-from chiprank.graphs import MultiGraph, _adjacency
+from chiprank.graphs import MultiGraph
 
 from conftest import SMALL_GRAPHS
 from test_graphs import _sink_grid
@@ -124,7 +124,7 @@ def test_stabilize_matches_dense(gc):
     cfg = list(f)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_pykernels, "MAX_ROUNDS", rounds)
-        assert _pykernels.stabilize(G.degrees, _adjacency(G), cfg) == want
+        assert _pykernels.stabilize(G.degrees, G._adj, cfg) == want
     assert cfg == want_cfg
 
 
@@ -133,7 +133,7 @@ def test_stabilize_matches_dense(gc):
 def test_burning_matches_dense(gc):
     G, f = gc
     cfg = list(f)
-    assert _pykernels.burning_test(G.degrees, _adjacency(G), cfg) == dense_burning(G, f)
+    assert _pykernels.burning_test(G.degrees, G._adj, cfg) == dense_burning(G, f)
     assert cfg == f
 
 
@@ -147,14 +147,14 @@ def test_parking_matches_dense(gc):
     cfg = list(f)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_pykernels, "MAX_ROUNDS", rounds)
-        _pykernels.parking_reduce(G.degrees, _adjacency(G), cfg)
+        _pykernels.parking_reduce(G.degrees, G._adj, cfg)
     assert cfg == want
 
 
 def test_burning_starts_from_every_vertex_below_its_heat(multi4):
     """Vertex 2 holds -1 chips and has no edge to the sink: it burns at
     once, and its heat burns vertices 1 and 3."""
-    assert _pykernels.burning_test(multi4.degrees, _adjacency(multi4), [1, -1, 3, 0]) == []
+    assert _pykernels.burning_test(multi4.degrees, multi4._adj, [1, -1, 3, 0]) == []
     assert dense_burning(multi4, [1, -1, 3, 0]) == []
 
 
@@ -162,10 +162,10 @@ def test_round_guards_raise(monkeypatch, K3):
     K2 = MultiGraph.complete(2)
     monkeypatch.setattr(_pykernels, "MAX_ROUNDS", 0)
     with pytest.raises(RuntimeError, match="stabilization"):
-        _pykernels.stabilize(K3.degrees, _adjacency(K3), [2, 0, 0])
+        _pykernels.stabilize(K3.degrees, K3._adj, [2, 0, 0])
     for cfg in ([-1, 5], [3, 0]):  # the sink-firing phase, then the burning one
         with pytest.raises(RuntimeError, match="parking reduction"):
-            _pykernels.parking_reduce(K2.degrees, _adjacency(K2), cfg)
+            _pykernels.parking_reduce(K2.degrees, K2._adj, cfg)
 
 
 def test_backend_names_are_the_kernels_themselves():

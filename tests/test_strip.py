@@ -236,6 +236,11 @@ def test_word_count_stops_past_the_limit():
         with pytest.raises(ValueError, match="walk limit"):
             strip.Kn_bistatistic_check(n, (0, 1))
         assert strip.kn_degree_rank_table(n, 1, 0) == {}
+    # K_1 has one word, so its sink window alone meets the limit, and is
+    # refused before the first sink
+    for hi, sinks in ((10**7, "10000001"), (10**12, "1000000000001")):
+        with pytest.raises(ValueError, match=rf"^1 words x {sinks} sinks is past the walk limit"):
+            strip.Kn_bistatistic_check(1, (0, hi))
 
 
 NOT_STRINGS = [None, b"ab", ["a", "b"]]

@@ -14,6 +14,11 @@ effectiveness.  A function call prints its value or the
 exception it raised; a command prints its exit code, stdout and stderr,
 with the one timing field, rank's ``wall_ms``, masked.
 
+A last section feeds every graph constructor (the matrix, ``from_edges``,
+``from_json``, ``complete`` and ``wheel``) valid input, with repeated,
+reversed and zero pairs, and malformed input, with one fault or several,
+and prints what each graph reads back or the error that wins.
+
 Everything is drawn from the seed alone, so two checkouts run on the same
 seed print the same transcript exactly when they give the same answers:
 
@@ -27,6 +32,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import json
 import os
 import random
 import re
@@ -41,6 +47,12 @@ _WALL_MS = re.compile(r'"wall_ms": [0-9.e+-]+')
 
 def sink_grid(side: int) -> MultiGraph:
     """side x side grid whose boundary edges all lead to one sink."""
+    return MultiGraph.from_edges(*sink_grid_edges(side))
+
+
+def sink_grid_edges(side: int) -> tuple:
+    """``(n, edges)`` of ``sink_grid(side)``, each corner's sink pair
+    listed twice."""
     sink = side * side + 1
     edges = []
     for r in range(side):
@@ -52,7 +64,7 @@ def sink_grid(side: int) -> MultiGraph:
                 edges.append((i, sink))
             if r == 0:
                 edges.append((i, sink))
-    return MultiGraph.from_edges(sink, edges)
+    return sink, edges
 
 
 def random_multigraph(rng: random.Random) -> MultiGraph:
@@ -171,6 +183,106 @@ def commands(name: str, G: MultiGraph, flag, small: bool, configs: list,
             run_cli(argv, argv)
 
 
+def readback(build, *args) -> tuple:
+    """What a graph built by ``build(*args)`` reads back."""
+    G = build(*args)
+    return (G.to_json(), G.degrees, G.m, G.is_complete(), G.spanning_tree_count(),
+            G.mult)
+
+
+def random_edges(rng: random.Random) -> tuple:
+    """``(n, edges)``: 2..6 vertices, pairs drawn with repeats, either way
+    round, with multiplicity 0..2 or none given; may be disconnected."""
+    n = rng.randint(2, 6)
+    edges = []
+    for _ in range(rng.randint(1, 3 * n)):
+        i, j = rng.sample(range(1, n + 1), 2)
+        edges.append([i, j] if rng.random() < 0.3 else [i, j, rng.randint(0, 2)])
+    return n, edges
+
+
+def dense(n: int, edges: list) -> list:
+    """The multiplicity matrix of a 1-based edge list."""
+    mult = [[0] * n for _ in range(n)]
+    for i, j, *e in edges:
+        mult[i - 1][j - 1] += e[0] if e else 1
+        mult[j - 1][i - 1] += e[0] if e else 1
+    return mult
+
+
+MATRICES = {
+    "K1": [[0]],
+    "zero-padded path": [[0, 2, 0], [2, 0, 1], [0, 1, 0]],
+    "empty": [],
+    "non-square": [[0, 1], [1]],
+    "too many rows": [[0, 1], [1, 0], [0, 0]],
+    "self-loop": [[1, 1], [1, 0]],
+    "negative": [[0, -1], [-1, 0]],
+    "asymmetric": [[0, 1], [2, 0]],
+    "disconnected": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+    "float": [[0, 1.5], [1.5, 0]],
+    "self-loop, negative and asymmetric": [[1, -1], [2, 0]],
+    "negative and asymmetric": [[0, -1], [2, 0]],
+    "short row reached by the symmetry check": [[0, 1, 0], [1, 0, 1], [0]],
+    "float and non-square": [[0, 2.5], [1]],
+    "asymmetric and disconnected": [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+}
+EDGE_LISTS = {
+    "repeated, reversed and zero pairs": (3, [(1, 2), (2, 1), (2, 3, 2), (3, 2, 0), (1, 3, 0)]),
+    "K1": (1, []),
+    "no vertices": (0, []),
+    "endpoint out of range, n = 0": (0, [(1, 2)]),
+    "endpoint out of range, n = -2": (-2, [(1, -1)]),
+    "endpoint out of range": (3, [(1, 4)]),
+    "self-loop": (3, [(1, 2), (2, 2)]),
+    "negative": (3, [(1, 2, -1)]),
+    "bad entry": (3, [(1, 2, 3, 4)]),
+    "disconnected": (4, [(1, 2), (3, 4)]),
+    "only zero pairs": (2, [(1, 2, 0)]),
+    "float multiplicity": (3, [(1, 2), (2, 3, 1.5)]),
+    "float vertex count": (2.0, [(1, 2)]),
+    "self-loop before out of range": (2, [(1, 1), (1, 5), (1, 2, -1)]),
+    "out of range before self-loop": (0, [(0, 0, -1)]),
+    "negative before float": (3, [(1, 2, -1), (2, 3, 0.5)]),
+    "zero pair, then a self-loop": (3, [(1, 2, 0), (3, 3)]),
+}
+JSON_TEXTS = {
+    "missing edges": '{"n": 2}',
+    "not an object": "[1, 2]",
+    "edges not a list": '{"n": 2, "edges": 5}',
+    "float n": '{"n": 2.5, "edges": []}',
+    "float multiplicity": '{"n": 3, "edges": [[1, 2], [2, 3, 2.0]]}',
+    "not JSON": "{n: 2}",
+}
+
+
+def constructors(rng: random.Random) -> None:
+    """Every constructor on the fixed inputs above, then on a few seeded
+    random edge lists and their matrices."""
+    print("== constructors")
+    for name, mult in MATRICES.items():
+        show(f"MultiGraph({name})", readback, MultiGraph, mult)
+    for name, (n, edges) in EDGE_LISTS.items():
+        show(f"from_edges({name})", readback, MultiGraph.from_edges, n, edges)
+        text = json.dumps({"n": n, "edges": edges})
+        show(f"from_json({name})", readback, MultiGraph.from_json, text)
+    for name, text in JSON_TEXTS.items():
+        show(f"from_json({name})", readback, MultiGraph.from_json, text)
+    for n in (1, 2, 5, 0, -3, 2.5):
+        show(f"complete({n!r})", readback, MultiGraph.complete, n)
+    for k in (3, 5, 2, -1, "4"):
+        show(f"wheel({k!r})", readback, MultiGraph.wheel, k)
+    n, edges = sink_grid_edges(3)
+    show("from_edges(grid3)", readback, MultiGraph.from_edges, n, edges)
+    show("MultiGraph(grid3)", readback, MultiGraph, dense(n, edges))
+    for k in range(6):
+        n, edges = random_edges(rng)
+        print(f"-- random edges {k}: n = {n}, {edges}")
+        show("from_edges", readback, MultiGraph.from_edges, n, edges)
+        show("from_json", readback, MultiGraph.from_json, {"n": n, "edges": edges})
+        show("MultiGraph", readback, MultiGraph, dense(n, edges))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True)
@@ -180,6 +292,7 @@ def main(argv=None) -> int:
         for name, G, flag, small, configs in corpus(rng):
             library(name, G, small, configs)
             commands(name, G, flag, small, configs, workdir)
+    constructors(rng)
     return 0
 
 
