@@ -122,10 +122,12 @@ def is_recurrent_subsets(G: MultiGraph, f: Sequence[int]) -> bool:
     f = check_config(G, f)
     if not _is_stable(G, f):
         raise ValueError("subset criterion expects a stable configuration")
+    adj = G._adj
     nonsink = range(G.n - 1)
     for size in range(1, G.n):
         for Y in combinations(nonsink, size):
-            if not any(f[k] >= sum(G.mult[i][k] for i in Y) for k in Y):
+            inside = set(Y)
+            if not any(f[k] >= sum(e for j, e in adj[k] if j in inside) for k in Y):
                 return False
     return True
 
@@ -155,12 +157,12 @@ def is_parking(G: MultiGraph, f: Sequence[int], method: str = "duality") -> bool
     if method == "duality":
         return _is_parking(G, f)
     if method == "subsets":
-        n = G.n
-        nonsink = range(n - 1)
-        for size in range(1, n):
+        adj = G._adj
+        nonsink = range(G.n - 1)
+        for size in range(1, G.n):
             for Y in combinations(nonsink, size):
-                outside = [j for j in range(n) if j not in Y]
-                if all(f[k] >= sum(G.mult[j][k] for j in outside) for k in Y):
+                inside = set(Y)
+                if all(f[k] >= sum(e for j, e in adj[k] if j not in inside) for k in Y):
                     return False
         return True
     raise ValueError(f"unknown method {method!r}")
@@ -232,32 +234,31 @@ class Orientation:
     """An orientation of a multigraph where parallel edges point one way.
 
     ``head[(i, j)]`` (with i < j, 1-based) names the endpoint all i-j edges
-    point at.  Only pairs with at least one edge appear.
+    point at.  Every pair with at least one edge appears, and no other.
     """
 
     __slots__ = ("graph", "head")
 
     def __init__(self, graph: MultiGraph, head: dict):
+        edges = dict.fromkeys((i + 1, j + 1) for i, row in enumerate(graph._adj)
+                              for j, _ in row if i < j)
         for (i, j), h in head.items():
-            if not (1 <= i < j <= graph.n) or graph.mult[i - 1][j - 1] == 0:
+            # 1.0 == 1, so a float endpoint would pass the lookup below
+            _as_ints((i, j, h), "orientation endpoints and heads")
+            if (i, j) not in edges:
                 raise ValueError(f"orienting a non-edge: {(i, j)}")
             if h not in (i, j):
                 raise ValueError(f"head of {(i, j)} must be one endpoint")
-        for i in range(graph.n):
-            for j in range(i + 1, graph.n):
-                if graph.mult[i][j] and (i + 1, j + 1) not in head:
-                    raise ValueError(f"edge {(i + 1, j + 1)} left unoriented")
+        for pair in edges:  # in order, so the first pair left out is named
+            if pair not in head:
+                raise ValueError(f"edge {pair} left unoriented")
         self.graph = graph
         self.head = dict(head)
 
     def indegree(self, v: int) -> int:
         g = self.graph
         g._check_vertex(v)
-        total = 0
-        for (i, j), h in self.head.items():
-            if h == v:
-                total += g.mult[i - 1][j - 1]
-        return total
+        return sum(e for u, e in g._adj[v - 1] if self.head[tuple(sorted((u + 1, v)))] == v)
 
     def is_acyclic(self) -> bool:
         n = self.graph.n
@@ -297,12 +298,12 @@ def acyclic_orientation_from_parking(G: MultiGraph, f: Sequence[int]) -> Orienta
     f = check_config(G, f)
     if not _is_parking(G, _require_sandpile(G, f)):
         raise ValueError("peeling requires a parking configuration")
-    n = G.n
+    n, adj = G.n, G._adj
     order = [n - 1]  # 0-based processing order, sink first
     remaining = set(range(n - 1))
     while remaining:
         for k in sorted(remaining):
-            if f[k] < sum(G.mult[i][k] for i in range(n) if i not in remaining):
+            if f[k] < sum(e for i, e in adj[k] if i not in remaining):
                 break
         else:
             raise AssertionError("internal error: parking peel got stuck")
@@ -310,9 +311,9 @@ def acyclic_orientation_from_parking(G: MultiGraph, f: Sequence[int]) -> Orienta
         remaining.discard(k)
     rank_of = {v: t for t, v in enumerate(order)}
     head = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if G.mult[i][j]:
+    for i, row in enumerate(adj):
+        for j, _ in row:
+            if i < j:
                 later = i if rank_of[i] > rank_of[j] else j
                 head[(i + 1, j + 1)] = later + 1
     return Orientation(G, head)
@@ -419,14 +420,13 @@ def _parking_range(G: MultiGraph) -> tuple:
     burns j and leaves U1, what the fire leaves with j at 0.
     """
     n, degs, adj = G.n, G.degrees, G._adj
-    mult = G.mult
 
     def burn(cfg):
-        return _backend.burning_test(degs, adj, cfg)
+        return set(_backend.burning_test(degs, adj, cfg))
 
     def heat(i, unburnt):
         # the edges the burnt vertices send i
-        return degs[i] - sum(mult[i][u] for u in unburnt)
+        return degs[i] - sum(e for j, e in adj[i] if j in unburnt)
 
     def entry_range(prefix):
         j = len(prefix)

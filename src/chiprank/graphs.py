@@ -1,18 +1,18 @@
 """Loopless connected multigraphs and chip configurations.
 
 A multigraph on vertices 1..n is stored once, as the per-vertex tuples of
-0-based ``(neighbour, multiplicity)`` pairs that the kernels read; its n x n
-multiplicity matrix is a view derived on demand.  Configurations are plain
-sequences of Python ints (exact arithmetic throughout), one entry per vertex;
-vertex n is the sink wherever a sink matters.  Public vertex arguments are
-1-based, like the JSON interchange format.
+0-based ``(neighbour, multiplicity)`` pairs that the kernels read, and every
+reader walks them.  Configurations are plain sequences of Python ints (exact
+arithmetic throughout), one entry per vertex; vertex n is the sink wherever a
+sink matters.  Public vertex arguments are 1-based, like the JSON interchange
+format.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from itertools import compress, repeat
+from itertools import compress
 from math import prod
 from typing import Iterable, Sequence
 
@@ -33,18 +33,17 @@ class MultiGraph:
     n : number of vertices
     m : number of edges (with multiplicity)
     degrees : tuple of vertex degrees
-    mult : the multiplicity matrix, as a tuple of tuples: a read-only view
-        derived from the adjacency on first access and then kept
     """
 
-    __slots__ = ("n", "m", "degrees", "_adj", "_mult", "_hnf", "_eff_cache")
+    __slots__ = ("n", "m", "degrees", "_adj", "_hnf", "_eff_cache")
 
     def __init__(self, mult: Sequence[Sequence[int]]):
         rows = [_as_ints(row, "edge multiplicities") for row in mult]
         n = len(rows)
+        # every length before any cell: the symmetry check reads later rows
+        if any(len(row) != n for row in rows):
+            raise ValueError("multiplicity matrix must be square")
         for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError("multiplicity matrix must be square")
             if row[i] != 0:
                 raise ValueError(f"self-loop at vertex {i + 1}")
             for j, e in enumerate(row):
@@ -53,7 +52,6 @@ class MultiGraph:
                 if rows[j][i] != e:
                     raise ValueError("multiplicity matrix must be symmetric")
         self._fill(n, [list(zip(compress(range(n), row), compress(row, row))) for row in rows])
-        self._mult = tuple(rows)
 
     def _fill(self, n: int, rows: list) -> "MultiGraph":
         """Store the graph whose vertex i has the sorted pairs ``rows[i]``
@@ -66,7 +64,6 @@ class MultiGraph:
         self.m = sum(self.degrees) // 2
         if not self._connected():
             raise ValueError("graph must be connected")
-        self._mult = None       # the dense matrix, on demand
         self._hnf = None        # Hermite form of the reduced Laplacian, on demand
         self._eff_cache = {}    # parking part per non-sink residue (see rank)
         return self
@@ -81,14 +78,6 @@ class MultiGraph:
                     seen[j] = True
                     reached.append(j)
         return len(reached) == self.n
-
-    @property
-    def mult(self) -> tuple:
-        """The multiplicity matrix as a tuple of tuples, kept once derived."""
-        if self._mult is None:
-            cols = range(self.n)
-            self._mult = tuple(tuple(map(dict(row).get, cols, repeat(0))) for row in self._adj)
-        return self._mult
 
     # ---------- constructors ----------
 
@@ -271,18 +260,18 @@ def topple(G: MultiGraph, f: Sequence[int], i: int) -> tuple:
 # ---------- the toppling lattice ----------
 
 
-def _column_hnf(mat: list) -> list:
-    """Lower-triangular column Hermite form of a nonsingular integer matrix,
-    as a list of columns with positive diagonal entries.
+def _column_hnf(cols: list) -> list:
+    """Lower-triangular column Hermite form of a nonsingular integer matrix
+    given as ``cols``, the list of its columns (as lists), which it reduces
+    in place and returns, with positive diagonal entries.
 
     Only integer column operations are used, so the columns of the result
-    span the same lattice as the columns of ``mat``, and the product of the
-    diagonal is the absolute value of its determinant.  Every entry below
+    span the same lattice as the columns given, and the product of the
+    diagonal is the absolute value of the determinant.  Every entry below
     the diagonal is reduced into 0 .. d - 1, where d is the diagonal entry
     of its row.
     """
-    k = len(mat)
-    cols = [[mat[r][c] for r in range(k)] for c in range(k)]
+    k = len(cols)
     for i in range(k):
         while True:
             live = [c for c in range(i, k) if cols[c][i] != 0]
@@ -316,10 +305,18 @@ def _column_hnf(mat: list) -> list:
 
 def _lattice_form(G: MultiGraph) -> list:
     """The Hermite form of G's reduced Laplacian, built once per graph.  Its
-    columns span the lattice of non-sink toppling moves."""
+    columns span the lattice of non-sink toppling moves.  The Laplacian is
+    symmetric, so column i is read off vertex i's pairs like its row."""
     if G._hnf is None:
-        k = G.n - 1
-        G._hnf = _column_hnf([G.laplacian_row(i + 1)[:k] for i in range(k)])
+        cols = []
+        for i, row in enumerate(G._adj[:-1]):
+            col = [0] * G.n
+            for j, e in row:
+                col[j] = -e
+            col[i] = G.degrees[i]
+            col.pop()  # the sink's entry
+            cols.append(col)
+        G._hnf = _column_hnf(cols)
     return G._hnf
 
 

@@ -183,6 +183,30 @@ def test_orientation_from_parking_pinned(K3):
     assert dynamics.orientation_configuration(o) == (0, 1, -1)
 
 
+def test_orientation_refusals(K3):
+    """A non-edge, a reversed pair, a head off its edge, an edge left out
+    and a non-integer endpoint or head are refused; 1.0 == 1, so a float
+    endpoint would otherwise pass as the edge 1-2."""
+    path = MultiGraph.from_edges(3, [(1, 2), (2, 3)])
+    K2 = MultiGraph.complete(2)
+    for G, head, match in [
+        (path, {(1, 2): 2, (2, 3): 3, (1, 3): 1}, "non-edge"),
+        (K3, {(2, 1): 2, (1, 3): 1, (2, 3): 2}, "non-edge"),
+        (K3, {(1, 2): 3, (1, 3): 1, (2, 3): 2}, "one endpoint"),
+        (K3, {(1, 2): 2, (1, 3): 1}, r"\(2, 3\) left unoriented"),
+        (K2, {(1.0, 2): 2}, "must be integers"),
+        (K2, {(1, 2): 2.0}, "must be integers"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            dynamics.Orientation(G, head)
+
+
+def test_indegree_counts_parallel_edges(multi4):
+    # multi4's pairs: 1-2 twice, 1-3 twice, 1-4 once, 2-3 once, 3-4 three times
+    o = dynamics.Orientation(multi4, {(1, 2): 2, (1, 3): 3, (1, 4): 1, (2, 3): 3, (3, 4): 4})
+    assert [o.indegree(v) for v in (1, 2, 3, 4)] == [1, 2, 3, 3]
+
+
 @settings(max_examples=40)
 @given(graph_and_config())
 def test_orientation_configuration_properties(gc):

@@ -1,9 +1,13 @@
 """The kernels against dense round-robin reference loops.
 
 The references below sweep every non-sink vertex in index order, round after
-round, over the dense rows of ``G.mult``.  They share no code with
-``chiprank._pykernels``, so they check its worklist traversal.
+round, over the rows of a dense multiplicity matrix that ``test_graphs._dense``
+adds up from an edge list: the one a random graph is built from, or a named
+graph's JSON.  They share no code with ``chiprank._pykernels``, so they check
+its worklist traversal.
 """
+
+import json
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,14 +18,21 @@ from chiprank import _backend, _pykernels
 from chiprank.graphs import MultiGraph
 
 from conftest import SMALL_GRAPHS
-from test_graphs import _sink_grid
-
-GRAPHS = SMALL_GRAPHS + [MultiGraph.wheel(8), MultiGraph.wheel(12), _sink_grid(5)]
+from test_graphs import _dense, _sink_grid
 
 
-def dense_stabilize(G, cfg):
+def _matrix(G):
+    """G's multiplicity matrix, added up from its JSON edge list."""
+    return _dense(G.n, json.loads(G.to_json())["edges"])
+
+
+GRAPHS = [(G, _matrix(G)) for G in
+          SMALL_GRAPHS + [MultiGraph.wheel(8), MultiGraph.wheel(12), _sink_grid(5)]]
+
+
+def dense_stabilize(mult, cfg):
     """Returns ``(odometer, rounds)``; rounds counts the final idle sweep."""
-    n, degs = G.n, G.degrees
+    n, degs = len(mult), list(map(sum, mult))
     odo = [0] * n
     rounds = 0
     active = True
@@ -33,7 +44,7 @@ def dense_stabilize(G, cfg):
                 q = cfg[i] // d
                 odo[i] += q
                 cfg[i] -= q * d
-                row = G.mult[i]
+                row = mult[i]
                 for j in range(n):
                     e = row[j]
                     if e and j != i:
@@ -43,47 +54,47 @@ def dense_stabilize(G, cfg):
     return odo, rounds
 
 
-def dense_burning(G, cfg):
-    n = G.n
+def dense_burning(mult, cfg):
+    n = len(mult)
     burnt = [False] * n
     burnt[n - 1] = True
-    heat = [G.mult[n - 1][k] for k in range(n)]
+    heat = list(mult[n - 1])
     changed = True
     while changed:
         changed = False
         for k in range(n - 1):
             if not burnt[k] and cfg[k] < heat[k]:
                 burnt[k] = True
-                row = G.mult[k]
+                row = mult[k]
                 for j in range(n):
                     heat[j] += row[j]
                 changed = True
     return [k for k in range(n - 1) if not burnt[k]]
 
 
-def dense_parking(G, cfg):
+def dense_parking(mult, cfg):
     """Returns the smallest ``MAX_ROUNDS`` under which the dense reduction
     settles: its own rounds, or those of a stabilization inside it."""
-    n, degs = G.n, G.degrees
+    n = len(mult)
     if n == 1:
         return 0
     rounds = need = 0
     while any(cfg[i] < 0 for i in range(n - 1)):
-        row = G.mult[n - 1]
-        cfg[n - 1] -= degs[n - 1]
+        row = mult[n - 1]
+        cfg[n - 1] -= sum(row)
         for j in range(n - 1):
             cfg[j] += row[j]
-        need = max(need, dense_stabilize(G, cfg)[1])
+        need = max(need, dense_stabilize(mult, cfg)[1])
         rounds += 1
     while True:
-        unburnt = dense_burning(G, cfg)
+        unburnt = dense_burning(mult, cfg)
         if not unburnt:
             return max(need, rounds)
         inside = [False] * n
         for k in unburnt:
             inside[k] = True
         for k in unburnt:
-            row = G.mult[k]
+            row = mult[k]
             out = 0
             for j in range(n):
                 if not inside[j]:
@@ -95,32 +106,34 @@ def dense_parking(G, cfg):
 
 @st.composite
 def random_multigraph(draw):
-    """A connected multigraph on 2..8 vertices, multiplicities up to 3."""
+    """``(G, mult)``: a connected multigraph on 2..8 vertices, multiplicities
+    up to 3, and its matrix added up from the same edge list."""
     n = draw(st.integers(2, 8))
     edges = [(i, j, draw(st.integers(0, 3)))
              for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     try:
-        return MultiGraph.from_edges(n, edges)
+        return MultiGraph.from_edges(n, edges), _dense(n, edges)
     except ValueError:  # disconnected
         assume(False)
 
 
 @st.composite
 def graph_and_config(draw, pile):
-    """Entries from -10 to 30, and one of them raised by up to ``pile``."""
-    G = draw(st.one_of(st.sampled_from(GRAPHS), random_multigraph()))
+    """``(G, mult, f)``: entries from -10 to 30, and one of them raised by
+    up to ``pile``."""
+    G, mult = draw(st.one_of(st.sampled_from(GRAPHS), random_multigraph()))
     f = draw(st.lists(st.integers(-10, 30), min_size=G.n, max_size=G.n))
     f[draw(st.integers(0, G.n - 1))] += draw(st.integers(0, pile))
-    return G, f
+    return G, mult, f
 
 
 @settings(max_examples=200, deadline=None)
 @given(graph_and_config(pile=10**5))
 def test_stabilize_matches_dense(gc):
     """Also under the smallest guard the dense loop settles within."""
-    G, f = gc
+    G, mult, f = gc
     want_cfg = list(f)
-    want, rounds = dense_stabilize(G, want_cfg)
+    want, rounds = dense_stabilize(mult, want_cfg)
     cfg = list(f)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_pykernels, "MAX_ROUNDS", rounds)
@@ -131,9 +144,9 @@ def test_stabilize_matches_dense(gc):
 @settings(max_examples=200, deadline=None)
 @given(graph_and_config(pile=10**5))
 def test_burning_matches_dense(gc):
-    G, f = gc
+    G, mult, f = gc
     cfg = list(f)
-    assert _pykernels.burning_test(G.degrees, G._adj, cfg) == dense_burning(G, f)
+    assert _pykernels.burning_test(G.degrees, G._adj, cfg) == dense_burning(mult, f)
     assert cfg == f
 
 
@@ -141,9 +154,9 @@ def test_burning_matches_dense(gc):
 @given(graph_and_config(pile=300))
 def test_parking_matches_dense(gc):
     """Also under the smallest guard the dense loops settle within."""
-    G, f = gc
+    G, mult, f = gc
     want = list(f)
-    rounds = dense_parking(G, want)
+    rounds = dense_parking(mult, want)
     cfg = list(f)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_pykernels, "MAX_ROUNDS", rounds)
@@ -155,7 +168,7 @@ def test_burning_starts_from_every_vertex_below_its_heat(multi4):
     """Vertex 2 holds -1 chips and has no edge to the sink: it burns at
     once, and its heat burns vertices 1 and 3."""
     assert _pykernels.burning_test(multi4.degrees, multi4._adj, [1, -1, 3, 0]) == []
-    assert dense_burning(multi4, [1, -1, 3, 0]) == []
+    assert dense_burning(_matrix(multi4), [1, -1, 3, 0]) == []
 
 
 def test_round_guards_raise(monkeypatch, K3):

@@ -345,10 +345,8 @@ def test_value_stage_callers_search_no_witness(monkeypatch, tmp_path):
     monkeypatch.setattr(rank, "_lex_witness", refuse)
     rng = random.Random(18)
     for G in SMALL_GRAPHS + [MultiGraph.wheel(6)]:
-        edges = [[i + 1, j + 1, e] for i, row in enumerate(G.mult)
-                 for j, e in enumerate(row) if i < j and e]
         path = tmp_path / f"g{G.n}.json"
-        path.write_text(json.dumps({"n": G.n, "edges": edges}))
+        path.write_text(G.to_json())
         for _ in range(30):
             f = tuple(rng.randint(-4, 8) for _ in range(G.n))
             rr = rank.riemann_roch_data(G, f)

@@ -14,10 +14,18 @@ effectiveness.  A function call prints its value or the
 exception it raised; a command prints its exit code, stdout and stderr,
 with the one timing field, rank's ``wall_ms``, masked.
 
-A last section feeds every graph constructor (the matrix, ``from_edges``,
-``from_json``, ``complete`` and ``wheel``) valid input, with repeated,
-reversed and zero pairs, and malformed input, with one fault or several,
-and prints what each graph reads back or the error that wins.
+A constructor section feeds every graph constructor (the matrix,
+``from_edges``, ``from_json``, ``complete`` and ``wheel``) valid input, with
+repeated, reversed and zero pairs, and malformed input, with one fault or
+several, and prints what each graph reads back or the error that wins.
+
+A K_n section calls the public functions of ``chiprank.complete`` that take
+configurations or words (``rank_formula``, with and without its operation
+count, ``rank_formula_details``, ``rank_greedy``, ``parking_via_cyclic_lemma``,
+``t_operator`` both ways and ``theta_iterate``) on seeded configurations of
+K_1 .. K_13, some malformed.  A last section runs the CLI's ``dyck stats``,
+``strip leftright`` and ``genfun ln --format csv`` on seeded words, thresholds
+and sink windows, some malformed.
 
 Everything is drawn from the seed alone, so two checkouts run on the same
 seed print the same transcript exactly when they give the same answers:
@@ -39,7 +47,7 @@ import re
 import sys
 import tempfile
 
-from chiprank import cli, dynamics, rank
+from chiprank import cli, complete, dyck, dynamics, rank
 from chiprank.graphs import MultiGraph
 
 _WALL_MS = re.compile(r'"wall_ms": [0-9.e+-]+')
@@ -186,8 +194,10 @@ def commands(name: str, G: MultiGraph, flag, small: bool, configs: list,
 def readback(build, *args) -> tuple:
     """What a graph built by ``build(*args)`` reads back."""
     G = build(*args)
+    vertices = range(1, G.n + 1)
+    matrix = tuple(tuple(G.multiplicity(i, j) for j in vertices) for i in vertices)
     return (G.to_json(), G.degrees, G.m, G.is_complete(), G.spanning_tree_count(),
-            G.mult)
+            matrix)
 
 
 def random_edges(rng: random.Random) -> tuple:
@@ -283,6 +293,79 @@ def constructors(rng: random.Random) -> None:
         show("MultiGraph", readback, MultiGraph, dense(n, edges))
 
 
+def kn_configs(rng: random.Random, n: int) -> list:
+    """Configurations on K_n: small entries, debt, a tall sink over small
+    entries, then huge entries.  Only the first three have a rank small
+    enough for ``rank_greedy``, which steps once per unit of rank."""
+    return [tuple(rng.randint(0, n) for _ in range(n)),
+            tuple(rng.randint(-2 * n, n) for _ in range(n)),
+            tuple(rng.randint(-1, 2) for _ in range(n - 1)) + (rng.randint(n, 5 * n),),
+            tuple(rng.randint(-10**12, 10**12) for _ in range(n))]
+
+
+def kn_functions(rng: random.Random) -> None:
+    """``chiprank.complete`` on seeded configurations and words of K_n."""
+    print("== complete")
+    for n in (1, 2, 3, 5, 8, 13):
+        for t, f in enumerate(kn_configs(rng, n)):
+            print(f"-- K{n}, f = {f}")
+            show("rank_formula", complete.rank_formula, f)
+            show("rank_formula(count_ops)", complete.rank_formula, f, True)
+            show("rank_formula_details", complete.rank_formula_details, f)
+            if t < 3:
+                show("rank_greedy", complete.rank_greedy, f)
+            show("parking_via_cyclic_lemma", complete.parking_via_cyclic_lemma, f)
+            show("t_operator", complete.t_operator, f)
+            (word, sink), _ = complete.parking_via_cyclic_lemma(f)
+            k = rng.randint(0, n + 1)
+            show(f"theta_iterate({word!r}, {sink}, {k})", complete.theta_iterate, word, sink, k)
+        base = rng.randint(-n, n)
+        body = sorted(rng.randint(base, base + n) for _ in range(n - 1))
+        f = tuple(body) + (rng.randint(-n, n),)
+        print(f"-- K{n}, compact sorted f = {f}")
+        show("t_operator", complete.t_operator, f)
+        show("t_operator(inverse)", complete.t_operator, f, True)
+    print("-- malformed")
+    for f in ((), (1.5, 0), ("1", 0)):
+        show(f"rank_formula({f!r})", complete.rank_formula, f)
+        show(f"rank_greedy({f!r})", complete.rank_greedy, f)
+        show(f"parking_via_cyclic_lemma({f!r})", complete.parking_via_cyclic_lemma, f)
+    for args in (("ab", 0, 1), ("b", 3, 1), ("b", 3, 0), ("abb", 0, -1), ("abb", 0, 1.5),
+                 ("abb", 0.5, 1), ("aXb", 0, 1)):
+        show(f"theta_iterate{args!r}", complete.theta_iterate, *args)
+    for f in ((4,), (0, 3, 1, 2), (0, 9, 1)):
+        show(f"t_operator({f!r})", complete.t_operator, f)
+
+
+def random_word(rng: random.Random, p: int) -> str:
+    """A Dyck word of half-length p, drawn from all of them."""
+    return rng.choice(list(dyck.dyck_words(p)))
+
+
+def word_commands(rng: random.Random) -> None:
+    """The CLI's word and series commands on seeded words, thresholds and
+    sink windows."""
+    print("== word commands")
+    words = [random_word(rng, p) for p in range(6)]
+    words += [w + "b" for w in words[1:]]
+    words += ["".join(rng.sample("aaabbb", 6)) for _ in range(3)]
+    words += ["ba", "aXb", "ab "]
+    for w in words:
+        run_cli(["dyck", "stats", repr(w)], ["dyck", "stats", w])
+        for s in (rng.randint(-5, 15), rng.randint(-50, 50)):
+            run_cli(["strip", "leftright", repr(w), str(s)], ["strip", "leftright", w, str(s)])
+    run_cli(["strip", "leftright", "'ab'", "1.5"], ["strip", "leftright", "ab", "1.5"])
+    for n in (2, 3, 4, 5):
+        lo = rng.randint(-8, 3)
+        argv = ["genfun", "ln", "--n", str(n), "--format", "csv",
+                "--lo", str(lo), "--hi", str(lo + rng.randint(-1, 12))]
+        run_cli(argv, argv)
+    for argv in (["genfun", "ln", "--n", "4", "--format", "csv"],
+                 ["genfun", "ln", "--n", "1", "--format", "csv"],
+                 ["genfun", "ln", "--n", "16", "--format", "csv"]):
+        run_cli(argv, argv)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True)
@@ -293,6 +376,8 @@ def main(argv=None) -> int:
             library(name, G, small, configs)
             commands(name, G, flag, small, configs, workdir)
     constructors(rng)
+    kn_functions(rng)
+    word_commands(rng)
     return 0
 
 
