@@ -23,9 +23,15 @@ A K_n section calls the public functions of ``chiprank.complete`` that take
 configurations or words (``rank_formula``, with and without its operation
 count, ``rank_formula_details``, ``rank_greedy``, ``parking_via_cyclic_lemma``,
 ``t_operator`` both ways and ``theta_iterate``) on seeded configurations of
-K_1 .. K_13, some malformed.  A last section runs the CLI's ``dyck stats``,
+K_1 .. K_13, some malformed.  A section runs the CLI's ``dyck stats``,
 ``strip leftright`` and ``genfun ln --format csv`` on seeded words, thresholds
-and sink windows, some malformed.
+and sink windows, some malformed.  A word section calls the statistics and
+maps of ``chiprank.dyck`` (``prerank``, ``dinv``, ``cdinv``, ``coheights``,
+``cyclic_factorization``, ``theta``, ``phi_involution`` and
+``zeta_haglund``) on seeded words and malformed ones, and
+``chiprank.strip.carlitz_catalan`` on small truncation orders, the ones
+where the area bound drops words included, and on malformed orders.  The
+last section builds orientations, some refused.
 
 Everything is drawn from the seed alone, so two checkouts run on the same
 seed print the same transcript exactly when they give the same answers:
@@ -47,7 +53,7 @@ import re
 import sys
 import tempfile
 
-from chiprank import cli, complete, dyck, dynamics, rank
+from chiprank import cli, complete, dyck, dynamics, rank, strip
 from chiprank.graphs import MultiGraph
 
 _WALL_MS = re.compile(r'"wall_ms": [0-9.e+-]+')
@@ -366,6 +372,59 @@ def word_commands(rng: random.Random) -> None:
         run_cli(argv, argv)
 
 
+WORD_CALLS = (dyck.prerank, dyck.dinv, dyck.cdinv, dyck.coheights,
+              dyck.cyclic_factorization, dyck.theta, dyck.phi_involution,
+              dyck.zeta_haglund)
+MALFORMED_WORDS = ("", "b", "ba", "abba", "aabab", "bab", "aXb", "ab ", None, b"ab")
+CARLITZ_ORDERS = ((0, 0), (0, 4), (3, 6), (8, 4), (5, 9), (2, 7), (6, 3),
+                  (-1, 2), (2, -1), (1.5, 2), (2, "3"), (None, 1))
+
+
+def series_terms(series) -> tuple:
+    """A series' variables, truncation and every coefficient, in order."""
+    return series.nvars, series.trunc, sorted(series.coeffs.items())
+
+
+def word_functions(rng: random.Random) -> None:
+    """The word statistics and maps on seeded balanced words, their forms
+    with the extra b, shuffled letters and malformed words; then the
+    Carlitz series on fixed and seeded orders."""
+    print("== word functions")
+    words = [random_word(rng, p) for p in range(8)]
+    words += [w + "b" for w in words]
+    words += ["".join(rng.sample("a" * p + "b" * (p + 1), 2 * p + 1)) for p in range(1, 7)]
+    for w in words + list(MALFORMED_WORDS):
+        print(f"-- w = {w!r}")
+        for fn in WORD_CALLS:
+            show(fn.__name__, fn, w)
+    print("-- carlitz_catalan")
+    orders = list(CARLITZ_ORDERS) + [(rng.randint(0, 12), rng.randint(0, 7)) for _ in range(3)]
+    for t_q, t_z in orders:
+        show(f"carlitz_catalan({t_q!r}, {t_z!r})",
+             lambda a, b: series_terms(strip.carlitz_catalan(a, b)), t_q, t_z)
+
+
+ORIENTATIONS = {
+    "every edge oriented": {(1, 2): 2, (1, 3): 1, (2, 3): 2},
+    "reversed pair": {(2, 1): 2, (1, 3): 1, (2, 3): 2},
+    "head off its edge": {(1, 2): 3, (1, 3): 1, (2, 3): 2},
+    "edge left out": {(1, 2): 2, (1, 3): 1},
+    "float endpoint": {(1.0, 2): 2, (1, 3): 1, (2, 3): 2},
+    "float head": {(1, 2): 2.0, (1, 3): 1, (2, 3): 2},
+    "integer key": {1: 2},
+    "bool endpoint": {(True, 2): 2, (1, 3): 1, (2, 3): 2},
+    "bool head": {(1, 2): True, (1, 3): 1, (2, 3): 2},
+}
+
+
+def orientations() -> None:
+    """``Orientation`` on K3 from valid and malformed head maps."""
+    print("== orientations")
+    K3 = MultiGraph.complete(3)
+    for name, head in ORIENTATIONS.items():
+        show(f"Orientation(K3, {name})", dynamics.Orientation, K3, head)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True)
@@ -378,6 +437,8 @@ def main(argv=None) -> int:
     constructors(rng)
     kn_functions(rng)
     word_commands(rng)
+    word_functions(rng)
+    orientations()
     return 0
 
 
