@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from itertools import product
+from math import comb
 
 from . import complete, dyck, dynamics, rank, strip
 from .graphs import MultiGraph
@@ -41,6 +43,17 @@ def random_dn_word(n: int, rng: random.Random) -> str:
     rng.shuffle(letters)
     u, v = dyck.cyclic_factorization("".join(letters))
     return v + u
+
+
+def theta_rotations(w: str):
+    """How many theta rotations take the balanced word w to the staircase,
+    or None if C(p, 2) of them, prerank's largest value, do not."""
+    p = len(w) // 2
+    for steps in range(comb(p, 2) + 1):
+        if w == "ab" * p:
+            return steps
+        w = dyck.theta(w)
+    return None
 
 
 def check_complete_graph_showcase(seed: int) -> tuple:
@@ -95,14 +108,16 @@ def check_strip_counts(seed: int) -> tuple:
 
 
 def check_involution_identities(seed: int) -> tuple:
-    """Rotation counts, the level-sweep/reversal identity, and the block
-    involution on exhaustive small words plus a random sample; ten seconds."""
+    """Rotation counts, by iterating theta and by prerank, the
+    level-sweep/reversal identity, and the block involution on exhaustive
+    small words plus a random sample; ten seconds."""
     start = time.perf_counter()
     rng = random.Random(seed)
     for n in range(1, 9):
-        if dyck.prerank("ab" * n) != 0:
+        stair, pyramid = "ab" * n, "a" * n + "b" * n
+        if not dyck.prerank(stair) == theta_rotations(stair) == 0:
             return False, f"staircase prerank nonzero at n={n}"
-        if dyck.prerank("a" * n + "b" * n) != n * (n - 1) // 2:
+        if not dyck.prerank(pyramid) == theta_rotations(pyramid) == n * (n - 1) // 2:
             return False, f"pyramid prerank wrong at n={n}"
     if dyck.prerank("abaabb") != 2 or dyck.area("abaabb") != 1:
         return False, "fixed small-word statistics changed"
@@ -120,6 +135,8 @@ def check_involution_identities(seed: int) -> tuple:
         img = dyck.phi_involution(wd)
         if dyck.phi_involution(img) != wd:
             return False, f"involution not self-inverse on {wd}"
+        if dyck.prerank(wd) != theta_rotations(w0):
+            return False, f"prerank is not the rotation count on {wd}"
         if dyck.prerank(wd) != dyck.area(img):
             return False, f"prerank/area mismatch on {wd}"
         if dyck.dinv(wd) != dyck.dinv(img):
@@ -200,9 +217,9 @@ def check_recurrence_duality(seed: int) -> tuple:
 
 
 def check_class_counts(seed: int) -> tuple:
-    """Effective-class counts by degree match between the parking count and
-    the recurrent level histogram, hit the known K3 table, and stabilize at
-    the spanning-tree number."""
+    """Effective-class counts by degree match the running sums of the
+    recurrent level histogram, read from the top level down, hit the known
+    K3 table, and stabilize at the spanning-tree number."""
     expected_k3 = {0: 1, 1: 3, 2: 3, 3: 3, 4: 3}
     for G, table in (
         (MultiGraph.complete(3), expected_k3),
@@ -210,7 +227,13 @@ def check_class_counts(seed: int) -> tuple:
         (MultiGraph.wheel(5), None),
     ):
         d_max = G.m - G.n + 3
-        counts = dynamics.effective_class_counts(G, d_max)  # dual-counted inside
+        counts = dynamics.effective_class_counts(G, d_max)
+        levels = dynamics.recurrent_level_counts(G)
+        top = G.m - G.n + 1
+        for d in range(d_max + 1):
+            # parking sums up to d are the complements of levels top - d and up
+            if counts[d] != sum(levels[max(top - d, 0):]):
+                return False, f"{G!r} at degree {d}: {counts[d]} by parking, levels {levels}"
         if table and any(counts[d] != table[d] for d in table if d <= d_max):
             return False, f"K3 table mismatch: {counts}"
         trees = G.spanning_tree_count()
@@ -233,7 +256,9 @@ def check_series_identities(seed: int) -> tuple:
             return False, f"series not symmetric at n={n}"
     if not strip.LnC_identity_check(5, 8):
         return False, "stacked-series identity fails"
-    strip.carlitz_catalan(28, 8)  # enumeration vs recurrence asserted inside
+    areas = Counter((dyck.area(w), p) for p in range(9) for w in dyck.dyck_words(p))
+    if strip.carlitz_catalan(28, 8).coeffs != dict(areas):
+        return False, "q-Catalan recurrence disagrees with enumeration"
     elapsed = time.perf_counter() - start
     return elapsed < 120.0, f"n=2..5 windows, closed form, q-Catalan; {elapsed:.1f}s"
 

@@ -166,28 +166,9 @@ def _coheights(eta: list) -> list:
 
 
 def prerank(w: str) -> int:
-    """Number of theta rotations needed to reach the staircase.
-
-    Computed twice — by literally iterating theta and as the sum of the
-    coheights — and the two counts must agree.
-    """
-    w0 = _dn(w)[:-1]
-    p = len(w0) // 2
-    stair = "ab" * p
-    steps = 0
-    cur = w0
-    while cur != stair:
-        # theta keeps a nonempty balanced word nonempty and balanced
-        cur = _first_return_rotation(cur)[0]
-        steps += 1
-        if steps > p * p:
-            raise AssertionError("theta iteration failed to reach the staircase")
-    by_coheights = sum(_coheights(_heights(w0)))
-    if steps != by_coheights:
-        raise AssertionError(
-            f"prerank mismatch: {steps} rotations vs coheight sum {by_coheights}"
-        )
-    return steps
+    """Number of theta rotations needed to reach the staircase, read as
+    the sum of the coheights."""
+    return sum(_coheights(_heights(_dn(w))))
 
 
 def dinv(w: str) -> int:
@@ -209,7 +190,6 @@ def cdinv(w: str) -> int:
     n = wd.count("b")
     from .strip import _vertex_label
 
-    eta = _heights(wd)
     contacts = []
     x = 0
     i = 0
@@ -219,8 +199,6 @@ def cdinv(w: str) -> int:
             i += 1
         else:
             x += 1
-    if contacts != [i + h * (n - 1) for i, h in enumerate(eta)]:
-        raise AssertionError("internal error: contact labels disagree with heights")
     count = 0
     for i in range(len(contacts)):
         for j in range(i + 1, len(contacts)):
@@ -249,10 +227,7 @@ def cyclic_factorization(w: str) -> tuple:
         if h < best:
             best = h
             best_pos = pos + 1
-    u, v = w[:best_pos], w[best_pos:]
-    if not _is_dn(v + u):
-        raise AssertionError("internal error: rotation has a b-heavy prefix")
-    return u, v
+    return w[:best_pos], w[best_pos:]
 
 
 def phi_involution(w: str) -> str:

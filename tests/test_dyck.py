@@ -79,11 +79,31 @@ def test_prerank_pinned():
     assert dyck.prerank("ab" * 5) == 0
 
 
+def theta_rotations(w):
+    """How many theta rotations take the word w, balanced or with its extra
+    b, to the staircase; fails once they pass C(p, 2), prerank's largest
+    value."""
+    w = w[:-1] if dyck.is_dn_word(w) else w
+    p = len(w) // 2
+    steps = 0
+    while w != "ab" * p:
+        w = dyck.theta(w)
+        steps += 1
+        assert steps <= comb(p, 2), "theta did not reach the staircase"
+    return steps
+
+
 @given(random_word())
 def test_prerank_dual_routes_agree_and_theta_terminates(w):
-    # prerank itself asserts that the rotation count equals the coheight sum
-    value = dyck.prerank(w)
-    assert 0 <= value <= comb(len(w) // 2, 2)
+    """prerank sums the coheights; iterating theta counts the rotations."""
+    assert dyck.prerank(w) == theta_rotations(w) <= comb(len(w) // 2, 2)
+
+
+def test_prerank_counts_theta_rotations_on_every_word():
+    """Both routes on every word with up to 10 b's, in both forms."""
+    for w in all_dn(10):
+        steps = theta_rotations(w)
+        assert dyck.prerank(w) == dyck.prerank(w[:-1]) == steps
 
 
 def test_coheights_pinned():
@@ -102,6 +122,11 @@ def test_dinv_and_cdinv_pinned():
 def test_cdinv_equals_dinv(w):
     """The cell-reading and the pair-reading of the statistic agree."""
     assert dyck.cdinv(w) == dyck.dinv(w)
+
+
+def test_cdinv_equals_dinv_on_every_word():
+    for w in all_dn(10):
+        assert dyck.cdinv(w) == dyck.dinv(w) == dyck.cdinv(w[:-1])
 
 
 def test_phi_pinned():
@@ -159,7 +184,7 @@ def test_cyclic_factorization_pinned():
     assert dyck.cyclic_factorization("bba") == ("bb", "a")
 
 
-@given(st.permutations(list("aaabbbb")))
+@given(st.integers(1, 10).flatmap(lambda n: st.permutations(list("a" * (n - 1) + "b" * n))))
 def test_cyclic_factorization_properties(letters):
     w = "".join(letters)
     u, v = dyck.cyclic_factorization(w)

@@ -15,6 +15,7 @@ from chiprank.complete import parking_via_cyclic_lemma
 from chiprank.graphs import MultiGraph, laplacian_row, topple
 
 from conftest import SMALL_GRAPHS
+from test_graphs import _sink_grid
 
 
 @st.composite
@@ -77,6 +78,19 @@ def test_burning_equals_subset_criterion(gc):
     assert dynamics.is_recurrent_burning(G, f) == dynamics.is_recurrent_subsets(G, f)
 
 
+def test_burning_odometer_and_fixed_point_agree():
+    """Firing the sink into a stable f and stabilizing topples every
+    non-sink vertex exactly once (the odometer, which the burning test
+    reads) exactly when it gives f back (the fixed point)."""
+    for G in SMALL_GRAPHS:
+        sink_row = laplacian_row(G, G.n)
+        for body in product(*(range(d) for d in G.degrees[:-1])):
+            for f in (body + (0,), body + (-3,)):
+                cfg, odo = dynamics.stabilize(G, [x - r for x, r in zip(f, sink_row)])
+                once = all(t == 1 for t in odo[:-1])
+                assert dynamics.is_recurrent_burning(G, f) == once == (cfg == f)
+
+
 @given(graph_and_config())
 def test_beta_is_an_involution(gc):
     G, f = gc
@@ -100,7 +114,8 @@ def test_stable_complement_duality(gc):
 def test_parking_reduction_is_idempotent_and_class_preserving(gc):
     G, f = gc
     p = dynamics.parking_representative(G, f)
-    assert dynamics.is_parking(G, p)
+    assert dynamics.is_parking(G, p, method="duality")
+    assert dynamics.is_parking(G, p, method="subsets")
     assert dynamics.parking_representative(G, p) == p
     # same class: shifting f by any Laplacian row cannot change the result
     for i in range(1, G.n + 1):
@@ -123,6 +138,8 @@ def test_parking_of_huge_entries_is_a_class_invariant(data):
         for j, r in enumerate(laplacian_row(G, i + 1)):
             shifted[j] += ti * r
     p = dynamics.parking_representative(G, f)
+    assert dynamics.is_parking(G, p, method="duality")
+    assert dynamics.is_parking(G, p, method="subsets")
     assert dynamics.parking_representative(G, shifted) == p
     if G.is_complete():
         assert p == parking_via_cyclic_lemma(f)[1]
@@ -184,9 +201,10 @@ def test_orientation_from_parking_pinned(K3):
 
 
 def test_orientation_refusals(K3):
-    """A non-edge, a reversed pair, a head off its edge, an edge left out
-    and a non-integer endpoint or head are refused; 1.0 == 1, so a float
-    endpoint would otherwise pass as the edge 1-2."""
+    """A non-edge, a reversed pair, a head off its edge, an edge left out,
+    a key that is not a pair and a non-integer endpoint or head are
+    refused; 1.0 == True == 1, so a float or bool endpoint would otherwise
+    pass as the edge 1-2."""
     path = MultiGraph.from_edges(3, [(1, 2), (2, 3)])
     K2 = MultiGraph.complete(2)
     for G, head, match in [
@@ -196,6 +214,10 @@ def test_orientation_refusals(K3):
         (K3, {(1, 2): 2, (1, 3): 1}, r"\(2, 3\) left unoriented"),
         (K2, {(1.0, 2): 2}, "must be integers"),
         (K2, {(1, 2): 2.0}, "must be integers"),
+        (K3, {1: 2}, "not a vertex pair"),
+        (K3, {(1, 2, 3): 2, (1, 3): 1, (2, 3): 2}, "not a vertex pair"),
+        (K3, {(True, 2): 2, (1, 3): 1, (2, 3): 2}, "must be integers"),
+        (K3, {(1, 2): True, (1, 3): 1, (2, 3): 2}, "must be integers"),
     ]:
         with pytest.raises(ValueError, match=match):
             dynamics.Orientation(G, head)
@@ -215,6 +237,7 @@ def test_orientation_configuration_properties(gc):
     parking configuration, and is never effective."""
     G, f = gc
     p = dynamics.parking_representative(G, f)
+    assert dynamics.is_parking(G, p, method="subsets")
     o = dynamics.acyclic_orientation_from_parking(G, p)
     assert o.is_acyclic()
     cfg = dynamics.orientation_configuration(o)
@@ -230,9 +253,33 @@ def test_recurrent_level_counts_pinned(K3, K4, W5):
         assert sum(dynamics.recurrent_level_counts(G)) == G.spanning_tree_count()
 
 
+def counts_by_levels(G, d_max):
+    """Effective classes of each degree 0..d_max from the recurrent level
+    histogram: by the complement bijection, the parking sums up to d match
+    the levels from m - n + 1 - d up."""
+    levels = dynamics.recurrent_level_counts(G)
+    top = G.m - G.n + 1
+    return {d: sum(levels[max(top - d, 0):]) for d in range(d_max + 1)}
+
+
 def test_effective_class_counts_pinned(K3):
     counts = dynamics.effective_class_counts(K3, 4)
-    assert counts == {0: 1, 1: 3, 2: 3, 3: 3, 4: 3}
+    assert counts == counts_by_levels(K3, 4) == {0: 1, 1: 3, 2: 3, 3: 3, 4: 3}
+
+
+@pytest.mark.parametrize("G", [
+    MultiGraph.wheel(6), MultiGraph.wheel(7), MultiGraph.wheel(8),
+    MultiGraph.complete(5), MultiGraph.complete(6), MultiGraph.complete(7),
+    _sink_grid(2), _sink_grid(3),
+], ids=["W6", "W7", "W8", "K5", "K6", "K7", "grid2", "grid3"])
+def test_effective_class_counts_equal_the_level_tails(G):
+    """The parking walk's counts against the recurrent walk's levels, past
+    the degree where every class is effective, on graphs whose stable cube
+    is too large for the cube test below."""
+    d_max = G.m - G.n + 3
+    counts = dynamics.effective_class_counts(G, d_max)
+    assert counts == counts_by_levels(G, d_max)
+    assert counts[d_max] == G.spanning_tree_count()
 
 
 @st.composite
@@ -270,6 +317,12 @@ def test_prefix_walks_match_the_stable_cube(G):
     hist = dynamics._prefix_walk(G, *dynamics._parking_range(G))
     assert Counter({s: c for s, c in enumerate(hist) if c}) == parking
     assert dynamics.recurrent_level_counts(G) == levels
+    d_max = G.m - G.n + 2
+    top = G.m - G.n + 1
+    counts = dynamics.effective_class_counts(G, d_max)
+    assert counts == {d: sum(c for s, c in parking.items() if s <= d)
+                      for d in range(d_max + 1)}
+    assert counts == {d: sum(levels[max(top - d, 0):]) for d in range(d_max + 1)}
 
 
 def _check_split(G):
@@ -327,16 +380,18 @@ def test_class_counts_smallest_graphs():
     G1 = MultiGraph([[0]])  # the empty body is the one parking configuration
     assert dynamics.recurrent_level_counts(G1) == [1]
     assert dynamics.effective_class_counts(G1, 2) == {0: 1, 1: 1, 2: 1}
+    assert counts_by_levels(G1, 2) == {0: 1, 1: 1, 2: 1}
     G2 = MultiGraph.from_edges(2, [(1, 2, 3)])
     assert dynamics.recurrent_level_counts(G2) == [1, 1, 1]
     assert dynamics.effective_class_counts(G2, 3) == {0: 1, 1: 2, 2: 3, 3: 3}
+    assert counts_by_levels(G2, 3) == {0: 1, 1: 2, 2: 3, 3: 3}
 
 
 def test_class_counts_walk_a_long_path():
     """The walk is n - 1 levels deep; a path has one class per degree."""
     P = MultiGraph.from_edges(2000, [(i, i + 1) for i in range(1, 2000)])
-    # both walks run, and the counts by levels must match these
     assert dynamics.effective_class_counts(P, 3) == {0: 1, 1: 1, 2: 1, 3: 1}
+    assert counts_by_levels(P, 3) == {0: 1, 1: 1, 2: 1, 3: 1}
 
 
 def test_class_count_guard_counts_the_jacobian(monkeypatch):
@@ -345,11 +400,13 @@ def test_class_count_guard_counts_the_jacobian(monkeypatch):
     C30 = MultiGraph.from_edges(30, [(i, i % 30 + 1) for i in range(1, 31)])
     assert dynamics.recurrent_level_counts(C30) == [29, 1]
     assert dynamics.effective_class_counts(C30, 3) == {0: 1, 1: 30, 2: 30, 3: 30}
+    assert counts_by_levels(C30, 3) == {0: 1, 1: 30, 2: 30, 3: 30}
 
     monkeypatch.setattr(dynamics, "_ENUM_LIMIT", 1000)
     W7 = MultiGraph.wheel(7)  # |Jac| 841, cube 3^7 = 2187
     assert sum(dynamics.recurrent_level_counts(W7)) == 841
-    assert dynamics.effective_class_counts(W7, 10)[10] == 841
+    assert dynamics.effective_class_counts(W7, 10) == counts_by_levels(W7, 10)
+    assert counts_by_levels(W7, 10)[10] == 841
 
     def refuse(*args):
         raise AssertionError("kernel called before the guard")
@@ -363,15 +420,18 @@ def test_class_count_guard_counts_the_jacobian(monkeypatch):
             count(K6)
 
 
-def test_invariant_checks_survive_optimize_flag():
-    """The parking self-check still fires under ``python -O``."""
+def test_prefix_walk_count_check_survives_optimize_flag():
+    """The walk's |Jac| count is an explicit raise, so ``python -O`` keeps
+    it: with a stand-in burning kernel that burns nothing, the parking walk
+    ranges the whole stable cube of K3, four configurations, not three."""
     script = (
         "from chiprank import _backend, dynamics\n"
         "from chiprank.graphs import MultiGraph\n"
-        "_backend.parking_reduce = lambda degs, adj, cfg: None\n"
+        "_backend.burning_test = lambda degs, adj, cfg: []\n"
         "try:\n"
-        "    dynamics.parking_representative(MultiGraph.complete(3), (0, 2, 0))\n"
-        "except AssertionError:\n"
+        "    dynamics.effective_class_counts(MultiGraph.complete(3), 2)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit('no AssertionError under -O')\n"
     )
@@ -380,27 +440,7 @@ def test_invariant_checks_survive_optimize_flag():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-
-
-def test_recurrent_self_check_survives_optimize_flag():
-    """The recurrent route runs the same parking self-check under ``-O``:
-    beta(f) = (-1, 0, 1) is reduced from itself, and the stand-in kernel
-    leaves its debt."""
-    script = (
-        "from chiprank import _backend, dynamics\n"
-        "from chiprank.graphs import MultiGraph\n"
-        "_backend.parking_reduce = lambda degs, adj, cfg: None\n"
-        "try:\n"
-        "    dynamics.recurrent_representative(MultiGraph.complete(3), (2, 1, 0))\n"
-        "except AssertionError:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit('no AssertionError under -O')\n"
-    )
-    src = os.path.dirname(os.path.dirname(chiprank.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    assert "found 4 configurations, not |Jac| = 3" in proc.stdout
 
 
 @pytest.mark.parametrize("call", [

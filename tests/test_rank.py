@@ -115,6 +115,8 @@ def test_cache_entries_are_the_kernels_parking_configurations():
             assert e.res == res and e.delta == sum(p)
             assert _residue(cols, p, k) == res
             assert dynamics.parking_representative(G, p + (0,))[:-1] == p
+            assert dynamics.is_parking(G, p + (0,), method="duality")
+            assert dynamics.is_parking(G, p + (0,), method="subsets")
 
 
 def test_step_table_entries_are_the_borrow_neighbours():

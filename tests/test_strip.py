@@ -130,6 +130,15 @@ def test_carlitz_pinned():
         assert all(e[0] <= p * (p - 1) // 2 for e in c.coeffs if e[1] == p)
 
 
+def area_counts(t_q, t_z):
+    """{(area, p): words} over the balanced words with p <= t_z a's and
+    area <= t_q, by enumeration."""
+    counted = Counter(
+        (dyck.area(w), p) for p in range(t_z + 1) for w in dyck.dyck_words(p)
+    )
+    return {e: k for e, k in counted.items() if e[0] <= t_q}
+
+
 @pytest.mark.parametrize("t_q, t_z", [(3, 6), (0, 4), (5, 9), (8, 4), (0, 0)])
 def test_carlitz_where_the_area_box_bites(t_q, t_z):
     """With t_q below the largest area t_z(t_z-1)/2, the recurrence drops
@@ -137,12 +146,18 @@ def test_carlitz_where_the_area_box_bites(t_q, t_z):
     balanced words of that size and area, and matches the series computed
     with room for every area."""
     c = strip.carlitz_catalan(t_q, t_z)
-    counted = Counter(
-        (dyck.area(w), p) for p in range(t_z + 1) for w in dyck.dyck_words(p)
-    )
-    assert c.coeffs == {e: k for e, k in counted.items() if e[0] <= t_q}
+    assert c.coeffs == area_counts(t_q, t_z)
     roomy = strip.carlitz_catalan(t_z * (t_z - 1) // 2, t_z)
     assert c.coeffs == {e: k for e, k in roomy.coeffs.items() if e[0] <= t_q}
+
+
+@pytest.mark.parametrize("t_q, t_z", [(5, 2), (6, 2), (6, 4), (15, 6), (28, 8), (36, 9)])
+def test_carlitz_matches_enumeration(t_q, t_z):
+    """The orders the identity checks and the box test's roomy series use:
+    the recurrence against every balanced word."""
+    c = strip.carlitz_catalan(t_q, t_z)
+    assert (c.nvars, c.trunc) == (2, t_q + t_z)
+    assert c.coeffs == area_counts(t_q, t_z)
 
 
 def test_identity_check_small():
