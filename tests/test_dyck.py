@@ -102,8 +102,7 @@ def test_prerank_dual_routes_agree_and_theta_terminates(w):
 def test_prerank_counts_theta_rotations_on_every_word():
     """Both routes on every word with up to 10 b's, in both forms."""
     for w in all_dn(10):
-        steps = theta_rotations(w)
-        assert dyck.prerank(w) == dyck.prerank(w[:-1]) == steps
+        assert dyck.prerank(w) == dyck.prerank(w[:-1]) == theta_rotations(w)
 
 
 def test_coheights_pinned():
