@@ -45,7 +45,7 @@ def random_dn_word(n: int, rng: random.Random) -> str:
     return v + u
 
 
-def theta_rotations(w: str):
+def _theta_rotations(w: str):
     """How many theta rotations take the balanced word w to the staircase,
     or None if C(p, 2) of them, prerank's largest value, do not."""
     p = len(w) // 2
@@ -115,9 +115,9 @@ def check_involution_identities(seed: int) -> tuple:
     rng = random.Random(seed)
     for n in range(1, 9):
         stair, pyramid = "ab" * n, "a" * n + "b" * n
-        if not dyck.prerank(stair) == theta_rotations(stair) == 0:
+        if not dyck.prerank(stair) == _theta_rotations(stair) == 0:
             return False, f"staircase prerank nonzero at n={n}"
-        if not dyck.prerank(pyramid) == theta_rotations(pyramid) == n * (n - 1) // 2:
+        if not dyck.prerank(pyramid) == _theta_rotations(pyramid) == n * (n - 1) // 2:
             return False, f"pyramid prerank wrong at n={n}"
     if dyck.prerank("abaabb") != 2 or dyck.area("abaabb") != 1:
         return False, "fixed small-word statistics changed"
@@ -135,7 +135,7 @@ def check_involution_identities(seed: int) -> tuple:
         img = dyck.phi_involution(wd)
         if dyck.phi_involution(img) != wd:
             return False, f"involution not self-inverse on {wd}"
-        if dyck.prerank(wd) != theta_rotations(w0):
+        if dyck.prerank(wd) != _theta_rotations(w0):
             return False, f"prerank is not the rotation count on {wd}"
         if dyck.prerank(wd) != dyck.area(img):
             return False, f"prerank/area mismatch on {wd}"
