@@ -26,9 +26,10 @@ count, ``rank_formula_details``, ``rank_greedy``, ``parking_via_cyclic_lemma``,
 K_1 .. K_13, some malformed.  A section runs the CLI's ``dyck stats``,
 ``strip leftright`` and ``genfun ln --format csv`` on seeded words, thresholds
 and sink windows, some malformed.  A word section calls the statistics and
-maps of ``chiprank.dyck`` (``prerank``, ``dinv``, ``cdinv``, ``coheights``,
-``cyclic_factorization``, ``theta``, ``phi_involution`` and
-``zeta_haglund``) on seeded words and malformed ones, and
+maps of ``chiprank.dyck`` (``area``, ``heights``, ``delta``, ``prerank``,
+``dinv``, ``cdinv``, ``coheights``, ``cyclic_factorization``, ``theta``,
+``phi_involution``, ``zeta_haglund``, ``r_map``, ``to_dn_word`` and
+``to_dyck_word``) on seeded words with up to 14 b's and malformed ones, and
 ``chiprank.strip.carlitz_catalan`` on small truncation orders, the ones
 where the area bound drops words included, and on malformed orders.  The
 last section builds orientations, some refused.
@@ -348,6 +349,19 @@ def random_word(rng: random.Random, p: int) -> str:
     return rng.choice(list(dyck.dyck_words(p)))
 
 
+def random_dn_word(rng: random.Random, n: int) -> str:
+    """A word with n b's, n - 1 a's and no b-heavy strict prefix, drawn
+    uniformly without listing them: shuffle the letters, then rotate past
+    the first prefix of minimal height (the cycle lemma)."""
+    letters = rng.sample("a" * (n - 1) + "b" * n, 2 * n - 1)
+    h = low = cut = 0
+    for pos, c in enumerate(letters):
+        h += 1 if c == "a" else -1
+        if h < low:
+            low, cut = h, pos + 1
+    return "".join(letters[cut:] + letters[:cut])
+
+
 def word_commands(rng: random.Random) -> None:
     """The CLI's word and series commands on seeded words, thresholds and
     sink windows."""
@@ -372,9 +386,10 @@ def word_commands(rng: random.Random) -> None:
         run_cli(argv, argv)
 
 
-WORD_CALLS = (dyck.prerank, dyck.dinv, dyck.cdinv, dyck.coheights,
-              dyck.cyclic_factorization, dyck.theta, dyck.phi_involution,
-              dyck.zeta_haglund)
+WORD_CALLS = (dyck.area, dyck.heights, dyck.delta, dyck.prerank, dyck.dinv, dyck.cdinv,
+              dyck.coheights, dyck.cyclic_factorization, dyck.theta,
+              dyck.phi_involution, dyck.zeta_haglund, dyck.r_map, dyck.to_dn_word,
+              dyck.to_dyck_word)
 MALFORMED_WORDS = ("", "b", "ba", "abba", "aabab", "bab", "aXb", "ab ", None, b"ab")
 CARLITZ_ORDERS = ((0, 0), (0, 4), (3, 6), (8, 4), (5, 9), (2, 7), (6, 3),
                   (-1, 2), (2, -1), (1.5, 2), (2, "3"), (None, 1))
@@ -386,11 +401,12 @@ def series_terms(series) -> tuple:
 
 
 def word_functions(rng: random.Random) -> None:
-    """The word statistics and maps on seeded balanced words, their forms
-    with the extra b, shuffled letters and malformed words; then the
-    Carlitz series on fixed and seeded orders."""
+    """The word statistics and maps on seeded balanced words with up to 13
+    a's, their forms with the extra b, shuffled letters and malformed
+    words; then the Carlitz series on fixed and seeded orders."""
     print("== word functions")
     words = [random_word(rng, p) for p in range(8)]
+    words += [random_dn_word(rng, n)[:-1] for n in range(9, 15) for _ in range(2)]
     words += [w + "b" for w in words]
     words += ["".join(rng.sample("a" * p + "b" * (p + 1), 2 * p + 1)) for p in range(1, 7)]
     for w in words + list(MALFORMED_WORDS):
