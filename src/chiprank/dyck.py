@@ -10,11 +10,14 @@ number of b's before the i-th a.
 
 The public functions validate their words; the ``_``-prefixed helpers take
 words that are already validated and run unchecked, except the two entry
-checks the public functions share, ``_check_letters`` and ``_dn``.
+checks the public functions share, ``_check_letters`` and ``_dn``.  Each
+statistic and map is one pass over the word or its heights (``cdinv`` adds
+a sort), never a loop over pairs or levels.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterator
 
 from .graphs import _as_ints
@@ -153,11 +156,7 @@ def coheights(w: str) -> list:
     With m the largest index attaining the maximal height, the i-th
     coheight is eta_m - eta_i for i <= m and eta_m - eta_i - 1 after it.
     """
-    return _coheights(heights(w))
-
-
-def _coheights(eta: list) -> list:
-    """coheights from the height list eta."""
+    eta = heights(w)
     if not eta:
         return []
     top = max(eta)
@@ -167,44 +166,48 @@ def _coheights(eta: list) -> list:
 
 def prerank(w: str) -> int:
     """Number of theta rotations needed to reach the staircase, read as
-    the sum of the coheights."""
-    return sum(_coheights(_heights(_dn(w))))
+    the sum of the coheights, in closed form: with top the largest height
+    and m its last index, len(eta)·top - sum(eta) - (len(eta) - 1 - m).
+    O(len w)."""
+    eta = _heights(_dn(w))
+    if not eta:
+        return 0
+    top = max(eta)
+    return len(eta) * top - sum(eta) - eta[::-1].index(top)
 
 
 def dinv(w: str) -> int:
     """Pairs i < j of a-positions with equal heights or with the later one
-    exactly one lower."""
+    exactly one lower.  One scan with a tally per height: each a adds the
+    earlier a's at its own height and one above.  O(len w)."""
     eta = heights(w)
+    # any a/b word is accepted, so heights can be negative
+    low = min(eta, default=0)
+    tally = [0] * (max(eta, default=0) - low + 2)
     count = 0
-    for i in range(len(eta)):
-        for j in range(i + 1, len(eta)):
-            if eta[j] == eta[i] or eta[j] == eta[i] - 1:
-                count += 1
+    for h in eta:
+        h -= low
+        count += tally[h] + tally[h + 1]
+        tally[h] += 1
     return count
 
 
 def cdinv(w: str) -> int:
     """dinv read off the strip drawing: pairs of north steps whose contact
-    labels differ by at most n - 1."""
-    wd = _dn(w)
-    n = wd.count("b")
-    from .strip import _vertex_label
+    labels differ by at most n - 1.  The labels are sorted and each one's
+    partners found by bisection, O(n log n), with no test of equal
+    heights."""
+    labels = sorted(_contact_labels(_dn(w)))
+    k = len(labels)  # n - 1
+    # bisect_right counts each label itself and the ones below it too
+    return sum([bisect_right(labels, x + k) for x in labels]) - k * (k + 1) // 2
 
-    contacts = []
-    x = 0
-    i = 0
-    for c in wd:
-        if c == "a":
-            contacts.append(_vertex_label(n, x, i))
-            i += 1
-        else:
-            x += 1
-    count = 0
-    for i in range(len(contacts)):
-        for j in range(i + 1, len(contacts)):
-            if abs(contacts[i] - contacts[j]) <= n - 1:
-                count += 1
-    return count
+
+def _contact_labels(wd: str) -> list:
+    """``strip.vertex_label`` of the point where each north step of wd, a
+    word with n b's and n - 1 a's, starts: i + eta_i·(n - 1) for the i-th."""
+    eta = _heights(wd)
+    return [i + h * len(eta) for i, h in enumerate(eta)]
 
 
 # ---------- involutions ----------
@@ -235,23 +238,23 @@ def phi_involution(w: str) -> str:
 
     Acts on words with the trailing extra b; balanced input is converted in
     and back out.  Equals the unique non-b-heavy conjugate of the reversal,
-    preserves dinv, and turns prerank into area.
+    preserves dinv, and turns prerank into area.  One scan finds the last
+    a at the largest height.  O(len w).
     """
     wd = _dn(w)
-    eta = _heights(wd)
-    if not eta:
-        return w
-    top = max(eta)
-    m = max(i for i, h in enumerate(eta) if h == top)  # 0-based a-index
-    seen = -1
+    top = -1
+    cut = h = 0
     for pos, c in enumerate(wd):
         if c == "a":
-            seen += 1
-            if seen == m:
-                break
-    u, v = wd[: pos + 1], wd[pos + 1 :]
-    res = u[::-1] + v[::-1]
-    return res if wd == w else to_dyck_word(res)
+            if h >= top:
+                top, cut = h, pos + 1
+            h += 1
+        else:
+            h -= 1
+    if not cut:
+        return w
+    res = wd[:cut][::-1] + wd[cut:][::-1]
+    return res if wd == w else res[:-1]
 
 
 def zeta_haglund(w: str) -> str:
@@ -261,18 +264,17 @@ def zeta_haglund(w: str) -> str:
     rewriting i as a and i - 1 as b; concatenating the sweeps bottom-up gives
     a balanced word whose area and dinv swap roles with the input's bounce
     data.  ``zeta_haglund((\"ab\") * n) == \"a\" * n + \"b\" * n``.
+    One pass: height h appends an a to level h and a b to level h + 1.
+    O(len w).
     """
     if not is_dyck_word(w):
         raise ValueError("expected a balanced word")
     eta = _heights(w)
-    if not eta:
-        return ""
-    parts = []
-    for level in range(0, max(eta) + 2):
-        parts.append(
-            "".join("a" if h == level else "b" for h in eta if h in (level, level - 1))
-        )
-    return "".join(parts)
+    levels = [""] * (max(eta, default=0) + 2)
+    for h in eta:
+        levels[h] += "a"
+        levels[h + 1] += "b"
+    return "".join(levels)
 
 
 def r_map(w: str) -> str:

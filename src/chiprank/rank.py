@@ -24,10 +24,11 @@ so ``graphs._borrow`` runs at most once per (residue, i): at most
 The two searches are two stages, each refused on the size of what it
 searches.  The value stage (``_rank``: f's delta test, then the ball) is all
 that ``riemann_roch_data``, ``rank_bounds_check`` and ``chiprank rr-check``
-run; it refuses when both |Jac(G)| and the number of mu with |mu| <= deg f
-exceed ``_MAX_CANDIDATES``.  ``rank_bruteforce`` alone adds the witness
-stage, one walk from f's cache entry, refused only past its first pattern
-(the sink pile) when the mu with |mu| <= rank + 1 exceed it.
+run; it refuses when both |Jac(G)| and the number of mu the ball can
+reach, |mu| <= deg f - delta(res_f), exceed ``_MAX_CANDIDATES``.
+``rank_bruteforce`` alone adds the witness stage, one walk from f's cache
+entry, refused only past its first pattern (the sink pile) when the mu with
+|mu| <= rank + 1 exceed it.
 
 Every residue a step reaches is w = v - e_i for a residue v already in the
 cache, so its entry comes from p_v: parking configurations are closed
@@ -201,18 +202,19 @@ def _rank(G: MultiGraph, f: tuple, d: int) -> tuple:
     Returns (rank, f's entry); ``riemann_roch_data``, ``rank_bounds_check``
     and ``chiprank rr-check`` read the rank alone.
 
-    The ball holds at most min(|Jac(G)|, C(d + n - 1, n - 1)) residues, the
-    second being the number of mu with |mu| <= d; raises if both exceed
-    ``_MAX_CANDIDATES``.
+    The rank is at most d - delta(res_f), f's parking sink entry, so the
+    ball stops by layer d - delta + 1 and holds at most min(|Jac(G)|,
+    C(d - delta + n - 1, n - 1)) residues, the second being the number of
+    mu with |mu| <= d - delta; raises if both exceed ``_MAX_CANDIDATES``.
     """
     start = _entry(G, f)
-    if start.delta > d:
+    reach = d - start.delta
+    if reach < 0:
         return -1, start
-    k = G.n - 1
-    count = comb(d + k, k)
+    count = comb(reach + G.n - 1, G.n - 1)
     if count > _MAX_CANDIDATES and (jac := G.spanning_tree_count()) > _MAX_CANDIDATES:
         raise ValueError(f"rank search space: |Jac(G)| = {jac} residues and {count}"
-                         f" patterns mu with |mu| <= {d} both exceed {_MAX_CANDIDATES}")
+                         f" patterns mu with |mu| <= {reach} both exceed {_MAX_CANDIDATES}")
     return _ball_rank(G, start, d), start
 
 

@@ -65,11 +65,6 @@ def vertex_label(n: int, x: int, y: int) -> int:
         raise ValueError("need n >= 1")
     if not 0 <= y <= n - 1:
         raise ValueError(f"vertex row {y} outside the strip (0..{n - 1})")
-    return _vertex_label(n, x, y)
-
-
-def _vertex_label(n: int, x: int, y: int) -> int:
-    """``vertex_label`` of ints already in range, unchecked."""
     return y + (y - x) * (n - 1)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiprank import dyck
+from chiprank import dyck, strip
 
 
 def catalan(p):
@@ -126,6 +126,112 @@ def test_cdinv_equals_dinv(w):
 def test_cdinv_equals_dinv_on_every_word():
     for w in all_dn(10):
         assert dyck.cdinv(w) == dyck.dinv(w) == dyck.cdinv(w[:-1])
+
+
+# The statistics' definitions, pair by pair and level by level: quadratic
+# oracles for the one-pass library code.
+
+
+def every_word(max_n=10):
+    """Every word with 1..max_n b's and no b-heavy strict prefix, in both
+    forms: with the extra b and balanced."""
+    for n in range(1, max_n + 1):
+        for w in dyck.dn_words(n):
+            yield w
+            yield w[:-1]
+
+
+def dinv_pairs(w):
+    """Pairs i < j of a's with equal heights or the later one exactly one
+    lower."""
+    eta = dyck.heights(w)
+    return sum(1 for i in range(len(eta)) for j in range(i + 1, len(eta))
+               if eta[j] in (eta[i], eta[i] - 1))
+
+
+def strip_contacts(w):
+    """``strip.vertex_label`` of the point (x, i) where the i-th a of w, in
+    its form with n b's, starts, after x b's."""
+    wd = w if dyck.is_dn_word(w) else dyck.to_dn_word(w)
+    n = wd.count("b")
+    contacts, x = [], 0
+    for c in wd:
+        if c == "a":
+            contacts.append(strip.vertex_label(n, x, len(contacts)))
+        else:
+            x += 1
+    return n, contacts
+
+
+def cdinv_pairs(w):
+    """Pairs of north steps whose strip contact labels differ by at most
+    n - 1."""
+    n, c = strip_contacts(w)
+    return sum(1 for i in range(len(c)) for j in range(i + 1, len(c))
+               if abs(c[i] - c[j]) <= n - 1)
+
+
+def zeta_sweep(w):
+    """Level by level, the heights equal to the level (as a) or one below
+    it (as b), in order; the levels joined bottom-up."""
+    eta = dyck.heights(w)
+    return "".join("a" if h == level else "b"
+                   for level in range(max(eta, default=-1) + 2)
+                   for h in eta if h in (level, level - 1))
+
+
+def phi_split(w):
+    """Split at the last a of largest height, found from the height list,
+    and reverse both blocks."""
+    wd = w if dyck.is_dn_word(w) else dyck.to_dn_word(w)
+    eta = dyck.heights(wd)
+    if not eta:
+        return w
+    top = max(eta)
+    m = max(i for i, h in enumerate(eta) if h == top)
+    cut = [pos for pos, c in enumerate(wd) if c == "a"][m] + 1
+    res = wd[:cut][::-1] + wd[cut:][::-1]
+    return res if wd == w else dyck.to_dyck_word(res)
+
+
+ORACLES = {
+    "dinv": dinv_pairs,
+    "cdinv": cdinv_pairs,
+    "prerank": lambda w: sum(dyck.coheights(w)),
+    "phi_involution": phi_split,
+    "zeta_haglund": zeta_sweep,
+}
+
+
+@pytest.mark.parametrize("name", ORACLES)
+def test_one_pass_statistics_match_their_definitions_on_every_word(name):
+    """Every word up to 10 b's in both forms; zeta takes balanced words
+    only."""
+    for w in every_word():
+        if name != "zeta_haglund" or dyck.is_dyck_word(w):
+            assert getattr(dyck, name)(w) == ORACLES[name](w), w
+
+
+def test_phi_is_the_canonical_conjugate_of_the_reversal():
+    """phi's docstring: the unique non-b-heavy conjugate of the reversal."""
+    for n in range(1, 11):
+        for w in dyck.dn_words(n):
+            u, v = dyck.cyclic_factorization(w[::-1])
+            assert dyck.phi_involution(w) == v + u, w
+
+
+@given(st.text(alphabet="ab", max_size=40))
+def test_dinv_matches_its_definition_on_any_word(w):
+    """dinv checks letters only, so its heights can be negative."""
+    assert dyck.dinv(w) == dinv_pairs(w)
+
+
+def test_cdinv_contacts_are_the_strip_vertex_labels():
+    """cdinv's labels, computed inside ``dyck``, are ``strip.vertex_label``
+    at every point where a north step starts, for n <= 8."""
+    for n in range(1, 9):
+        for w in dyck.dn_words(n):
+            assert dyck._contact_labels(w) == strip_contacts(w)[1], w
 
 
 def test_phi_pinned():

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from itertools import product
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from chiprank.complete import parking_via_cyclic_lemma, rank_formula
 from chiprank.graphs import MultiGraph, _lattice_form, _residue, laplacian_row
 
 from conftest import SMALL_GRAPHS
+from test_graphs import _sink_grid
 
 
 @st.composite
@@ -335,6 +337,24 @@ def test_search_space_guard(monkeypatch):
     G = MultiGraph.complete(5)
     with pytest.raises(ValueError, match="search space"):
         rank.rank_bruteforce(G, (50, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("side", [15, 20])
+def test_value_stage_counts_the_patterns_the_ball_reaches(side):
+    """(2, 1, 0, ..., 0, 1, 0) on the sink grid: the mu with |mu| <= 4
+    number C(4 + k, k) > 5e6, but f's parking representative has sink entry
+    d - delta = 0, so the ball stops after layer 0 and the rank is 0, with
+    the sink-pile witness.  A sink pile of 5 chips has delta = 0, so the
+    ball could reach every mu with |mu| <= 5, and that is still refused."""
+    G = _sink_grid(side)
+    k = G.n - 1
+    assert comb(4 + k, k) > rank._MAX_CANDIDATES < G.spanning_tree_count()
+    f = (2, 1) + (0,) * (k - 3) + (1, 0)
+    assert rank.rank_bruteforce(G, f) == rank.RankResult(0, (0,) * k + (1,))
+    pile = (0,) * k + (5,)
+    with pytest.raises(ValueError, match=f"{comb(5 + k, k)} patterns mu with "
+                                         f"\\|mu\\| <= 5 both exceed {rank._MAX_CANDIDATES}"):
+        rank.rank_bruteforce(G, pile)
 
 
 def test_value_stage_callers_search_no_witness(monkeypatch, tmp_path):
