@@ -166,8 +166,8 @@ def coheights(w: str) -> list:
 
 def prerank(w: str) -> int:
     """Number of theta rotations needed to reach the staircase, read as
-    the sum of the coheights, in closed form: with top the largest height
-    and m its last index, len(eta)·top - sum(eta) - (len(eta) - 1 - m).
+    the sum of the coheights, in closed form: len(eta)·top - sum(eta), less
+    one for each a after the last one at the largest height top.
     O(len w)."""
     eta = _heights(_dn(w))
     if not eta:

@@ -132,13 +132,12 @@ def test_cdinv_equals_dinv_on_every_word():
 # oracles for the one-pass library code.
 
 
-def every_word(max_n=10):
-    """Every word with 1..max_n b's and no b-heavy strict prefix, in both
+def every_word():
+    """Every word with 1..10 b's and no b-heavy strict prefix, in both
     forms: with the extra b and balanced."""
-    for n in range(1, max_n + 1):
-        for w in dyck.dn_words(n):
-            yield w
-            yield w[:-1]
+    for w in ["b", *all_dn(10)]:
+        yield w
+        yield w[:-1]
 
 
 def dinv_pairs(w):
