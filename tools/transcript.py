@@ -10,9 +10,12 @@ function of ``chiprank.dynamics`` and ``chiprank.rank`` and runs the CLI's
 ``rr-check`` and ``tutte-counts`` in-process.  The large ones (|Jac| past
 10^5, too many classes to count or rank) get only the calls that run the
 kernels once or a few times: stabilization, recurrence, parking and
-effectiveness.  A function call prints its value or the
-exception it raised; a command prints its exit code, stdout and stderr,
-with the one timing field, rank's ``wall_ms``, masked.
+effectiveness.  A class-count section then runs
+``recurrent_level_counts``, ``effective_class_counts`` and ``tutte-counts``
+on W30 and the 6 x 6 sink grid, whose Jacobians are too large to enumerate.
+A function call prints its value or the exception it raised; a command
+prints its exit code, stdout and stderr, with the one timing field, rank's
+``wall_ms``, masked.
 
 A constructor section feeds every graph constructor (the matrix,
 ``from_edges``, ``from_json``, ``complete`` and ``wheel``) valid input, with
@@ -196,6 +199,26 @@ def commands(name: str, G: MultiGraph, flag, small: bool, configs: list,
         for method in ("formula", "greedy", "bruteforce"):
             argv = ["rank", *flag, texts[1], "--method", method]
             run_cli(argv, argv)
+
+
+def class_counts(workdir: str) -> None:
+    """The class counters on graphs with |Jac| past 10^7, through the library
+    and through ``tutte-counts`` up to degree g + 1."""
+    for name, G, flag in (("W30", MultiGraph.wheel(30), ["--wheel", "30"]),
+                          ("grid6", sink_grid(6), None)):
+        print(f"== class counts on {name}: {G!r}")
+        top = G.m - G.n + 2
+        show("recurrent_level_counts", dynamics.recurrent_level_counts, G)
+        show(f"effective_class_counts({top})", dynamics.effective_class_counts, G, top)
+        if flag is None:
+            path = os.path.join(workdir, f"{name}-counts.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(G.to_json())
+            argv, shown = ["--graph", path], ["--graph", f"{name}-counts.json"]
+        else:
+            argv = shown = flag
+        run_cli(["tutte-counts", *shown, "--max-degree", str(top)],
+                ["tutte-counts", *argv, "--max-degree", str(top)])
 
 
 def readback(build, *args) -> tuple:
@@ -450,6 +473,7 @@ def main(argv=None) -> int:
         for name, G, flag, small, configs in corpus(rng):
             library(name, G, small, configs)
             commands(name, G, flag, small, configs, workdir)
+        class_counts(workdir)
     constructors(rng)
     kn_functions(rng)
     word_commands(rng)
