@@ -11,6 +11,7 @@ by the Laplacian rows.
 from __future__ import annotations
 
 from itertools import accumulate, combinations
+from math import comb
 from typing import Sequence
 
 from . import _backend
@@ -402,46 +403,6 @@ def _child_ranges(entry_range, split, prefix: tuple, lo: int, hi: int) -> list:
     return [below if c < t else above for c in range(lo, hi)]
 
 
-def _parking_range(G: MultiGraph) -> tuple:
-    """The parking walk's ``(entry_range, split)``, from burning tests.
-
-    ``entry_range``: vertex j gets deg(j) chips, which no fire can burn,
-    and every later vertex none.  Let U (holding j) be what the fire leaves
-    unburnt.  Then j burns exactly when it holds fewer than deg(j) - e(j, U)
-    chips, the edges the burnt vertices send it; and once it burns, the
-    rest burn too, as no set avoiding j could fire legally in the parking
-    configuration with j at 0 either.
-
-    ``split``: burning is monotone, so the unburnt set of prefix + (c,)
-    with deg(j + 1) chips on j + 1 takes one of two values.  With deg(j)
-    chips held on j the fire leaves U0 and sends j the heat
-    h = deg(j) - e(j, U0); every c >= h leaves U0 as well, and every c < h
-    burns j and leaves U1, what the fire leaves with j at 0.
-    """
-    n, degs, adj = G.n, G.degrees, G._adj
-
-    def burn(cfg):
-        return set(_backend.burning_test(degs, adj, cfg))
-
-    def heat(i, unburnt):
-        # the edges the burnt vertices send i
-        return degs[i] - sum(e for j, e in adj[i] if j in unburnt)
-
-    def entry_range(prefix):
-        j = len(prefix)
-        return 0, heat(j, burn(prefix + (degs[j],) + (0,) * (n - 1 - j)))
-
-    def split(prefix):
-        j = len(prefix)
-        k = j + 1
-        rest = (0,) * (n - 1 - k)
-        u0 = burn(prefix + (degs[j], degs[k]) + rest)
-        u1 = burn(prefix + (0, degs[k]) + rest)
-        return heat(j, u0), (0, heat(k, u1)), (0, heat(k, u0))
-
-    return entry_range, split
-
-
 def _recurrent_range(G: MultiGraph) -> tuple:
     """The recurrent walk's ``(entry_range, split)``, from fire-the-sink
     stabilizations: the mirror image of ``_parking_range``, on the other
@@ -502,23 +463,253 @@ def recurrent_level_counts(G: MultiGraph) -> list:
     return hist[shift:]
 
 
+def _bell(w: int, cap: int | None = None) -> int:
+    """Bell(w), the number of partitions of a w-set, from the Bell triangle;
+    with ``cap``, the first Bell number past it once one is (the rows stop
+    there)."""
+    row = [1]
+    for _ in range(w - 1):
+        if cap is not None and row[-1] > cap:
+            break
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[-1]
+
+
+def _frontier_plan(G: MultiGraph) -> tuple:
+    """``(steps, width)`` for ``_frontier_states``: the vertices in the order
+    sink, 0, 1, ..., n - 2, and for each one ``(back, keep, groups)``.
+
+    The frontier is the list of processed vertices that still have an
+    unprocessed neighbour, in processing order, with the new vertex last
+    while its edges are folded in.  ``back`` lists the new vertex's bundles
+    to processed vertices as ``(position, multiplicity)``; ``keep`` is the
+    positions that stay on the frontier afterwards, or None when all do;
+    ``groups`` is None when every pair of frontier vertices can still meet
+    through unprocessed vertices, and otherwise the position tuples of the
+    vertices that can meet, one per such set of two or more.  ``width`` is
+    the widest frontier, new vertex included.
+    """
+    n, adj = G.n, G._adj
+    order = [n - 1, *range(n - 1)]
+    at = [0] * n
+    for t, v in enumerate(order):
+        at[v] = t
+    # the step after which u leaves the frontier: its own or its last neighbour's
+    leave = [max([at[u]] + [at[w] for w, _ in adj[u]]) for u in range(n)]
+    classes = _frontier_classes(G, order, at, leave)
+    frontier, steps, width = [], [], 0
+    for t, v in enumerate(order):
+        back = [(frontier.index(u), e) for u, e in adj[v] if at[u] < t]
+        frontier.append(v)
+        width = max(width, len(frontier))
+        keep = None
+        if leave[v] == t or any(leave[u] == t for u, _ in adj[v] if at[u] < t):
+            keep = tuple(p for p, u in enumerate(frontier) if leave[u] > t)
+            frontier = [frontier[p] for p in keep]
+        groups = classes[t]
+        if groups is not None:
+            groups = [tuple(map(frontier.index, group)) for group in groups]
+        steps.append((back, keep, groups))
+    return steps, width
+
+
+def _frontier_classes(G: MultiGraph, order: list, at: list, leave: list) -> list:
+    """For each step t, None when the frontier after step t lies in one
+    component of H_t, else the member lists of its components holding two
+    or more frontier vertices.  H_t has every edge with an unprocessed
+    endpoint; two frontier vertices can still be joined exactly when they
+    share a component of it.  Going backwards, H_t only gains edges, so one
+    union-find serves every step, and each component keeps its frontier
+    members (merged smaller into larger)."""
+    adj = G._adj
+    parent = list(range(G.n))
+    members = [set() for _ in range(G.n)]
+    multi = set()  # roots with two or more frontier members
+    count = 0      # components with a frontier member
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    out = [None] * G.n
+    for t in range(G.n - 1, -1, -1):
+        if count > 1:
+            out[t] = [list(members[r]) for r in multi]
+        v = order[t]
+        if leave[v] > t:  # v was on the frontier after step t, not before it
+            r = find(v)
+            members[r].discard(v)
+            count -= not members[r]
+            if len(members[r]) < 2:
+                multi.discard(r)
+        for u, _ in adj[v]:
+            if at[u] < t and leave[u] == t:  # v was its last neighbour
+                r = find(u)
+                count += not members[r]
+                members[r].add(u)
+                if len(members[r]) > 1:
+                    multi.add(r)
+            a, b = find(u), find(v)
+            if a == b:
+                continue
+            if len(members[a]) < len(members[b]):
+                a, b = b, a
+            parent[b] = a
+            if members[b]:
+                count -= bool(members[a])
+                members[a] |= members[b]
+                members[b] = set()
+                multi.discard(b)
+                if len(members[a]) > 1:
+                    multi.add(a)
+    return out
+
+
+def _joined(key: tuple, groups: list) -> bool:
+    """Can the components labelled in ``key`` still all meet, when only the
+    frontier positions within one of ``groups`` can be joined?"""
+    labels = set(key)
+    if len(labels) == 1:
+        return True
+    links = [{key[p] for p in group} for group in groups]
+    reached = {key[0]}
+    grew = True
+    while grew:
+        grew = False
+        for link in links:
+            if not link.isdisjoint(reached) and not link <= reached:
+                reached |= link
+                grew = True
+    return len(reached) == len(labels)
+
+
+def _coefficient_bytes(G: MultiGraph) -> int:
+    """Bytes per packed coefficient of T(1, y): enough for prod(deg + 1),
+    which bounds the spanning forests of G and so every coefficient of
+    every state."""
+    return -(-sum((d + 1).bit_length() for d in G.degrees) // 8)
+
+
+def _frontier_states(G: MultiGraph, steps: list):
+    """Yield the live states after each step of ``steps``
+    (``_frontier_plan``): a dict from the frontier's partition into
+    components to a polynomial in y.
+
+    The partition is a tuple that labels each frontier position with the
+    position of its component's first vertex, so equal partitions have
+    equal keys.  The polynomial is packed into one int, ``bits`` bits per
+    coefficient, and sums (y - 1)^(|A| - merges) over the edge sets A of
+    the processed bundles with that partition.  The new vertex v starts
+    alone; it merges with some of the components its bundles reach and
+    skips the others.  Merging with a component it reaches by E edges in
+    all contributes (y^E - 1)/(y - 1) = 1 + y + ... + y^(E - 1): the sum,
+    over which bundle first merges, of y^e for each later one, whose
+    endpoints are then already joined.  A component none of whose
+    vertices stays on the frontier must merge, or it would close off from
+    the rest.  At y = 1 a state counts forests, which
+    ``_coefficient_bytes`` bounds.  A state is dropped when v's component
+    leaves the frontier while others remain, or when its components can no
+    longer all meet through unprocessed vertices; each survivor extends to
+    a spanning tree that fixes it, so at most |Jac(G)| live at once.
+    After the last step the one state, the empty partition, holds T(1, y).
+    """
+    bits = 8 * _coefficient_bytes(G)
+    spreads = {}
+    states = {(): 1}
+    for back, keep, groups in steps:
+        grown = {}
+        for key, val in states.items():
+            reach = {}
+            for p, e in back:
+                reach[key[p]] = reach.get(key[p], 0) + e
+            for e in reach.values():
+                if e not in spreads:  # 1 + y + ... + y^(e - 1)
+                    spreads[e] = ((1 << e * bits) - 1) // ((1 << bits) - 1)
+            if keep is None:
+                forced, optional = [], list(reach)
+            else:
+                stays = {key[p] for p in keep if p < len(key)}
+                forced = [c for c in reach if c not in stays]
+                optional = [c for c in reach if c in stays]
+            for c in forced:
+                val *= spreads[reach[c]]
+            choices = [(forced, val)]
+            for c in optional:
+                choices += [(merged + [c], x * spreads[reach[c]]) for merged, x in choices]
+            for merged, x in choices:
+                if len(merged) > 1:
+                    low = min(merged)
+                    merged = set(merged)
+                    new = tuple([low if c in merged else c for c in key]) + (low,)
+                else:
+                    low = merged[0] if merged else len(key)
+                    new = key + (low,)
+                if keep is not None:
+                    first = {}
+                    new = tuple([first.setdefault(new[p], i) for i, p in enumerate(keep)])
+                    if keep and low not in first:
+                        continue  # v's component closed off from the rest
+                grown[new] = grown.get(new, 0) + x
+        if groups is not None:
+            grown = {key: val for key, val in grown.items() if _joined(key, groups)}
+        states = grown
+        yield states
+
+
+def _tutte_y(G: MultiGraph) -> list:
+    """The coefficients of T(1, y), from y^0 up to y^g with g = m - n + 1,
+    by the frontier DP (``_frontier_states``).
+
+    Refuses before any state is built when both bounds on the live states
+    exceed ``_ENUM_LIMIT``: Bell(width), the partitions of the widest
+    frontier, and |Jac(G)|.  A spanning tree leaves out g of the m edges,
+    so |Jac(G)| <= C(m, g), and |Jac(G)| is computed only when that bound
+    exceeds the limit too (a tree, whatever its frontier, needs no Hermite
+    form).
+    """
+    steps, width = _frontier_plan(G)
+    limit = _ENUM_LIMIT
+    if (_bell(width, limit) > limit and comb(G.m, G.m - G.n + 1) > limit
+            and (jac := G.spanning_tree_count()) > limit):
+        raise ValueError(
+            f"class counts: the widest frontier has {width} vertices and Bell({width})"
+            f" = {_bell(width)} partitions, Jac(G) has {jac} elements; both exceed"
+            f" {limit}"
+        )
+    for states in _frontier_states(G, steps):
+        pass
+    (poly,) = states.values()
+    size = _coefficient_bytes(G)
+    g = G.m - G.n + 1
+    raw = poly.to_bytes((g + 1) * size, "little")
+    return [int.from_bytes(raw[i * size:(i + 1) * size], "little") for i in range(g + 1)]
+
+
 def effective_class_counts(G: MultiGraph, d_max: int) -> dict:
     """Number of effective toppling classes of each degree 0..d_max.
 
     Each effective class of degree d has exactly one parking
     representative, with sink = d - sum >= 0, so the count is the running
-    sum of the parking configurations' non-sink sums up to d.  Those come
-    from a prefix walk over the parking down-set: two burning tests range
-    the next entry after every child of a prefix that has several, and one
-    those of a prefix that has one (at most (n - 1)·|Jac(G)| kernel calls);
-    graphs with more than ``_ENUM_LIMIT`` spanning trees are refused before
-    any kernel call.  ``recurrent_level_counts`` counts the same classes
-    from the other side: by the complement bijection, the parking sums up
-    to d match the recurrent levels from m - n + 1 - d up.
+    sum of the parking configurations' non-sink sums up to d.  By Merino's
+    theorem, [y^i] T(1, y) counts the recurrent configurations at level i,
+    and so, through the complement map, the parking configurations with
+    non-sink sum g - i (g = m - n + 1): the counts are the running sums of
+    T(1, y)'s coefficients read from y^g down.  T(1, y) comes from a DP
+    over the vertices that keeps only the connectivity of the frontier
+    (``_frontier_states``), never enumerating Jac(G), and no kernel runs.
+    It is refused, before any state is built, only when both the widest
+    frontier's Bell number and |Jac(G)| exceed ``_ENUM_LIMIT``.
+    ``recurrent_level_counts`` counts the same classes by walking the
+    recurrent configurations: the parking sums up to d match the recurrent
+    levels from g - d up.
     """
     (d_max,) = _as_ints((d_max,), "d_max")
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
-    parking = _prefix_walk(G, *_parking_range(G))[:d_max + 1]
+    parking = _tutte_y(G)[::-1][:d_max + 1]
     parking += [0] * (d_max + 1 - len(parking))
     return dict(enumerate(accumulate(parking)))

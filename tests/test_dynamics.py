@@ -1,8 +1,10 @@
+import inspect
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
-from itertools import product
+from itertools import accumulate, product
 from math import prod
 
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import chiprank
-from chiprank import dynamics, graphs
+from chiprank import cli, dynamics, graphs
 from chiprank.complete import parking_via_cyclic_lemma
 from chiprank.graphs import MultiGraph, laplacian_row, topple
 
@@ -267,19 +269,74 @@ def test_effective_class_counts_pinned(K3):
     assert counts == counts_by_levels(K3, 4) == {0: 1, 1: 3, 2: 3, 3: 3, 4: 3}
 
 
+def _parking_range(G):
+    """The parking walk's ``(entry_range, split)`` for
+    ``dynamics._prefix_walk``, from burning tests: a second route to the
+    parking sums, independent of T(1, y).
+
+    ``entry_range``: vertex j gets deg(j) chips, which no fire can burn,
+    and every later vertex none.  Let U (holding j) be what the fire leaves
+    unburnt.  Then j burns exactly when it holds fewer than deg(j) - e(j, U)
+    chips, the edges the burnt vertices send it; and once it burns, the
+    rest burn too, as no set avoiding j could fire legally in the parking
+    configuration with j at 0 either.
+
+    ``split``: burning is monotone, so the unburnt set of prefix + (c,)
+    with deg(j + 1) chips on j + 1 takes one of two values.  With deg(j)
+    chips held on j the fire leaves U0 and sends j the heat
+    h = deg(j) - e(j, U0); every c >= h leaves U0 as well, and every c < h
+    burns j and leaves U1, what the fire leaves with j at 0.
+    """
+    n, degs, adj = G.n, G.degrees, G._adj
+
+    def burn(cfg):
+        return set(dynamics._backend.burning_test(degs, adj, cfg))
+
+    def heat(i, unburnt):
+        # the edges the burnt vertices send i
+        return degs[i] - sum(e for j, e in adj[i] if j in unburnt)
+
+    def entry_range(prefix):
+        j = len(prefix)
+        return 0, heat(j, burn(prefix + (degs[j],) + (0,) * (n - 1 - j)))
+
+    def split(prefix):
+        j = len(prefix)
+        k = j + 1
+        rest = (0,) * (n - 1 - k)
+        u0 = burn(prefix + (degs[j], degs[k]) + rest)
+        u1 = burn(prefix + (0, degs[k]) + rest)
+        return heat(j, u0), (0, heat(k, u1)), (0, heat(k, u0))
+
+    return entry_range, split
+
+
+def counts_by_parking(G, d_max):
+    """Effective classes of each degree 0..d_max from the parking walk: the
+    running sums of the parking configurations' non-sink sums."""
+    hist = dynamics._prefix_walk(G, *_parking_range(G))[:d_max + 1]
+    return dict(enumerate(accumulate(hist + [0] * (d_max + 1 - len(hist)))))
+
+
 @pytest.mark.parametrize("G", [
     MultiGraph.wheel(6), MultiGraph.wheel(7), MultiGraph.wheel(8),
     MultiGraph.complete(5), MultiGraph.complete(6), MultiGraph.complete(7),
     _sink_grid(2), _sink_grid(3),
-], ids=["W6", "W7", "W8", "K5", "K6", "K7", "grid2", "grid3"])
+    MultiGraph.wheel(3), MultiGraph.wheel(4), MultiGraph.wheel(5),
+    MultiGraph.wheel(9), MultiGraph.wheel(10),
+    MultiGraph.complete(1), MultiGraph.complete(2), MultiGraph.complete(3),
+    MultiGraph.complete(4),
+], ids=["W6", "W7", "W8", "K5", "K6", "K7", "grid2", "grid3",
+        "W3", "W4", "W5", "W9", "W10", "K1", "K2", "K3", "K4"])
 def test_effective_class_counts_equal_the_level_tails(G):
-    """The parking walk's counts against the recurrent walk's levels, past
-    the degree where every class is effective, on graphs whose stable cube
-    is too large for the cube test below."""
+    """T(1, y)'s counts against the parking walk's sums and the recurrent
+    walk's levels, past the degree where every class is effective, on
+    graphs whose stable cube is too large for the cube test below; T(1, 1)
+    is |Jac(G)|."""
     d_max = G.m - G.n + 3
     counts = dynamics.effective_class_counts(G, d_max)
-    assert counts == counts_by_levels(G, d_max)
-    assert counts[d_max] == G.spanning_tree_count()
+    assert counts == counts_by_parking(G, d_max) == counts_by_levels(G, d_max)
+    assert counts[d_max] == sum(dynamics._tutte_y(G)) == G.spanning_tree_count()
 
 
 @st.composite
@@ -314,22 +371,22 @@ def _cube_reference(G):
 @given(st.one_of(st.sampled_from(SMALL_GRAPHS), small_multigraphs()))
 def test_prefix_walks_match_the_stable_cube(G):
     parking, levels = _cube_reference(G)
-    hist = dynamics._prefix_walk(G, *dynamics._parking_range(G))
+    hist = dynamics._prefix_walk(G, *_parking_range(G))
     assert Counter({s: c for s, c in enumerate(hist) if c}) == parking
     assert dynamics.recurrent_level_counts(G) == levels
     d_max = G.m - G.n + 2
     counts = dynamics.effective_class_counts(G, d_max)
     assert counts == {d: sum(c for s, c in parking.items() if s <= d)
                       for d in range(d_max + 1)}
-    assert counts == counts_by_levels(G, d_max)
+    assert counts == counts_by_parking(G, d_max) == counts_by_levels(G, d_max)
+    assert counts[d_max] == G.spanning_tree_count()
 
 
 def _check_split(G):
     """Walk both prefix trees with the per-child ranges; at every parent,
     ``_child_ranges`` must give each child c the range
     ``entry_range(prefix + (c,))``."""
-    for entry_range, split in (dynamics._parking_range(G),
-                               dynamics._recurrent_range(G)):
+    for entry_range, split in (_parking_range(G), dynamics._recurrent_range(G)):
         stack = [((), *entry_range(()))] if G.n >= 3 else []
         while stack:
             prefix, lo, hi = stack.pop()
@@ -370,7 +427,7 @@ def test_prefix_walks_make_two_kernel_calls_per_split(monkeypatch, G, calls):
             return kernel(*args)
 
         monkeypatch.setattr(dynamics._backend, name, counting)
-    dynamics._prefix_walk(G, *dynamics._parking_range(G))
+    dynamics._prefix_walk(G, *_parking_range(G))
     dynamics._prefix_walk(G, *dynamics._recurrent_range(G))
     assert made == {"burning_test": calls, "stabilize": calls}
 
@@ -387,15 +444,22 @@ def test_class_counts_smallest_graphs():
 
 
 def test_class_counts_walk_a_long_path():
-    """The walk is n - 1 levels deep; a path has one class per degree."""
+    """The recurrent walk is n - 1 levels deep, and the DP's frontier three
+    vertices wide; a path has one class per degree."""
     P = MultiGraph.from_edges(2000, [(i, i + 1) for i in range(1, 2000)])
     assert dynamics.effective_class_counts(P, 3) == {0: 1, 1: 1, 2: 1, 3: 1}
     assert counts_by_levels(P, 3) == {0: 1, 1: 1, 2: 1, 3: 1}
 
 
+def _refuse(*args):
+    raise AssertionError("called past the guard")
+
+
 def test_class_count_guard_counts_the_jacobian(monkeypatch):
-    """The guard counts |Jac|, not stable-cube cells: C30's cube has 2^29
-    cells but only 30 classes."""
+    """The walk's guard counts |Jac|, not stable-cube cells: C30's cube has
+    2^29 cells but only 30 classes.  T(1, y) needs no kernel, and K6's
+    frontier of six has Bell(6) = 203 partitions, within a limit that
+    |Jac(K6)| = 1296 exceeds."""
     C30 = MultiGraph.from_edges(30, [(i, i % 30 + 1) for i in range(1, 31)])
     assert dynamics.recurrent_level_counts(C30) == [29, 1]
     assert dynamics.effective_class_counts(C30, 3) == {0: 1, 1: 30, 2: 30, 3: 30}
@@ -408,16 +472,64 @@ def test_class_count_guard_counts_the_jacobian(monkeypatch):
     assert counts == counts_by_levels(W7, 10)
     assert counts[10] == 841
 
-    def refuse(*args):
-        raise AssertionError("kernel called before the guard")
-
-    monkeypatch.setattr(dynamics._backend, "burning_test", refuse)
-    monkeypatch.setattr(dynamics._backend, "stabilize", refuse)
+    monkeypatch.setattr(dynamics._backend, "burning_test", _refuse)
+    monkeypatch.setattr(dynamics._backend, "stabilize", _refuse)
     K6 = MultiGraph.complete(6)  # |Jac| 1296
-    for count in (dynamics.recurrent_level_counts,
-                  lambda G: dynamics.effective_class_counts(G, 3)):
-        with pytest.raises(ValueError, match="1296"):
-            count(K6)
+    with pytest.raises(ValueError, match="1296"):
+        dynamics.recurrent_level_counts(K6)
+    assert dynamics.effective_class_counts(K6, 13)[13] == 1296
+
+
+def test_bell_numbers():
+    assert [dynamics._bell(w) for w in range(1, 14)] == [
+        1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597, 27644437]
+    # past the cap, the rows stop at the first Bell number beyond it
+    assert dynamics._bell(500, 1000) == 4140
+
+
+def test_class_counts_refuse_past_both_bounds(monkeypatch, capsys):
+    """K13's frontier reaches 13 vertices, Bell(13) = 27644437 partitions,
+    and |Jac(K13)| = 13^11: both past the limit, so the counts are refused
+    with both numbers named, before any state is built.  Either bound
+    within the limit answers: a binary tree of 63 vertices, with a
+    frontier of 18, has C(m, g) = C(62, 0) = 1, and one more edge closing
+    an 11-cycle gives C(63, 1) = 63 but |Jac| = 11."""
+    monkeypatch.setattr(dynamics, "_frontier_states", _refuse)
+    K13 = MultiGraph.complete(13)
+    msg = (r"widest frontier has 13 vertices and Bell\(13\) = 27644437 partitions,"
+           r" Jac\(G\) has 1792160394037 elements; both exceed 10000000")
+    with pytest.raises(ValueError, match=msg):
+        dynamics.effective_class_counts(K13, 3)
+    assert cli.main(["tutte-counts", "--complete", "13", "--max-degree", "3"]) == 1
+    assert re.search(msg, capsys.readouterr().err)
+    monkeypatch.undo()
+
+    monkeypatch.setattr(dynamics, "_ENUM_LIMIT", 50)
+    tree = [(i, i // 2) for i in range(2, 64)]
+    assert dynamics._frontier_plan(MultiGraph.from_edges(63, tree))[1] == 18
+    G = MultiGraph.from_edges(63, tree + [(32, 63)])
+    assert G.spanning_tree_count() == 11
+    assert dynamics.effective_class_counts(G, 2) == {0: 1, 1: 11, 2: 11}
+    monkeypatch.setattr(dynamics, "_ENUM_LIMIT", 10)
+    with pytest.raises(ValueError, match=r"Jac\(G\) has 11 elements; both exceed 10$"):
+        dynamics.effective_class_counts(G, 2)
+    monkeypatch.setattr(MultiGraph, "spanning_tree_count", _refuse)
+    assert dynamics.effective_class_counts(MultiGraph.from_edges(63, tree), 2) == {
+        0: 1, 1: 1, 2: 1}
+
+
+def test_class_counts_of_a_binary_tree_keep_one_state(monkeypatch):
+    """The 2047-vertex binary tree in index order (vertex i's parent is
+    i // 2, and the sink a leaf): the frontier grows to 514 vertices, but
+    a state whose components can no longer meet is dropped, so one state
+    lives after every step; a tree has one spanning tree.  C(m, g) = 1
+    spares the Hermite form."""
+    T = MultiGraph.from_edges(2047, [(i, i // 2) for i in range(2, 2048)])
+    steps, width = dynamics._frontier_plan(T)
+    assert width == 514
+    assert all(len(states) == 1 for states in dynamics._frontier_states(T, steps))
+    monkeypatch.setattr(MultiGraph, "spanning_tree_count", _refuse)
+    assert dynamics.effective_class_counts(T, 3) == {0: 1, 1: 1, 2: 1, 3: 1}
 
 
 def test_prefix_walk_count_check_survives_optimize_flag():
@@ -427,9 +539,11 @@ def test_prefix_walk_count_check_survives_optimize_flag():
     script = (
         "from chiprank import _backend, dynamics\n"
         "from chiprank.graphs import MultiGraph\n"
+        + inspect.getsource(_parking_range) +
         "_backend.burning_test = lambda degs, adj, cfg: []\n"
+        "K3 = MultiGraph.complete(3)\n"
         "try:\n"
-        "    dynamics.effective_class_counts(MultiGraph.complete(3), 2)\n"
+        "    dynamics._prefix_walk(K3, *_parking_range(K3))\n"
         "except AssertionError as exc:\n"
         "    print(exc)\n"
         "    raise SystemExit(0)\n"
