@@ -405,8 +405,8 @@ def _child_ranges(entry_range, split, prefix: tuple, lo: int, hi: int) -> list:
 
 def _recurrent_range(G: MultiGraph) -> tuple:
     """The recurrent walk's ``(entry_range, split)``, from fire-the-sink
-    stabilizations: the mirror image of ``_parking_range``, on the other
-    kernel.
+    stabilizations: the mirror image of the parking walk's burning-test
+    ranges, which the tests keep as an oracle for the class counts.
 
     ``entry_range``: vertex j gets -1 chips and every later vertex deg - 1,
     then the sink fires.  Nothing topples twice, so j receives at most
@@ -494,9 +494,7 @@ def _frontier_plan(G: MultiGraph) -> tuple:
     """
     n, adj = G.n, G._adj
     order = [n - 1, *range(n - 1)]
-    at = [0] * n
-    for t, v in enumerate(order):
-        at[v] = t
+    at = [*range(1, n), 0]  # each vertex's step
     # the step after which u leaves the frontier: its own or its last neighbour's
     leave = [max([at[u]] + [at[w] for w, _ in adj[u]]) for u in range(n)]
     classes = _frontier_classes(G, order, at, leave)
