@@ -34,8 +34,14 @@ maps of ``chiprank.dyck`` (``area``, ``heights``, ``delta``, ``prerank``,
 ``phi_involution``, ``zeta_haglund``, ``r_map``, ``to_dn_word`` and
 ``to_dyck_word``) on seeded words with up to 14 b's and malformed ones, and
 ``chiprank.strip.carlitz_catalan`` on small truncation orders, the ones
-where the area bound drops words included, and on malformed orders.  The
-last section builds orientations, some refused.
+where the area bound drops words included, and on malformed orders.  An
+orientation section builds orientations, some refused.  The last section
+runs the series of ``chiprank.strip``: ``Ln_direct`` and ``Ln_via_toxy``
+for n <= 7 and truncations 0..8, ``LnC_identity_check``,
+``Kn_bistatistic_check``, the inverse and quotient of seeded series in 1..3
+variables with constant term +1 or -1, the refusals of each (a non-unit
+among them), and the CLI's ``genfun ln`` in json and text and ``genfun
+identity``.
 
 Everything is drawn from the seed alone, so two checkouts run on the same
 seed print the same transcript exactly when they give the same answers:
@@ -59,6 +65,7 @@ import tempfile
 
 from chiprank import cli, complete, dyck, dynamics, rank, strip
 from chiprank.graphs import MultiGraph
+from chiprank.series import TruncatedSeries
 
 _WALL_MS = re.compile(r'"wall_ms": [0-9.e+-]+')
 
@@ -464,6 +471,79 @@ def orientations() -> None:
         show(f"Orientation(K3, {name})", dynamics.Orientation, K3, head)
 
 
+def random_unit(rng: random.Random, nvars: int, trunc: int, c0: int) -> TruncatedSeries:
+    """A series in nvars variables truncated at trunc, with constant term
+    c0 and up to six other seeded monomials, coefficients -3..3."""
+    coeffs = {(0,) * nvars: c0}
+    for _ in range(rng.randint(0, 6)):
+        exps = [0] * nvars
+        for _ in range(rng.randint(1, max(trunc, 1))):
+            exps[rng.randrange(nvars)] += 1
+        coeffs[tuple(exps)] = rng.randint(-3, 3)
+    return TruncatedSeries(nvars, trunc, coeffs)
+
+
+LN_REFUSALS = ((0, 3), (-2, 3), (3, -1), (1, -1), (18, 40), (2.5, 3), (3, "4"))
+IDENTITY_ORDERS = ((1, 0), (1, 4), (2, 6), (3, 6), (4, 8), (5, 7), (0, 3), (3, -1), (2.0, 3))
+BISTATISTIC_WINDOWS = ((1, (-5, 10)), (2, (-5, 15)), (3, (0, 0)), (4, (6, 2)), (0, (0, 3)),
+                       (3, (1,)), (3, (1.5, 4)), (17, (0, 20)))
+
+
+def series_functions(rng: random.Random) -> None:
+    """The strip series on seeded sizes and truncations, the identity and
+    bistatistic checks, series inverses and quotients, and the CLI's
+    ``genfun ln`` in json and text and ``genfun identity``."""
+    print("== series")
+    sizes = [(n, rng.randint(0, 8)) for n in range(1, 8)] + [(n, 8) for n in range(2, 8)]
+    for n, trunc in sizes + list(LN_REFUSALS):
+        show(f"Ln_direct({n!r}, {trunc!r})",
+             lambda a, b: series_terms(strip.Ln_direct(a, b)), n, trunc)
+        if n != 18:  # Ln_via_toxy has no word limit: C(35, 17) words
+            show(f"Ln_via_toxy({n!r}, {trunc!r})",
+                 lambda a, b: series_terms(strip.Ln_via_toxy(a, b)), n, trunc)
+    for max_n, trunc in IDENTITY_ORDERS:
+        show(f"LnC_identity_check({max_n!r}, {trunc!r})", strip.LnC_identity_check,
+             max_n, trunc)
+    windows = list(BISTATISTIC_WINDOWS)
+    for n in range(1, 6):
+        lo = rng.randint(-8, 3)
+        windows.append((n, (lo, lo + rng.randint(-1, 20))))
+    for n, window in windows:
+        show(f"Kn_bistatistic_check({n!r}, {window!r})", strip.Kn_bistatistic_check,
+             n, window)
+    print("-- inverse and /")
+    for nvars in (1, 2, 3):
+        for c0 in (1, -1):
+            for _ in range(3):
+                trunc = rng.randint(0, 6)
+                unit = random_unit(rng, nvars, trunc, c0)
+                other = random_unit(rng, nvars, trunc, rng.randint(-2, 2))
+                print(f"-- unit {series_terms(unit)}, other {series_terms(other)}")
+                show("inverse", lambda u: series_terms(u.inverse()), unit)
+                show("other / unit", lambda a, u: series_terms(a / u), other, unit)
+    for c0 in (0, 2, -2):
+        unit = random_unit(rng, 2, 4, c0)
+        show(f"inverse {series_terms(unit)}", lambda u: series_terms(u.inverse()), unit)
+        show("one / it", lambda u: series_terms(TruncatedSeries.one(2, 4) / u), unit)
+    show("one / a series of another truncation",
+         lambda: TruncatedSeries.one(2, 4) / TruncatedSeries.one(2, 3))
+    show("one / an int", lambda: TruncatedSeries.one(2, 4) / 1)
+    print("-- genfun commands")
+    for n in range(1, 6):
+        for fmt in ("json", "text"):
+            argv = ["genfun", "ln", "--n", str(n), "--trunc", str(rng.randint(0, 8)),
+                    "--format", fmt]
+            run_cli(argv, argv)
+    for argv in (["genfun", "ln", "--n", "3", "--format", "json"],
+                 ["genfun", "ln", "--n", "0", "--trunc", "3"],
+                 ["genfun", "ln", "--n", "18", "--trunc", "4", "--format", "text"],
+                 ["genfun", "identity"],
+                 ["genfun", "identity", "--max-n", "5", "--trunc", "7"],
+                 ["genfun", "identity", "--max-n", "0"],
+                 ["genfun", "identity", "--max-n", "3", "--trunc", "-1"]):
+        run_cli(argv, argv)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True)
@@ -479,6 +559,7 @@ def main(argv=None) -> int:
     word_commands(rng)
     word_functions(rng)
     orientations()
+    series_functions(rng)
     return 0
 
 
