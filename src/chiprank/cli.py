@@ -140,14 +140,19 @@ def _cmd_rr_check(args: argparse.Namespace) -> int:
 
 def _cmd_tutte_counts(args: argparse.Namespace) -> int:
     G = _load_graph(args)
-    counts = dynamics.effective_class_counts(G, args.max_degree)
+    # from degree g = m - n + 1 on every class is effective, so the count at
+    # g is T(1, 1), the spanning trees; a negative degree is left to refuse
+    d, g = args.max_degree, G.m - G.n + 1
+    counts = dynamics.effective_class_counts(G, max(d, g) if d >= 0 else d)
+    trees = counts[g]
+    counts = {k: c for k, c in counts.items() if k <= d}
     if args.format == "csv":
         print("degree,count")
-        for d in sorted(counts):
-            print(f"{d},{counts[d]}")
+        for k in sorted(counts):
+            print(f"{k},{counts[k]}")
     else:
-        _emit({"counts": {str(d): c for d, c in counts.items()},
-               "spanning_trees": G.spanning_tree_count()})
+        _emit({"counts": {str(k): c for k, c in counts.items()},
+               "spanning_trees": trees})
     return 0
 
 

@@ -9,8 +9,9 @@ stripping the final b.  The i-th *height* is the number of a's minus the
 number of b's before the i-th a.
 
 The public functions validate their words; the ``_``-prefixed helpers take
-words that are already validated and run unchecked, except the two entry
-checks the public functions share, ``_check_letters`` and ``_dn``.  Each
+words that are already validated and run unchecked, except the entry
+checks the public functions share, ``_check_letters``, ``_dn`` and
+``_checked_heights``, which checks a word within its height scan.  Each
 statistic and map is one pass over the word or its heights (``cdinv`` adds
 a sort), never a loop over pairs or levels.
 """
@@ -91,11 +92,7 @@ def _is_dyck(w: str) -> bool:
 
 def is_dn_word(w: str) -> bool:
     """One more b than a, with every strict prefix non-b-heavy."""
-    return _is_dn(_check_letters(w))
-
-
-def _is_dn(w: str) -> bool:
-    return w.endswith("b") and _is_dyck(w[:-1])
+    return _check_letters(w).endswith("b") and _is_dyck(w[:-1])
 
 
 def to_dn_word(w: str) -> str:
@@ -113,12 +110,20 @@ def to_dyck_word(w: str) -> str:
 def _dn(w: str) -> str:
     """w with one trailing extra b: appended to a balanced w, kept as is on
     a word that already has it, refused on any other word."""
-    _check_letters(w)
-    if _is_dn(w):
-        return w
-    if _is_dyck(w):
-        return w + "b"
-    raise ValueError("expected a balanced word or one with a trailing extra b")
+    return w + "b" if 2 * len(_checked_heights(w)) == len(w) else w
+
+
+def _checked_heights(w: str, balanced: bool = False) -> list:
+    """w's heights, refused unless w is balanced or, when ``balanced`` is
+    false, has one trailing extra b.  The height falls only on b's, so each
+    prefix's is at least the next a's or the final one, 2·#a - len(w): the
+    scan itself checks both shapes, no height below 0, and an end at 0 or -1."""
+    eta = _heights(_check_letters(w))
+    end = 2 * len(eta) - len(w)
+    if min(eta, default=0) < 0 or end != 0 and (balanced or end != -1):
+        raise ValueError("expected a balanced word" if balanced else
+                         "expected a balanced word or one with a trailing extra b")
+    return eta
 
 
 # ---------- statistics ----------
@@ -169,7 +174,7 @@ def prerank(w: str) -> int:
     the sum of the coheights, in closed form: len(eta)·top - sum(eta), less
     one for each a after the last one at the largest height top.
     O(len w)."""
-    eta = _heights(_dn(w))
+    eta = _checked_heights(w)
     if not eta:
         return 0
     top = max(eta)
@@ -197,16 +202,16 @@ def cdinv(w: str) -> int:
     labels differ by at most n - 1.  The labels are sorted and each one's
     partners found by bisection, O(n log n), with no test of equal
     heights."""
-    labels = sorted(_contact_labels(_dn(w)))
+    labels = sorted(_contact_labels(_checked_heights(w)))
     k = len(labels)  # n - 1
     # bisect_right counts each label itself and the ones below it too
     return sum([bisect_right(labels, x + k) for x in labels]) - k * (k + 1) // 2
 
 
-def _contact_labels(wd: str) -> list:
-    """``strip.vertex_label`` of the point where each north step of wd, a
-    word with n b's and n - 1 a's, starts: i + eta_i·(n - 1) for the i-th."""
-    eta = _heights(wd)
+def _contact_labels(eta: list) -> list:
+    """``strip.vertex_label`` of the point where each north step of a word
+    with n b's and the n - 1 heights eta starts: i + eta_i·(n - 1) for the
+    i-th."""
     return [i + h * len(eta) for i, h in enumerate(eta)]
 
 
@@ -238,23 +243,19 @@ def phi_involution(w: str) -> str:
 
     Acts on words with the trailing extra b; balanced input is converted in
     and back out.  Equals the unique non-b-heavy conjugate of the reversal,
-    preserves dinv, and turns prerank into area.  One scan finds the last
-    a at the largest height.  O(len w).
+    preserves dinv, and turns prerank into area.  The heights give the
+    last a at the largest height, the m-th, at position 2m - eta_m.
+    O(len w).
     """
-    wd = _dn(w)
-    top = -1
-    cut = h = 0
-    for pos, c in enumerate(wd):
-        if c == "a":
-            if h >= top:
-                top, cut = h, pos + 1
-            h += 1
-        else:
-            h -= 1
-    if not cut:
+    eta = _checked_heights(w)
+    if not eta:
         return w
+    top = max(eta)
+    m = len(eta) - 1 - eta[::-1].index(top)
+    balanced = 2 * len(eta) == len(w)
+    wd, cut = w + "b" * balanced, 2 * m - top + 1
     res = wd[:cut][::-1] + wd[cut:][::-1]
-    return res if wd == w else res[:-1]
+    return res[:-1] if balanced else res
 
 
 def zeta_haglund(w: str) -> str:
@@ -267,9 +268,7 @@ def zeta_haglund(w: str) -> str:
     One pass: height h appends an a to level h and a b to level h + 1.
     O(len w).
     """
-    if not is_dyck_word(w):
-        raise ValueError("expected a balanced word")
-    eta = _heights(w)
+    eta = _checked_heights(w, balanced=True)
     levels = [""] * (max(eta, default=0) + 2)
     for h in eta:
         levels[h] += "a"

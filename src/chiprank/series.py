@@ -4,7 +4,7 @@ Coefficients are Python ints; monomials are exponent tuples.  All arithmetic
 is exact on every kept monomial: a product of series truncated at total
 degree T has correct coefficients up to T because dropped terms can only feed
 higher degrees.  Division is by series with constant term +-1 only (the only
-integer units), expanded geometrically.
+integer units), by a recurrence taken in order of total degree.
 
 The constructor validates its coefficients.  Ring results come from
 ``_make``, which trusts them: they are built from validated series, so only
@@ -126,20 +126,26 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; the constant term must be +1 or -1."""
-        c0 = self.coeffs.get((0,) * self.nvars, 0)
+        """Multiplicative inverse; the constant term c0 must be +1 or -1.
+        Degree by degree, about one product's work: X = 1/self has X_0 = c0
+        and X_e = -c0 * sum of D_f * X_(e - f) over self's terms D_f, f != 0."""
+        zero = (0,) * self.nvars
+        c0 = self.coeffs.get(zero, 0)
         if c0 not in (1, -1):
             raise ValueError("inverse needs a unit (+-1) constant term")
-        h = self * c0  # constant term 1 now
-        v = TruncatedSeries.one(self.nvars, self.trunc) - h
-        out = TruncatedSeries.one(self.nvars, self.trunc)
-        power = TruncatedSeries.one(self.nvars, self.trunc)
-        for _ in range(self.trunc):
-            power = power * v
-            if not power.coeffs:
-                break
-            out = out + power
-        return out * c0
+        terms = sorted((sum(f), f, -c0 * c) for f, c in self.coeffs.items() if f != zero)
+        layers = [{zero: c0}]  # X's terms by total degree
+        for d in range(1, self.trunc + 1):
+            layer: dict = {}
+            for df, f, cf in terms:
+                if df > d:
+                    break
+                for g, cg in layers[d - df].items():
+                    e = tuple(map(add, f, g))
+                    layer[e] = layer.get(e, 0) + cf * cg
+            layers.append(layer)
+        out = {e: c for layer in layers for e, c in layer.items()}
+        return self._make(self.nvars, self.trunc, out)
 
     def __truediv__(self, other):
         self._compat(other)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
+from operator import mul
 from typing import Iterator, Sequence
 
 from .complete import _rank
@@ -160,9 +161,11 @@ def Ln_direct(n: int, trunc: int) -> TruncatedSeries:
     truncated at total degree ``trunc``.
 
     For n = 1 the strip has no cells and the series is H by convention.
-    Both counts are monotone in s, so each word contributes a finite window:
-    downward from the smallest left label while the right count stays within
-    the truncation, and upward until the left count leaves it.
+    Both counts are monotone in s, so each word contributes a finite window.
+    Below the smallest left label only right moves, by one a sink.  Above
+    it, label s + 1 lies in row r = (s + 1) mod (n - 1), since L_i = i mod
+    (n - 1), so a step is O(1): left rises by one if s + 1 >= L_r, else
+    right falls by one.
     """
     n, trunc = _as_ints((n, trunc), "n and trunc")
     if n < 1:
@@ -175,33 +178,19 @@ def Ln_direct(n: int, trunc: int) -> TruncatedSeries:
     total: dict = {}
     for w in dn_words(n):
         L = _row_labels(w)[1]
-        start = min(L)
-        s = start - 1
-        while True:
-            l, r = _counts(L, n, s)
-            if r > trunc:
-                break
-            total[(l, r)] = total.get((l, r), 0) + 1
-            s -= 1
-        s = start
-        while True:
-            l, r = _counts(L, n, s)
-            if r == 0 and l > trunc:
-                break
-            if l + r <= trunc:
-                total[(l, r)] = total.get((l, r), 0) + 1
+        s = min(L) - 1
+        left, right = _counts(L, n, s)  # left == 0
+        for r in range(right, trunc + 1):
+            total[0, r] = total.get((0, r), 0) + 1
+        while right or left <= trunc:
             s += 1
+            if s >= L[s % (n - 1)]:
+                left += 1
+            else:
+                right -= 1
+            if left + right <= trunc:
+                total[left, right] = total.get((left, right), 0) + 1
     return TruncatedSeries(2, trunc, total)
-
-
-def _an_words(n: int) -> Iterator[str]:
-    """Every word with n b's and n - 1 a's (no prefix condition)."""
-    length = 2 * n - 1
-    for a_pos in combinations(range(length), n - 1):
-        word = ["b"] * length
-        for p in a_pos:
-            word[p] = "a"
-        yield "".join(word)
 
 
 def _word_weight(w: str) -> tuple:
@@ -225,20 +214,21 @@ def _word_weight(w: str) -> tuple:
 def Ln_via_toxy(n: int, trunc: int) -> TruncatedSeries:
     """The same series as Ln_direct, from the boundary-word expansion:
     H times (sum of weights of b...b words minus weights of a...a words)
-    over all words with n b's and n - 1 a's."""
+    over all words with n b's and n - 1 a's.  Only those two kinds are
+    built: their 2n - 3 inner letters hold n - 1 and n - 3 a's."""
     n, trunc = _as_ints((n, trunc), "n and trunc")
     if n < 2:
         raise ValueError("the boundary-word expansion needs n >= 2")
     inner: dict = {}
-    for w in _an_words(n):
-        if w[0] == "b" and w[-1] == "b":
-            sign = 1
-        elif w[0] == "a" and w[-1] == "a":
-            sign = -1
-        else:
+    for end, sign, a_count in (("b", 1, n - 1), ("a", -1, n - 3)):
+        if a_count < 0:  # n = 2 has no a...a word
             continue
-        e = _word_weight(w)
-        inner[e] = inner.get(e, 0) + sign
+        for a_pos in combinations(range(1, 2 * n - 2), a_count):
+            word = [end] + ["b"] * (2 * n - 3) + [end]
+            for p in a_pos:
+                word[p] = "a"
+            e = _word_weight("".join(word))
+            inner[e] = inner.get(e, 0) + sign
     return h_series(trunc) * TruncatedSeries(2, trunc, inner)
 
 
@@ -246,31 +236,30 @@ def carlitz_catalan(t_q: int, t_z: int) -> TruncatedSeries:
     """Area-weighted Catalan series C(q, z): coefficient of q^a z^p counts
     balanced words with p a's and area a, kept for a <= t_q, p <= t_z.
 
-    Computed from the first-return recurrence C = 1 + z C(q, z) C(q, qz),
-    iterated t_z times from C = 1: each round settles one more z-degree.
+    Computed one z-degree at a time from the first-return recurrence
+    C_p(q) = sum over a + b = p - 1 of q^a C_a(q) C_b(q) (Carlitz and
+    Riordan, 1964) on one int per C_p, ``width`` bits per power of q, cut
+    to q^t_q at each step: no exponent falls, so each kept one is exact.
     """
     t_q, t_z = _as_ints((t_q, t_z), "truncation orders")
     if t_q < 0 or t_z < 0:
         raise ValueError("truncation orders must be >= 0")
-    trunc = t_q + t_z
-
-    def boxed(e):
-        return e[0] <= t_q and e[1] <= t_z
-
-    # Neither the products nor the shift z -> qz lowers an exponent, so a
-    # monomial outside the box feeds only monomials outside it: trimming to
-    # the box every round leaves every coefficient inside it exact.
-    z = TruncatedSeries.monomial(2, trunc, (0, 1))
-    one = TruncatedSeries.one(2, trunc)
-
-    def step(C):
-        shifted = C.map_exponents(lambda e: (e[0] + e[1], e[1])).filter(boxed)
-        return (one + z * C * shifted).filter(boxed)
-
-    C = one
-    for _ in range(t_z):
-        C = step(C)
-    return C
+    # every coefficient of every product below counts balanced words with
+    # p <= t_z a's, so it is at most Catalan(t_z) < 2^width: no slot carries
+    width = (comb(2 * t_z, t_z) // (t_z + 1)).bit_length()
+    slot, keep = (1 << width) - 1, (1 << (t_q + 1) * width) - 1
+    polys, lifted, coeffs = [], [], {}
+    for p in range(t_z + 1):
+        c = sum(map(mul, lifted, reversed(polys))) & keep if p else 1
+        polys.append(c)
+        lifted.append(c << p * width & keep)  # q^p C_p
+        a = 0
+        while c:
+            if c & slot:
+                coeffs[a, p] = c & slot
+            c >>= width
+            a += 1
+    return TruncatedSeries._make(2, t_q + t_z, coeffs)
 
 
 def LnC_identity_check(max_n: int, trunc: int) -> bool:
@@ -295,7 +284,7 @@ def LnC_identity_check(max_n: int, trunc: int) -> bool:
     H3 = h_series(trunc).map_exponents(lambda e: (e[0], e[1], 0), nvars=3, trunc=T)
     z = TruncatedSeries.monomial(3, T, (0, 0, 1))
     one = TruncatedSeries.one(3, T)
-    rhs = H3 * (Cx + Cy - Cx * Cy) * (one - Cx * z * Cy).inverse()
+    rhs = H3 * (Cx + Cy - Cx * Cy) / (one - Cx * z * Cy)
 
     def windowed(e):
         return e[2] <= tz and e[0] + e[1] <= trunc

@@ -439,6 +439,25 @@ def test_tutte_counts_json(capsys):
     assert payload["spanning_trees"] == 3
 
 
+def test_tutte_counts_read_the_tree_count_off_the_counts(capsys, monkeypatch):
+    """The spanning-tree count is the class count at degree g, T(1, 1), read
+    from the same DP however low --max-degree is: the Hermite form never
+    runs, and the counts stop at --max-degree."""
+    W5 = MultiGraph.wheel(5)
+    trees = W5.spanning_tree_count()
+
+    def refuse(self):
+        raise AssertionError("Hermite form computed")
+
+    monkeypatch.setattr(MultiGraph, "spanning_tree_count", refuse)
+    for d in (0, 2, 5, 9):
+        payload = run_json(capsys, "tutte-counts", "--wheel", "5", "--max-degree", str(d))
+        assert payload["spanning_trees"] == trees == 121
+        assert list(payload["counts"]) == [str(k) for k in range(d + 1)]
+    code, out, err = run(capsys, "tutte-counts", "--wheel", "5", "--max-degree", "-1")
+    assert (code, out, err) == (1, "", "error: d_max must be >= 0\n")
+
+
 def test_dyck_stats(capsys):
     payload = run_json(capsys, "dyck", "stats", "abaabb")
     assert payload["area"] == 1

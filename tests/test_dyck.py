@@ -211,6 +211,67 @@ def test_one_pass_statistics_match_their_definitions_on_every_word(name):
             assert getattr(dyck, name)(w) == ORACLES[name](w), w
 
 
+# prerank, cdinv, phi_involution and zeta_haglund check their word inside
+# its height scan; the two-pass route checks its shape with the predicates'
+# own walk first, then takes the heights.
+
+
+def two_pass_heights(w, balanced):
+    """The heights of w once the predicates accept its shape, with the
+    errors ``_dn`` and ``zeta_haglund`` raised before their scans fused."""
+    if dyck.is_dyck_word(w) or not balanced and dyck.is_dn_word(w):
+        return dyck.heights(w)
+    raise ValueError("expected a balanced word" if balanced else
+                     "expected a balanced word or one with a trailing extra b")
+
+
+def two_pass_prerank(w):
+    eta = two_pass_heights(w, False)
+    if not eta:
+        return 0
+    top = max(eta)
+    return len(eta) * top - sum(eta) - eta[::-1].index(top)
+
+
+def two_pass_cdinv(w):
+    two_pass_heights(w, False)
+    return cdinv_pairs(w)
+
+
+def two_pass_phi(w):
+    two_pass_heights(w, False)
+    return phi_split(w)
+
+
+def two_pass_zeta(w):
+    two_pass_heights(w, True)
+    return zeta_sweep(w)
+
+
+def outcome(fn, w):
+    """fn's value on w, or the type and message of what it raised."""
+    try:
+        return fn(w)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+FUSED = {"prerank": two_pass_prerank, "cdinv": two_pass_cdinv,
+         "phi_involution": two_pass_phi, "zeta_haglund": two_pass_zeta}
+ANY_WORDS = ["".join("ab"[(k >> i) & 1] for i in range(length))
+             for length in range(9) for k in range(2 ** length)]
+
+
+@pytest.mark.parametrize("name", FUSED)
+def test_fused_scans_match_the_two_pass_route(name):
+    """Every word up to 10 b's in both forms, every a/b word up to 8
+    letters, and words that are not a/b strings: the same value, or the
+    same exception type and message."""
+    odd = [None, b"ab", ["a", "b"], "aXb", "ab ", "\nab", "abc", "AB", 3]
+    for w in [*every_word(), *ANY_WORDS, *odd]:
+        assert outcome(getattr(dyck, name), w) == outcome(FUSED[name], w), w
+
+
 def test_phi_is_the_canonical_conjugate_of_the_reversal():
     """phi's docstring: the unique non-b-heavy conjugate of the reversal."""
     for n in range(1, 11):
@@ -230,7 +291,7 @@ def test_cdinv_contacts_are_the_strip_vertex_labels():
     at every point where a north step starts, for n <= 8."""
     for n in range(1, 9):
         for w in dyck.dn_words(n):
-            assert dyck._contact_labels(w) == strip_contacts(w)[1], w
+            assert dyck._contact_labels(dyck.heights(w)) == strip_contacts(w)[1], w
 
 
 def test_phi_pinned():

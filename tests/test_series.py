@@ -73,6 +73,40 @@ def test_inverse_roundtrip_for_units(a):
     assert (a * unit) / unit == a
 
 
+def geometric_inverse(s):
+    """1/s as the geometric series c0 * sum of (1 - c0*s)^k, k <= trunc,
+    for a constant term c0 of +1 or -1: one product per term."""
+    c0 = s.coefficient((0,) * s.nvars)
+    one = TruncatedSeries.one(s.nvars, s.trunc)
+    v = one - s * c0
+    out, power = one, one
+    for _ in range(s.trunc):
+        power = power * v
+        out = out + power
+    return out * c0
+
+
+@st.composite
+def unit_series(draw):
+    """A series in 1..3 variables with constant term +1 or -1."""
+    nvars = draw(st.integers(1, 3))
+    trunc = draw(st.integers(0, 6))
+    a = draw(series_strategy(nvars, trunc))
+    c0 = draw(st.sampled_from([1, -1]))
+    zero = (0,) * nvars
+    return a - TruncatedSeries(nvars, trunc, {zero: a.coefficient(zero) - c0})
+
+
+@settings(max_examples=100)
+@given(unit_series(), st.data())
+def test_graded_inverse_matches_the_geometric_series(unit, data):
+    """The degree-by-degree inverse equals the geometric series it
+    replaced, and so does the quotient built on it."""
+    assert unit.inverse() == geometric_inverse(unit)
+    other = data.draw(series_strategy(unit.nvars, unit.trunc))
+    assert other / unit == other * geometric_inverse(unit)
+
+
 def test_inverse_requires_unit_constant():
     with pytest.raises(ValueError):
         TruncatedSeries(2, 3, {(1, 0): 1}).inverse()

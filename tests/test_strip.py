@@ -160,6 +160,68 @@ def test_carlitz_matches_enumeration(t_q, t_z):
     assert c.coeffs == area_counts(t_q, t_z)
 
 
+def area_dp(t_q, t_z):
+    """{(area, p): words} over the balanced words with p <= t_z a's and
+    area <= t_q, by a DP over (step, height): an a taken at height h adds
+    h to the area, and no prefix climbs higher than the steps left can
+    come down."""
+    out = {}
+    for p in range(t_z + 1):
+        ways = {(0, 0): 1}  # (height, area) -> prefixes
+        for step in range(2 * p):
+            nxt = Counter()
+            for (h, a), c in ways.items():
+                if h < 2 * p - step - 1 and a + h <= t_q:
+                    nxt[h + 1, a + h] += c
+                if h:
+                    nxt[h - 1, a] += c
+            ways = nxt
+        out.update({(a, p): c for (h, a), c in ways.items()})
+    return out
+
+
+@pytest.mark.parametrize("t_q, t_z", [(60, 12), (120, 16), (7, 16), (0, 16)])
+def test_carlitz_matches_the_area_dp_past_enumeration(t_q, t_z):
+    """Orders with up to 35357670 words per z-degree, which no enumeration
+    reaches in Tier-1: the packed recurrence against the area DP."""
+    assert strip.carlitz_catalan(t_q, t_z).coeffs == area_dp(t_q, t_z)
+
+
+def test_area_dp_matches_enumeration():
+    assert area_dp(15, 6) == area_counts(15, 6)
+    assert area_dp(3, 7) == area_counts(3, 7)
+
+
+def ln_by_sink_windows(n, trunc):
+    """Ln_direct's series by the per-sink loop it replaced: every sink of
+    each word's window counted from scratch by ``_counts``, O(n) a sink."""
+    total = Counter()
+    for w in dyck.dn_words(n):
+        L = strip._row_labels(w)[1]
+        s = min(L) - 1
+        while True:
+            left, right = strip._counts(L, n, s)
+            if right > trunc:
+                break
+            total[left, right] += 1
+            s -= 1
+        s = min(L)
+        while True:
+            left, right = strip._counts(L, n, s)
+            if right == 0 and left > trunc:
+                break
+            if left + right <= trunc:
+                total[left, right] += 1
+            s += 1
+    return TruncatedSeries(2, trunc, total)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_Ln_direct_matches_the_per_sink_windows(n):
+    for trunc in range(11):
+        assert strip.Ln_direct(n, trunc) == ln_by_sink_windows(n, trunc), trunc
+
+
 def test_identity_check_small():
     assert strip.LnC_identity_check(3, 6)
 
