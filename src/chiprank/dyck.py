@@ -117,7 +117,7 @@ def _checked_heights(w: str, balanced: bool = False) -> list:
     """w's heights, refused unless w is balanced or, when ``balanced`` is
     false, has one trailing extra b.  The height falls only on b's, so each
     prefix's is at least the next a's or the final one, 2·#a - len(w): the
-    scan itself checks both shapes, no height below 0, and an end at 0 or -1."""
+    heights alone decide both shapes, no height below 0 and an end at 0 or -1."""
     eta = _heights(_check_letters(w))
     end = 2 * len(eta) - len(w)
     if min(eta, default=0) < 0 or end != 0 and (balanced or end != -1):
