@@ -218,7 +218,8 @@ def check_recurrence_duality(seed: int) -> tuple:
 
 def check_class_counts(seed: int) -> tuple:
     """Effective-class counts by degree match the running sums of the
-    recurrent level histogram, read from the top level down, hit the known
+    recurrent level histogram, tallied by the burning test over every
+    stable configuration and read from the top level down, hit the known
     K3 table, and stabilize at the spanning-tree number."""
     expected_k3 = {0: 1, 1: 3, 2: 3, 3: 3, 4: 3}
     for G, table in (
@@ -228,12 +229,15 @@ def check_class_counts(seed: int) -> tuple:
     ):
         d_max = G.m - G.n + 3
         counts = dynamics.effective_class_counts(G, d_max)
-        levels = dynamics.recurrent_level_counts(G)
         top = G.m - G.n + 1
+        shift = G.m - G.degrees[-1]  # the sum of a level-0 configuration
+        levels = Counter(sum(body) - shift
+                         for body in product(*(range(d) for d in G.degrees[:-1]))
+                         if dynamics.is_recurrent_burning(G, body + (0,)))
         for d in range(d_max + 1):
             # parking sums up to d are the complements of levels top - d and up
-            if counts[d] != sum(levels[max(top - d, 0):]):
-                return False, f"{G!r} at degree {d}: {counts[d]} by parking, levels {levels}"
+            if counts[d] != sum(c for i, c in levels.items() if i >= top - d):
+                return False, f"{G!r} at degree {d}: {counts[d]} by T(1, y), levels {levels}"
         if table and any(counts[d] != table[d] for d in table if d <= d_max):
             return False, f"K3 table mismatch: {counts}"
         trees = G.spanning_tree_count()

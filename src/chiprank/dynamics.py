@@ -34,8 +34,8 @@ __all__ = [
     "recurrent_level_counts",
 ]
 
-# Enumeration guard for the exhaustive class counters: the most elements of
-# Jac(G) (spanning trees) they enumerate.
+# Guard for the class counts' frontier DP (``_tutte_y``): refused when both
+# bounds on its live states, Bell(widest frontier) and |Jac(G)|, exceed it.
 _ENUM_LIMIT = 10_000_000
 
 
@@ -92,23 +92,20 @@ def is_recurrent_burning(G: MultiGraph, f: Sequence[int]) -> bool:
 def _is_recurrent(G: MultiGraph, f: tuple) -> bool:
     """The burning test on a checked stable configuration, read off the
     odometer: every non-sink vertex toppled exactly once."""
-    odo = _fire_sink(G, f)[0]
+    odo = _fire_sink(G, f)
     return all(odo[i] == 1 for i in range(G.n - 1))
 
 
-def _fire_sink(G: MultiGraph, f: Sequence[int]) -> tuple:
-    """Fire the sink into f and stabilize.
-
-    Returns ``(odometer, cfg)``: how often each vertex toppled (every
-    non-sink vertex exactly once is the recurrence criterion), and the
-    stabilized result.
-    """
+def _fire_sink(G: MultiGraph, f: Sequence[int]) -> list:
+    """Fire the sink into f and stabilize; returns the odometer, how often
+    each vertex toppled (every non-sink vertex exactly once is the
+    recurrence criterion)."""
     degs, adj = G.degrees, G._adj
     cfg = list(f)
     for j, e in adj[-1]:
         cfg[j] += e
     cfg[-1] -= degs[-1]
-    return _backend.stabilize(degs, adj, cfg), cfg
+    return _backend.stabilize(degs, adj, cfg)
 
 
 def is_recurrent_subsets(G: MultiGraph, f: Sequence[int]) -> bool:
@@ -342,127 +339,6 @@ def _is_effective(G: MultiGraph, f: tuple) -> bool:
     return _park(G, f)[-1] >= 0
 
 
-def _prefix_walk(G: MultiGraph, entry_range, split) -> list:
-    """Histogram of non-sink sums over the parking or the recurrent
-    configurations, found by extending prefixes of members one vertex at a
-    time; ``hist[s]`` counts the members whose non-sink entries sum to s.
-
-    ``entry_range(prefix)`` returns the half-open range of the next entry
-    over the members that start with ``prefix``.  Both sets are closed
-    coordinatewise (parking configurations downwards, recurrent ones upwards
-    within the stable cube), so every prefix the walk reaches extends to a
-    member.  ``_child_ranges`` gives the ranges of all of a prefix's
-    children at once, from ``split`` (two kernel calls) when there are two
-    or more and from the lone child's ``entry_range`` (one call) otherwise.
-    So the walk makes one call for the empty prefix and, for each prefix
-    of length 0 .. n - 3, two calls or one, never more than the children
-    it ranges: at most one call per prefix of length 0 .. n - 2, and
-    (n - 1)·|Jac(G)| in all.  The children of length n - 2 are never
-    stacked: their last entries' ranges are tallied at once, into a
-    difference array.  The guard counts |Jac(G)| before any
-    call, and the members found must number exactly that many.
-    """
-    order = G.spanning_tree_count()
-    if order > _ENUM_LIMIT:
-        raise ValueError(f"Jac(G) has {order} elements; enumeration refused")
-    last = G.n - 2
-    if last < 0:
-        return [1]  # the empty body is the one member
-    # sums run up to sum(deg - 1) over the non-sink vertices
-    diff = [0] * (sum(G.degrees[:-1]) - last + 1)
-    stack = [((), 0, *entry_range(()))]  # explicit, as the walk is n - 1 levels deep
-    if last == 0:  # n = 2: the empty prefix's range is the last entry's
-        _, _, lo, hi = stack.pop()
-        diff[lo] += 1
-        diff[hi] -= 1
-    while stack:
-        prefix, s, lo, hi = stack.pop()
-        kids = _child_ranges(entry_range, split, prefix, lo, hi)
-        if len(prefix) + 1 < last:
-            stack.extend((prefix + (c,), s + c, *r) for c, r in enumerate(kids, lo))
-        else:
-            for sc, (a, b) in enumerate(kids, s + lo):
-                diff[sc + a] += 1
-                diff[sc + b] -= 1
-    hist = list(accumulate(diff))[:-1]
-    if sum(hist) != order:
-        raise AssertionError(
-            f"prefix walk found {sum(hist)} configurations, not |Jac| = {order}"
-        )
-    return hist
-
-
-def _child_ranges(entry_range, split, prefix: tuple, lo: int, hi: int) -> list:
-    """The next entry's range after each child prefix + (c,), for c in
-    lo .. hi - 1: ``split(prefix)`` returns ``(t, below, above)``, and the
-    range is ``below`` for c < t and ``above`` for c >= t.  A lone child
-    calls its own ``entry_range`` instead, one kernel call against two."""
-    if hi - lo == 1:
-        return [entry_range(prefix + (lo,))]
-    t, below, above = split(prefix)
-    return [below if c < t else above for c in range(lo, hi)]
-
-
-def _recurrent_range(G: MultiGraph) -> tuple:
-    """The recurrent walk's ``(entry_range, split)``, from fire-the-sink
-    stabilizations: the mirror image of the parking walk's burning-test
-    ranges, which the tests keep as an oracle for the class counts.
-
-    ``entry_range``: vertex j gets -1 chips and every later vertex deg - 1,
-    then the sink fires.  Nothing topples twice, so j receives at most
-    deg(j) chips and never topples.  It ends up holding -1 + e(j, T + sink),
-    with T the toppled set, and it topples exactly when it starts with at
-    least deg(j) - e(j, T + sink) chips: those entries below deg(j) keep
-    the configuration recurrent.
-
-    ``split``: with -1 on both j and j + 1, j never topples and ends up
-    holding -1 + e(j, T0 + sink); every c below t = deg(j) - 1 minus that
-    leaves j untoppled and topples T0 again, and every c >= t topples j and
-    the same set as c = deg(j) - 1, the second stabilization.
-    """
-    degs = G.degrees
-    full = tuple(d - 1 for d in degs[:-1]) + (0,)
-
-    def need(i, fired):
-        # the fewest chips i can start with and still topple
-        return degs[i] - 1 - fired[i]
-
-    def entry_range(prefix):
-        j = len(prefix)
-        fired = _fire_sink(G, prefix + (-1,) + full[j + 1:])[1]
-        return need(j, fired), degs[j]
-
-    def split(prefix):
-        j = len(prefix)
-        k = j + 1
-        low = _fire_sink(G, prefix + (-1, -1) + full[k + 1:])[1]
-        high = _fire_sink(G, prefix + (full[j], -1) + full[k + 1:])[1]
-        return need(j, low), (need(k, low), degs[k]), (need(k, high), degs[k])
-
-    return entry_range, split
-
-
-def recurrent_level_counts(G: MultiGraph) -> list:
-    """Histogram of recurrent configurations by level.
-
-    level(f) = sum of non-sink entries - m + deg(sink); ranges over
-    0 .. m - n + 1, and the histogram lists how many recurrent stable
-    configurations sit at each level.  The total is the number of spanning
-    trees.  The configurations come from a prefix walk over the recurrent
-    up-set, never from the whole stable cube: two fire-the-sink
-    stabilizations range all the children of a prefix that has several,
-    and one those of a prefix that has one (at most (n - 1)·|Jac(G)| kernel
-    calls); graphs with more than ``_ENUM_LIMIT`` spanning trees are
-    refused before any kernel call.
-    """
-    hist = _prefix_walk(G, *_recurrent_range(G))
-    shift = G.m - G.degrees[-1]
-    # the lowest recurrent sum is shift, the highest the end of hist
-    if any(hist[:shift]):
-        raise AssertionError("recurrent level below 0")
-    return hist[shift:]
-
-
 def _bell(w: int, cap: int | None = None) -> int:
     """Bell(w), the number of partitions of a w-set, from the Bell triangle;
     with ``cap``, the first Bell number past it once one is (the rows stop
@@ -687,6 +563,19 @@ def _tutte_y(G: MultiGraph) -> list:
     return [int.from_bytes(raw[i * size:(i + 1) * size], "little") for i in range(g + 1)]
 
 
+def recurrent_level_counts(G: MultiGraph) -> list:
+    """Histogram of recurrent configurations by level.
+
+    level(f) = sum of non-sink entries - m + deg(sink); ranges over
+    0 .. m - n + 1, and the histogram lists how many recurrent stable
+    configurations sit at each level.  The total is the number of spanning
+    trees.  By Merino's theorem the count at level i is [y^i] T(1, y): the
+    histogram is ``_tutte_y``'s, with its refusal, and no configuration is
+    enumerated.
+    """
+    return _tutte_y(G)
+
+
 def effective_class_counts(G: MultiGraph, d_max: int) -> dict:
     """Number of effective toppling classes of each degree 0..d_max.
 
@@ -701,9 +590,7 @@ def effective_class_counts(G: MultiGraph, d_max: int) -> dict:
     (``_frontier_states``), never enumerating Jac(G), and no kernel runs.
     It is refused, before any state is built, only when both the widest
     frontier's Bell number and |Jac(G)| exceed ``_ENUM_LIMIT``.
-    ``recurrent_level_counts`` counts the same classes by walking the
-    recurrent configurations: the parking sums up to d match the recurrent
-    levels from g - d up.
+    ``recurrent_level_counts`` returns the same coefficients from y^0 up.
     """
     (d_max,) = _as_ints((d_max,), "d_max")
     if d_max < 0:

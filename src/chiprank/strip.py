@@ -59,6 +59,23 @@ def _word_count(n: int) -> tuple:
     return words, str(words)
 
 
+def _boundary_word_count(n: int) -> tuple:
+    """(count, text) for ``Ln_via_toxy``'s C(2n - 3, n - 1) b...b and
+    C(2n - 3, n - 3) a...a words, C(2n - 2, n) in all, n >= 2; like
+    ``_word_count``, it stops at the first n' <= n past ``_DIRECT_LIMIT``."""
+    for k in range(2, n + 1):
+        words = comb(2 * k - 2, k)
+        if words > _DIRECT_LIMIT and k < n:
+            return words, f"more than {_DIRECT_LIMIT}"
+    return words, str(words)
+
+
+def _require_trunc(trunc: int) -> None:
+    """Refuse a negative truncation, naming it."""
+    if trunc < 0:
+        raise ValueError("need trunc >= 0")
+
+
 def vertex_label(n: int, x: int, y: int) -> int:
     """Label of the lattice point (x, y) in the n-strip (rows 0..n-1)."""
     n, x, y = _as_ints((n, x, y), "the strip size and coordinates")
@@ -149,6 +166,7 @@ def psi_involution(w: str, s: int) -> tuple:
 def h_series(trunc: int) -> TruncatedSeries:
     """(1 - xy) / ((1 - x)(1 - y)) = 1 + sum of x^i + y^i."""
     (trunc,) = _as_ints((trunc,), "trunc")
+    _require_trunc(trunc)
     coeffs = {(0, 0): 1}
     for i in range(1, trunc + 1):
         coeffs[(i, 0)] = 1
@@ -170,6 +188,7 @@ def Ln_direct(n: int, trunc: int) -> TruncatedSeries:
     n, trunc = _as_ints((n, trunc), "n and trunc")
     if n < 1:
         raise ValueError("need n >= 1")
+    _require_trunc(trunc)
     if n == 1:
         return h_series(trunc)
     words, text = _word_count(n)
@@ -215,10 +234,15 @@ def Ln_via_toxy(n: int, trunc: int) -> TruncatedSeries:
     """The same series as Ln_direct, from the boundary-word expansion:
     H times (sum of weights of b...b words minus weights of a...a words)
     over all words with n b's and n - 1 a's.  Only those two kinds are
-    built: their 2n - 3 inner letters hold n - 1 and n - 3 a's."""
+    built: their 2n - 3 inner letters hold n - 1 and n - 3 a's.  Refused
+    before the first word when they number more than ``_DIRECT_LIMIT``."""
     n, trunc = _as_ints((n, trunc), "n and trunc")
     if n < 2:
         raise ValueError("the boundary-word expansion needs n >= 2")
+    _require_trunc(trunc)
+    words, text = _boundary_word_count(n)
+    if words > _DIRECT_LIMIT:
+        raise ValueError(f"{text} words is past the direct-enumeration limit")
     inner: dict = {}
     for end, sign, a_count in (("b", 1, n - 1), ("a", -1, n - 3)):
         if a_count < 0:  # n = 2 has no a...a word
@@ -269,6 +293,7 @@ def LnC_identity_check(max_n: int, trunc: int) -> bool:
     max_n, trunc = _as_ints((max_n, trunc), "max_n and trunc")
     if max_n < 1:
         raise ValueError("need max_n >= 1")
+    _require_trunc(trunc)
     tz = max_n - 1
     T = trunc + tz
 
@@ -305,7 +330,10 @@ def Kn_bistatistic_check(n: int, window: Sequence[int] = (-5, 15)) -> bool:
     Refuses more than 10^7 (word, sink) pairs, as ``_kn_walk`` does.
     """
     (n,) = _as_ints((n,), "n")
-    lo, hi = _as_ints(window, "window bounds")
+    window = _as_ints(window, "window bounds")
+    if len(window) != 2:
+        raise ValueError(f"window must be a pair of sink bounds (lo, hi), got {window!r}")
+    lo, hi = window
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:

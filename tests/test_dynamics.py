@@ -1,8 +1,4 @@
-import inspect
-import os
 import re
-import subprocess
-import sys
 from collections import Counter
 from itertools import accumulate, product
 from math import prod
@@ -11,13 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import chiprank
 from chiprank import cli, dynamics, graphs
 from chiprank.complete import parking_via_cyclic_lemma
 from chiprank.graphs import MultiGraph, laplacian_row, topple
 
 from conftest import SMALL_GRAPHS
-from test_graphs import _sink_grid
+from test_graphs import _random_multigraphs, _sink_grid
 
 
 @st.composite
@@ -255,24 +250,70 @@ def test_recurrent_level_counts_pinned(K3, K4, W5):
         assert sum(dynamics.recurrent_level_counts(G)) == G.spanning_tree_count()
 
 
-def counts_by_levels(G, d_max):
-    """Effective classes of each degree 0..d_max from the recurrent level
-    histogram: by the complement bijection, the parking sums up to d match
-    the levels from m - n + 1 - d up."""
-    levels = dynamics.recurrent_level_counts(G)
-    top = G.m - G.n + 1
-    return {d: sum(levels[max(top - d, 0):]) for d in range(d_max + 1)}
+def test_recurrent_level_counts_past_the_jacobian_limit():
+    """W30 (|Jac| = 3.5·10^12) and the 6 x 6 sink grid have far more
+    recurrent configurations than the enumeration limit, but a frontier of
+    four and of eight vertices; their levels still sum to |Jac|."""
+    for G, g in ((MultiGraph.wheel(30), 30), (_sink_grid(6), 48)):
+        levels = dynamics.recurrent_level_counts(G)
+        assert len(levels) == g + 1 == G.m - G.n + 2
+        assert sum(levels) == G.spanning_tree_count() > dynamics._ENUM_LIMIT
 
 
-def test_effective_class_counts_pinned(K3):
-    counts = dynamics.effective_class_counts(K3, 4)
-    assert counts == counts_by_levels(K3, 4) == {0: 1, 1: 3, 2: 3, 3: 3, 4: 3}
+def _prefix_walk(G, entry_range, split):
+    """Histogram of non-sink sums over the parking configurations, found by
+    extending prefixes of members one vertex at a time; ``hist[s]`` counts
+    the members whose non-sink entries sum to s.
+
+    ``entry_range(prefix)`` returns the half-open range of the next entry
+    over the members that start with ``prefix``.  Parking configurations
+    are closed downwards, so every prefix the walk reaches extends to a
+    member.  ``_child_ranges`` gives the ranges of all of a prefix's
+    children at once, from ``split`` (two kernel calls) when there are two
+    or more and from the lone child's ``entry_range`` (one call)
+    otherwise.  The children of length n - 2 are never stacked: their last
+    entries' ranges are tallied at once, into a difference array.  The
+    members found must number exactly |Jac(G)|.
+    """
+    last = G.n - 2
+    if last < 0:
+        return [1]  # the empty body is the one member
+    # sums run up to sum(deg - 1) over the non-sink vertices
+    diff = [0] * (sum(G.degrees[:-1]) - last + 1)
+    stack = [((), 0, *entry_range(()))]  # explicit, as the walk is n - 1 levels deep
+    if last == 0:  # n = 2: the empty prefix's range is the last entry's
+        _, _, lo, hi = stack.pop()
+        diff[lo] += 1
+        diff[hi] -= 1
+    while stack:
+        prefix, s, lo, hi = stack.pop()
+        kids = _child_ranges(entry_range, split, prefix, lo, hi)
+        if len(prefix) + 1 < last:
+            stack.extend((prefix + (c,), s + c, *r) for c, r in enumerate(kids, lo))
+        else:
+            for sc, (a, b) in enumerate(kids, s + lo):
+                diff[sc + a] += 1
+                diff[sc + b] -= 1
+    hist = list(accumulate(diff))[:-1]
+    assert sum(hist) == G.spanning_tree_count()
+    return hist
+
+
+def _child_ranges(entry_range, split, prefix, lo, hi):
+    """The next entry's range after each child prefix + (c,), for c in
+    lo .. hi - 1: ``split(prefix)`` returns ``(t, below, above)``, and the
+    range is ``below`` for c < t and ``above`` for c >= t.  A lone child
+    calls its own ``entry_range`` instead, one kernel call against two."""
+    if hi - lo == 1:
+        return [entry_range(prefix + (lo,))]
+    t, below, above = split(prefix)
+    return [below if c < t else above for c in range(lo, hi)]
 
 
 def _parking_range(G):
-    """The parking walk's ``(entry_range, split)`` for
-    ``dynamics._prefix_walk``, from burning tests: a second route to the
-    parking sums, independent of T(1, y).
+    """The parking walk's ``(entry_range, split)`` for ``_prefix_walk``,
+    from burning tests: a second route to the parking sums, independent of
+    T(1, y).
 
     ``entry_range``: vertex j gets deg(j) chips, which no fire can burn,
     and every later vertex none.  Let U (holding j) be what the fire leaves
@@ -311,11 +352,22 @@ def _parking_range(G):
     return entry_range, split
 
 
-def counts_by_parking(G, d_max):
-    """Effective classes of each degree 0..d_max from the parking walk: the
-    running sums of the parking configurations' non-sink sums."""
-    hist = dynamics._prefix_walk(G, *_parking_range(G))[:d_max + 1]
+def parking_walk(G):
+    """The parking walk's histogram of non-sink sums."""
+    return _prefix_walk(G, *_parking_range(G))
+
+
+def counts_by_parking(G, d_max, hist=None):
+    """Effective classes of each degree 0..d_max from the parking walk (or
+    its histogram ``hist``): the running sums of the parking
+    configurations' non-sink sums."""
+    hist = (parking_walk(G) if hist is None else hist)[:d_max + 1]
     return dict(enumerate(accumulate(hist + [0] * (d_max + 1 - len(hist)))))
+
+
+def test_effective_class_counts_pinned(K3):
+    counts = dynamics.effective_class_counts(K3, 4)
+    assert counts == counts_by_parking(K3, 4) == {0: 1, 1: 3, 2: 3, 3: 3, 4: 3}
 
 
 @pytest.mark.parametrize("G", [
@@ -329,14 +381,18 @@ def counts_by_parking(G, d_max):
 ], ids=["W6", "W7", "W8", "K5", "K6", "K7", "grid2", "grid3",
         "W3", "W4", "W5", "W9", "W10", "K1", "K2", "K3", "K4"])
 def test_effective_class_counts_equal_the_level_tails(G):
-    """T(1, y)'s counts against the parking walk's sums and the recurrent
-    walk's levels, past the degree where every class is effective, on
-    graphs whose stable cube is too large for the cube test below; T(1, 1)
-    is |Jac(G)|."""
+    """T(1, y)'s counts against the parking walk's sums, past the degree
+    where every class is effective, on graphs whose stable cube is too
+    large for the cube test below: the recurrent levels, reversed, are the
+    walk's histogram (parking sums above g = m - n + 1 never occur), and
+    T(1, 1) is |Jac(G)|."""
     d_max = G.m - G.n + 3
     counts = dynamics.effective_class_counts(G, d_max)
-    assert counts == counts_by_parking(G, d_max) == counts_by_levels(G, d_max)
-    assert counts[d_max] == sum(dynamics._tutte_y(G)) == G.spanning_tree_count()
+    hist = parking_walk(G)
+    assert counts == counts_by_parking(G, d_max, hist)
+    levels = dynamics.recurrent_level_counts(G)
+    assert levels[::-1] == hist[:len(levels)] and not any(hist[len(levels):])
+    assert counts[d_max] == sum(levels) == G.spanning_tree_count()
 
 
 @st.composite
@@ -371,29 +427,29 @@ def _cube_reference(G):
 @given(st.one_of(st.sampled_from(SMALL_GRAPHS), small_multigraphs()))
 def test_prefix_walks_match_the_stable_cube(G):
     parking, levels = _cube_reference(G)
-    hist = dynamics._prefix_walk(G, *_parking_range(G))
+    hist = parking_walk(G)
     assert Counter({s: c for s, c in enumerate(hist) if c}) == parking
     assert dynamics.recurrent_level_counts(G) == levels
     d_max = G.m - G.n + 2
     counts = dynamics.effective_class_counts(G, d_max)
     assert counts == {d: sum(c for s, c in parking.items() if s <= d)
                       for d in range(d_max + 1)}
-    assert counts == counts_by_parking(G, d_max) == counts_by_levels(G, d_max)
+    assert counts == counts_by_parking(G, d_max, hist)
     assert counts[d_max] == G.spanning_tree_count()
 
 
 def _check_split(G):
-    """Walk both prefix trees with the per-child ranges; at every parent,
-    ``_child_ranges`` must give each child c the range
+    """Walk the parking prefix tree with the per-child ranges; at every
+    parent, ``_child_ranges`` must give each child c the range
     ``entry_range(prefix + (c,))``."""
-    for entry_range, split in (_parking_range(G), dynamics._recurrent_range(G)):
-        stack = [((), *entry_range(()))] if G.n >= 3 else []
-        while stack:
-            prefix, lo, hi = stack.pop()
-            each = [entry_range(prefix + (c,)) for c in range(lo, hi)]
-            assert dynamics._child_ranges(entry_range, split, prefix, lo, hi) == each
-            if len(prefix) + 3 < G.n:
-                stack.extend((prefix + (c,), *r) for c, r in enumerate(each, lo))
+    entry_range, split = _parking_range(G)
+    stack = [((), *entry_range(()))] if G.n >= 3 else []
+    while stack:
+        prefix, lo, hi = stack.pop()
+        each = [entry_range(prefix + (c,)) for c in range(lo, hi)]
+        assert _child_ranges(entry_range, split, prefix, lo, hi) == each
+        if len(prefix) + 3 < G.n:
+            stack.extend((prefix + (c,), *r) for c, r in enumerate(each, lo))
 
 
 def test_split_agrees_with_each_childs_range():
@@ -414,7 +470,7 @@ def test_split_agrees_with_each_childs_range_on_multigraphs(G):
     (MultiGraph.from_edges(300, [(i, i + 1) for i in range(1, 300)]), 299),
 ])
 def test_prefix_walks_make_two_kernel_calls_per_split(monkeypatch, G, calls):
-    """A parent with two or more children costs two kernel calls, a parent
+    """A parent with two or more children costs two burning tests, a parent
     with one child one.  The bound of one call per prefix is 609, 570 and
     232 on W7, K6 and W6; the path, whose parents each have one child,
     meets it."""
@@ -427,28 +483,28 @@ def test_prefix_walks_make_two_kernel_calls_per_split(monkeypatch, G, calls):
             return kernel(*args)
 
         monkeypatch.setattr(dynamics._backend, name, counting)
-    dynamics._prefix_walk(G, *_parking_range(G))
-    dynamics._prefix_walk(G, *dynamics._recurrent_range(G))
-    assert made == {"burning_test": calls, "stabilize": calls}
+    parking_walk(G)
+    assert made == {"burning_test": calls}
 
 
 def test_class_counts_smallest_graphs():
     G1 = MultiGraph([[0]])  # the empty body is the one parking configuration
     assert dynamics.recurrent_level_counts(G1) == [1]
     assert dynamics.effective_class_counts(G1, 2) == {0: 1, 1: 1, 2: 1}
-    assert counts_by_levels(G1, 2) == {0: 1, 1: 1, 2: 1}
+    assert counts_by_parking(G1, 2) == {0: 1, 1: 1, 2: 1}
     G2 = MultiGraph.from_edges(2, [(1, 2, 3)])
     assert dynamics.recurrent_level_counts(G2) == [1, 1, 1]
     assert dynamics.effective_class_counts(G2, 3) == {0: 1, 1: 2, 2: 3, 3: 3}
-    assert counts_by_levels(G2, 3) == {0: 1, 1: 2, 2: 3, 3: 3}
+    assert counts_by_parking(G2, 3) == {0: 1, 1: 2, 2: 3, 3: 3}
 
 
 def test_class_counts_walk_a_long_path():
-    """The recurrent walk is n - 1 levels deep, and the DP's frontier three
-    vertices wide; a path has one class per degree."""
+    """The DP's frontier on a path is three vertices wide, whatever its
+    length; a path has one class per degree, and one recurrent
+    configuration."""
     P = MultiGraph.from_edges(2000, [(i, i + 1) for i in range(1, 2000)])
     assert dynamics.effective_class_counts(P, 3) == {0: 1, 1: 1, 2: 1, 3: 1}
-    assert counts_by_levels(P, 3) == {0: 1, 1: 1, 2: 1, 3: 1}
+    assert dynamics.recurrent_level_counts(P) == [1]
 
 
 def _refuse(*args):
@@ -456,28 +512,64 @@ def _refuse(*args):
 
 
 def test_class_count_guard_counts_the_jacobian(monkeypatch):
-    """The walk's guard counts |Jac|, not stable-cube cells: C30's cube has
-    2^29 cells but only 30 classes.  T(1, y) needs no kernel, and K6's
-    frontier of six has Bell(6) = 203 partitions, within a limit that
-    |Jac(K6)| = 1296 exceeds."""
+    """The guard counts |Jac| and the frontier's partitions, not
+    stable-cube cells: C30's cube has 2^29 cells but only 30 classes.
+    T(1, y) needs no kernel, and K6's frontier of six has Bell(6) = 203
+    partitions, within a limit that |Jac(K6)| = 1296 exceeds."""
     C30 = MultiGraph.from_edges(30, [(i, i % 30 + 1) for i in range(1, 31)])
     assert dynamics.recurrent_level_counts(C30) == [29, 1]
     assert dynamics.effective_class_counts(C30, 3) == {0: 1, 1: 30, 2: 30, 3: 30}
-    assert counts_by_levels(C30, 3) == {0: 1, 1: 30, 2: 30, 3: 30}
+    assert counts_by_parking(C30, 3) == {0: 1, 1: 30, 2: 30, 3: 30}
 
     monkeypatch.setattr(dynamics, "_ENUM_LIMIT", 1000)
     W7 = MultiGraph.wheel(7)  # |Jac| 841, cube 3^7 = 2187
     assert sum(dynamics.recurrent_level_counts(W7)) == 841
     counts = dynamics.effective_class_counts(W7, 10)
-    assert counts == counts_by_levels(W7, 10)
+    assert counts == counts_by_parking(W7, 10)
     assert counts[10] == 841
 
     monkeypatch.setattr(dynamics._backend, "burning_test", _refuse)
     monkeypatch.setattr(dynamics._backend, "stabilize", _refuse)
     K6 = MultiGraph.complete(6)  # |Jac| 1296
-    with pytest.raises(ValueError, match="1296"):
-        dynamics.recurrent_level_counts(K6)
+    assert dynamics.recurrent_level_counts(K6) == [
+        120, 240, 270, 240, 180, 120, 70, 35, 15, 5, 1]
     assert dynamics.effective_class_counts(K6, 13)[13] == 1296
+
+
+def _sink_source_orientations(G):
+    """Every acyclic orientation of G whose only source is the sink, by
+    brute force over all orientations, each as a frozenset of its
+    ``head`` items."""
+    pairs = [(i + 1, j + 1) for i, row in enumerate(G._adj) for j, _ in row if i < j]
+    found = set()
+    for heads in product(*pairs):
+        o = dynamics.Orientation(G, dict(zip(pairs, heads)))
+        sources = [v for v in range(1, G.n + 1) if o.indegree(v) == 0]
+        if sources == [G.n] and o.is_acyclic():
+            found.add(frozenset(o.head.items()))
+    return found
+
+
+@pytest.mark.parametrize("G", [
+    *(MultiGraph.complete(n) for n in range(2, 6)),
+    *(MultiGraph.wheel(k) for k in range(3, 6)),
+    *_random_multigraphs(5, 5, sizes=(5, 5)),
+], ids=["K2", "K3", "K4", "K5", "W3", "W4", "W5", "R0", "R1", "R2", "R3", "R4"])
+def test_top_parking_configurations_peel_to_sink_source_orientations(G):
+    """T(1, 0), the recurrent configurations at level 0, counts the acyclic
+    orientations whose only source is the sink (Greene and Zaslavsky,
+    1983): the parking configurations of degree g = m - n + 1 peel into
+    exactly those orientations, each once."""
+    g = G.m - G.n + 1
+    tops = [body + (0,) for body in product(*(range(d) for d in G.degrees[:-1]))
+            if sum(body) == g and dynamics.is_parking(G, body + (0,))]
+    peeled = set()
+    for f in tops:
+        o = dynamics.acyclic_orientation_from_parking(G, f)
+        assert o.is_acyclic()
+        peeled.add(frozenset(o.head.items()))
+    assert len(peeled) == len(tops) == dynamics.recurrent_level_counts(G)[0]
+    assert peeled == _sink_source_orientations(G)
 
 
 def test_bell_numbers():
@@ -489,17 +581,19 @@ def test_bell_numbers():
 
 def test_class_counts_refuse_past_both_bounds(monkeypatch, capsys):
     """K13's frontier reaches 13 vertices, Bell(13) = 27644437 partitions,
-    and |Jac(K13)| = 13^11: both past the limit, so the counts are refused
-    with both numbers named, before any state is built.  Either bound
-    within the limit answers: a binary tree of 63 vertices, with a
-    frontier of 18, has C(m, g) = C(62, 0) = 1, and one more edge closing
-    an 11-cycle gives C(63, 1) = 63 but |Jac| = 11."""
+    and |Jac(K13)| = 13^11: both past the limit, so the counts and the
+    levels are refused with both numbers named, before any state is built.
+    Either bound within the limit answers: a binary tree of 63 vertices,
+    with a frontier of 18, has C(m, g) = C(62, 0) = 1, and one more edge
+    closing an 11-cycle gives C(63, 1) = 63 but |Jac| = 11."""
     monkeypatch.setattr(dynamics, "_frontier_states", _refuse)
     K13 = MultiGraph.complete(13)
     msg = (r"widest frontier has 13 vertices and Bell\(13\) = 27644437 partitions,"
            r" Jac\(G\) has 1792160394037 elements; both exceed 10000000")
     with pytest.raises(ValueError, match=msg):
         dynamics.effective_class_counts(K13, 3)
+    with pytest.raises(ValueError, match=msg):
+        dynamics.recurrent_level_counts(K13)
     assert cli.main(["tutte-counts", "--complete", "13", "--max-degree", "3"]) == 1
     assert re.search(msg, capsys.readouterr().err)
     monkeypatch.undo()
@@ -530,31 +624,6 @@ def test_class_counts_of_a_binary_tree_keep_one_state(monkeypatch):
     assert all(len(states) == 1 for states in dynamics._frontier_states(T, steps))
     monkeypatch.setattr(MultiGraph, "spanning_tree_count", _refuse)
     assert dynamics.effective_class_counts(T, 3) == {0: 1, 1: 1, 2: 1, 3: 1}
-
-
-def test_prefix_walk_count_check_survives_optimize_flag():
-    """The walk's |Jac| count is an explicit raise, so ``python -O`` keeps
-    it: with a stand-in burning kernel that burns nothing, the parking walk
-    ranges the whole stable cube of K3, four configurations, not three."""
-    script = (
-        "from chiprank import _backend, dynamics\n"
-        "from chiprank.graphs import MultiGraph\n"
-        + inspect.getsource(_parking_range) +
-        "_backend.burning_test = lambda degs, adj, cfg: []\n"
-        "K3 = MultiGraph.complete(3)\n"
-        "try:\n"
-        "    dynamics._prefix_walk(K3, *_parking_range(K3))\n"
-        "except AssertionError as exc:\n"
-        "    print(exc)\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit('no AssertionError under -O')\n"
-    )
-    src = os.path.dirname(os.path.dirname(chiprank.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert "found 4 configurations, not |Jac| = 3" in proc.stdout
 
 
 @pytest.mark.parametrize("call", [

@@ -1,3 +1,7 @@
+import os
+import re
+import subprocess
+import sys
 from collections import Counter
 from math import comb
 
@@ -318,6 +322,53 @@ def test_word_count_stops_past_the_limit():
     for hi, sinks in ((10**7, "10000001"), (10**12, "1000000000001")):
         with pytest.raises(ValueError, match=rf"^1 words x {sinks} sinks is past the walk limit"):
             strip.Kn_bistatistic_check(1, (0, hi))
+
+
+def test_boundary_word_expansion_refuses_before_the_first_word(monkeypatch):
+    """Ln_via_toxy builds C(2n - 3, n - 1) + C(2n - 3, n - 3) words and
+    refuses, before the first, when they pass the direct-enumeration limit:
+    (18, 40) would build 2.2·10^9, and a huge n is refused in a few steps."""
+    for n in range(2, 13):  # 646646 words at n = 12, past the limit
+        words = comb(2 * n - 3, n - 1) + (comb(2 * n - 3, n - 3) if n >= 3 else 0)
+        assert strip._boundary_word_count(n) == (words, str(words))
+    assert strip._boundary_word_count(13) == (646646, "more than 200000")
+
+    def refuse(*args):
+        raise AssertionError("word made before the guard")
+
+    monkeypatch.setattr(strip, "combinations", refuse)
+    with pytest.raises(ValueError, match=r"^646646 words is past the direct-enumeration limit$"):
+        strip.Ln_via_toxy(12, 3)
+    for n in (18, 10**4, 10**5):
+        with pytest.raises(ValueError, match=r"^more than 200000 words is past"
+                                             r" the direct-enumeration limit$"):
+            strip.Ln_via_toxy(n, 40)
+    # the same call in a fresh process, so a missing guard fails in seconds
+    # rather than building the 2.2·10^9 words
+    src = os.path.dirname(os.path.dirname(strip.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from chiprank import strip; strip.Ln_via_toxy(18, 40)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.strip().endswith(
+        "ValueError: more than 200000 words is past the direct-enumeration limit")
+
+
+def test_series_refusals_name_their_argument():
+    """A negative truncation is refused by its own name, not the series
+    ring's variable count, and a window that is not a pair is named too."""
+    for call in (lambda: strip.Ln_direct(3, -1), lambda: strip.Ln_direct(1, -1),
+                 lambda: strip.Ln_via_toxy(3, -1), lambda: strip.h_series(-1),
+                 lambda: strip.LnC_identity_check(3, -1),
+                 lambda: strip.LnC_identity_check(1, -2)):
+        with pytest.raises(ValueError, match=r"^need trunc >= 0$"):
+            call()
+    for window in ((1,), (1, 2, 3), ()):
+        with pytest.raises(ValueError, match=r"^window must be a pair of sink bounds"
+                                             rf" \(lo, hi\), got {re.escape(repr(window))}$"):
+            strip.Kn_bistatistic_check(3, window)
+    with pytest.raises(ValueError, match=r"^window bounds must be integers$"):
+        strip.Kn_bistatistic_check(3, (1.5, 4))
 
 
 NOT_STRINGS = [None, b"ab", ["a", "b"]]

@@ -12,7 +12,8 @@ function of ``chiprank.dynamics`` and ``chiprank.rank`` and runs the CLI's
 kernels once or a few times: stabilization, recurrence, parking and
 effectiveness.  A class-count section then runs
 ``recurrent_level_counts``, ``effective_class_counts`` and ``tutte-counts``
-on W30 and the 6 x 6 sink grid, whose Jacobians are too large to enumerate.
+on W30 and the 6 x 6 sink grid, whose Jacobians are too large to enumerate;
+all three read T(1, y) off the same frontier DP.
 A function call prints its value or the exception it raised; a command
 prints its exit code, stdout and stderr, with the one timing field, rank's
 ``wall_ms``, masked.
@@ -500,7 +501,8 @@ def series_functions(rng: random.Random) -> None:
              lambda a, b: series_terms(strip.Ln_direct(a, b)), n, trunc)
         show(f"Ln_via_toxy({n!r}, {trunc!r})",
              lambda a, b: series_terms(strip.Ln_via_toxy(a, b)), n, trunc)
-    # past its word limit; Ln_via_toxy has none, and would build 2.2e9 words
+    # past the word limit; Ln_via_toxy refuses it too (a Tier-1 test), but a
+    # checkout without its limit would build all 2.2e9 words
     show("Ln_direct(18, 40)", strip.Ln_direct, 18, 40)
     for max_n, trunc in IDENTITY_ORDERS:
         show(f"LnC_identity_check({max_n!r}, {trunc!r})", strip.LnC_identity_check,
