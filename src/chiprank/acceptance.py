@@ -248,12 +248,15 @@ def check_class_counts(seed: int) -> tuple:
 
 
 def check_series_identities(seed: int) -> tuple:
-    """Window enumeration equals the boundary-word expansion, the stacked
-    series match the Catalan closed form, and the area-Catalan recurrence
-    matches enumeration; two minutes."""
+    """L_n equals every word's left_right counts over its sinks and the
+    boundary-word expansion, the stacked series match the Catalan closed
+    form, and the area-Catalan recurrence matches enumeration; two minutes."""
     start = time.perf_counter()
     for n in range(2, 6):
         direct = strip.Ln_direct(n, 10)
+        counts = Counter(strip.left_right(w, s) for w in dyck.dn_words(n) for s in range(-40, 40))
+        if direct.coeffs != {e: c for e, c in counts.items() if sum(e) <= 10}:
+            return False, f"Ln_direct disagrees with left_right's counts at n={n}"
         if direct != strip.Ln_via_toxy(n, 10):
             return False, f"window vs boundary-word mismatch at n={n}"
         if direct != direct.map_exponents(lambda e: (e[1], e[0])):

@@ -15,8 +15,7 @@ take words and numbers that are already validated and run unchecked.
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import comb
+from math import comb, inf
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -40,33 +39,20 @@ __all__ = [
     "kn_degree_rank_table",
 ]
 
-_DIRECT_LIMIT = 200_000  # refuse Ln_direct beyond this many words
 _WALK_LIMIT = 10_000_000  # refuse the K_n (word, sink) walk beyond this many pairs
+_BUDGET = 5 * 10**10  # bits of packed work a pass may take; a dict term takes as long as 2**13
 
 
 def _word_count(n: int) -> tuple:
     """(count, text) for the words of K_n, n >= 1: the Catalan number
-    C(2n - 2, n - 1)/n and its decimal text.  The count is built up term by
-    term, C_(k+1) = C_k * 2(2k + 1)/(k + 2), and stops at the first term
-    past the larger limit, so a huge n costs a few dozen steps; the count
-    is then that term (a lower bound) and the text "more than" the limit."""
-    cap = max(_DIRECT_LIMIT, _WALK_LIMIT)
+    C(2n - 2, n - 1)/n, built term by term, C_(k+1) = C_k * 2(2k + 1)/(k + 2),
+    and its decimal text; past the walk limit, a few dozen steps at any n,
+    the first term past it (a lower bound) and "more than" the limit."""
     words = 1
     for k in range(n - 1):
         words = words * 2 * (2 * k + 1) // (k + 2)
-        if words > cap:
-            return words, f"more than {cap}"
-    return words, str(words)
-
-
-def _boundary_word_count(n: int) -> tuple:
-    """(count, text) for ``Ln_via_toxy``'s C(2n - 3, n - 1) b...b and
-    C(2n - 3, n - 3) a...a words, C(2n - 2, n) in all, n >= 2; like
-    ``_word_count``, it stops at the first n' <= n past ``_DIRECT_LIMIT``."""
-    for k in range(2, n + 1):
-        words = comb(2 * k - 2, k)
-        if words > _DIRECT_LIMIT and k < n:
-            return words, f"more than {_DIRECT_LIMIT}"
+        if words > _WALK_LIMIT:
+            return words, f"more than {_WALK_LIMIT}"
     return words, str(words)
 
 
@@ -164,96 +150,103 @@ def psi_involution(w: str, s: int) -> tuple:
 
 
 def h_series(trunc: int) -> TruncatedSeries:
-    """(1 - xy) / ((1 - x)(1 - y)) = 1 + sum of x^i + y^i."""
+    """(1 - xy) / ((1 - x)(1 - y)) = 1 + sum of x^i + y^i, which is L_2."""
     (trunc,) = _as_ints((trunc,), "trunc")
-    _require_trunc(trunc)
-    coeffs = {(0, 0): 1}
-    for i in range(1, trunc + 1):
-        coeffs[(i, 0)] = 1
-        coeffs[(0, i)] = 1
-    return TruncatedSeries(2, trunc, coeffs)
+    return Ln_direct(2, trunc)
 
 
 def Ln_direct(n: int, trunc: int) -> TruncatedSeries:
     """Sum of x^left(w, s) y^right(w, s) over all words and all integer s,
-    truncated at total degree ``trunc``.
-
-    For n = 1 the strip has no cells and the series is H by convention.
-    Both counts are monotone in s, so each word contributes a finite window.
-    Below the smallest left label only right moves, by one a sink.  Above
-    it, label s + 1 lies in row r = (s + 1) mod (n - 1), since L_i = i mod
-    (n - 1), so a step is O(1): left rises by one if s + 1 >= L_r, else
-    right falls by one.
-    """
+    truncated at total degree ``trunc``, refused in O(1) past the budget.
+    For n = 1 the strip has no cells and the series is H = L_2 by convention."""
     n, trunc = _as_ints((n, trunc), "n and trunc")
     if n < 1:
         raise ValueError("need n >= 1")
     _require_trunc(trunc)
-    if n == 1:
-        return h_series(trunc)
-    words, text = _word_count(n)
-    if words > _DIRECT_LIMIT:
-        raise ValueError(f"{text} words is past the direct-enumeration limit")
-    total: dict = {}
-    for w in dn_words(n):
-        L = _row_labels(w)[1]
-        s = min(L) - 1
-        left, right = _counts(L, n, s)  # left == 0
-        for r in range(right, trunc + 1):
-            total[0, r] = total.get((0, r), 0) + 1
-        while right or left <= trunc:
-            s += 1
-            if s >= L[s % (n - 1)]:
-                left += 1
-            else:
-                right -= 1
-            if left + right <= trunc:
-                total[left, right] = total.get((left, right), 0) + 1
-    return TruncatedSeries(2, trunc, total)
-
-
-def _word_weight(w: str) -> tuple:
-    """Exponents (alpha, beta) of a word's height profile: each a at
-    non-negative height h contributes h + 1 to alpha, each below-ground a
-    contributes -h - 1 to beta."""
-    alpha = beta = 0
-    h = 0
-    for c in w:
-        if c == "a":
-            if h >= 0:
-                alpha += h + 1
-            else:
-                beta += -h - 1
-            h += 1
-        else:
-            h -= 1
-    return alpha, beta
+    m = max(n - 1, 1)
+    q = trunc // m  # farther sinks shift q = -1 or n - 2 past trunc (``_sink_sum``)
+    return TruncatedSeries._make(2, trunc, _sink_sum(m + 1, trunc, -(q + 1) * m, (m + q) * m - 1))
 
 
 def Ln_via_toxy(n: int, trunc: int) -> TruncatedSeries:
     """The same series as Ln_direct, from the boundary-word expansion:
     H times (sum of weights of b...b words minus weights of a...a words)
-    over all words with n b's and n - 1 a's.  Only those two kinds are
-    built: their 2n - 3 inner letters hold n - 1 and n - 3 a's.  Refused
-    before the first word when they number more than ``_DIRECT_LIMIT``."""
+    over all words with n b's and n - 1 a's, an a at height h weighing
+    x^(h + 1), or y^(-h - 1) below ground.  Refused in O(1) past the budget."""
     n, trunc = _as_ints((n, trunc), "n and trunc")
     if n < 2:
         raise ValueError("the boundary-word expansion needs n >= 2")
     _require_trunc(trunc)
-    words, text = _boundary_word_count(n)
-    if words > _DIRECT_LIMIT:
-        raise ValueError(f"{text} words is past the direct-enumeration limit")
-    inner: dict = {}
-    for end, sign, a_count in (("b", 1, n - 1), ("a", -1, n - 3)):
-        if a_count < 0:  # n = 2 has no a...a word
-            continue
-        for a_pos in combinations(range(1, 2 * n - 2), a_count):
-            word = [end] + ["b"] * (2 * n - 3) + [end]
-            for p in a_pos:
-                word[p] = "a"
-            e = _word_weight("".join(word))
-            inner[e] = inner.get(e, 0) + sign
-    return h_series(trunc) * TruncatedSeries(2, trunc, inner)
+    _require_budget(n, trunc, n + 2 * (trunc // (n - 1)) + 2 * trunc + 1, n)  # H's terms as q's
+    bb, aa = (TruncatedSeries._make(2, trunc, dict(_word_sum(
+        n, trunc, n * n, end + "?" * (2 * n - 3) + end, -1, -n, range(-n, 2 * n))))
+        for end in "ba")  # n = 2's a?a never ends at -1: its sum is 0
+    return h_series(trunc) * (bb - aa)
+
+
+def _require_budget(n: int, trunc: int, qs: int, qtop: int, spent: int = 0) -> int:
+    """spent plus the work a K_n pass over qs q's, none above qtop, takes at
+    most, refused past ``_BUDGET``: per q, its slots' terms at 2**13; per DP
+    run (n + 4 at most), 2mn states of slots at 3m bits, m = n - 1."""
+    m = n - 1
+    slots = (min(trunc, m * min(max(qtop + 1, 0), m)) + 1) * min(trunc + n, m * n // 2)
+    cost = spent + slots * (min(qs, n + 4) * 6 * m * m * n + qs * 2**13)
+    if cost > _BUDGET:
+        raise ValueError(f"about 2^{cost.bit_length() - 1} bits of work is past"
+                         f" the strip budget of {_BUDGET} bits")
+    return cost
+
+
+def _word_sum(n: int, trunc: int, xmax: int, pattern: str, end: int, floor: int,
+              exps: range, switch: range = range(0)) -> list:
+    """[((a, b), count)] of x^a y^b, a <= xmax, a + b <= trunc, over words
+    filling ``pattern`` (? for either letter) whose path from height 0 stays
+    >= ``floor`` and ends at ``end``; an a at height h, flag f multiplies by
+    x^c, or y^-c if c = exps[h - floor + f] < 0.  Paths start at flag 0 if
+    ``switch`` names a-indices (else 1), fork to flag 1 after the i-th a
+    (from 0) for i in it, and end at flag 1.  A state is an int with x^a y^b
+    in w-bit slot aS + b: K_n's counts, n >= 2, are <= m Catalan(m),
+    m = n - 1, and no b in the mask reaches S after one more a."""
+    S, w = min(trunc + n, (n - 1) * n // 2), ((n - 1) * comb(2 * n - 2, n - 1) // n).bit_length()
+    rows = range(min(trunc, xmax) + 1)
+    mask = sum((1 << (min(trunc - a, S - 1) + 1) * w) - 1 << a * S * w for a in rows)
+    shifts = [c * S * w if c >= 0 else -c * w for c in exps]
+    layer = {(0, 0 if switch else 1): 1}
+    for p, letter in enumerate(pattern):
+        nxt, room = {}, len(pattern) - p - 1  # room: letters after this one
+        for (h, f), P in layer.items():
+            if letter != "b" and h + 1 - end <= room:
+                up = P << shifts[h - floor + f] & mask
+                for g in (0, 1) if not f and (p + h) // 2 in switch else (f,):
+                    nxt[h + 1, g] = nxt.get((h + 1, g), 0) + up
+            if letter != "a" and h > floor and end - h + 1 <= room:
+                nxt[h - 1, f] = nxt.get((h - 1, f), 0) + P
+        layer = nxt
+    P = layer.get((end, 1), 0)
+    slots = range(-(-P.bit_length() // w))
+    return [(divmod(i, S), c) for i in slots if (c := P >> i * w & (1 << w) - 1)]
+
+
+def _sink_sum(n: int, trunc: int, lo: int, hi: int) -> dict:
+    """{(left, right): count} over K_n's words, n >= 2, and sinks lo..hi, cut
+    at left + right <= trunc.  For s = qm + r, m = n - 1, 0 <= r < m, the i-th
+    a, at height eta, adds (q_i - eta)^+ to left and (eta - q_i)^+ to right,
+    q_i = q + [i <= r]: one ``_word_sum`` per q, going from q + 1 to q after
+    the r-th a.  As 0 <= eta < m, q < -1 (> n - 2) is q = -1 (n - 2) shifted."""
+    m, out, memo = n - 1, {}, {}
+    qs = range(lo // m, hi // m + 1 if lo <= hi else lo // m)  # none for an empty window
+    _require_budget(n, trunc, len(qs), hi // m)
+    for q in qs:
+        base = -1 if q < -1 else n - 2 if q > n - 2 else q
+        key = base, range(max(lo - q * m, 0), min(hi - q * m, m - 1) + 1)
+        if key not in memo:
+            exps = range(base + 1, base - 2 * m - 1, -1)
+            memo[key] = _word_sum(n, trunc, m * (base + 1), "?" * 2 * m, 0, 0, exps, key[1])
+        dx, dy = ((q - base) * m, 0) if q > base else (0, (base - q) * m)
+        for (a, b), c in memo[key]:
+            if a + dx + b + dy <= trunc:
+                out[a + dx, b + dy] = out.get((a + dx, b + dy), 0) + c
+    return out
 
 
 def carlitz_catalan(t_q: int, t_z: int) -> TruncatedSeries:
@@ -289,13 +282,18 @@ def carlitz_catalan(t_q: int, t_z: int) -> TruncatedSeries:
 def LnC_identity_check(max_n: int, trunc: int) -> bool:
     """Does sum over n of L_n z^(n-1) match the closed rational form
     H (C_x + C_y - C_x C_y) / (1 - C_x z C_y), with C_x = C(x, xz) and
-    C_y = C(y, yz), on the window z-degree < max_n, xy-degree <= trunc?"""
+    C_y = C(y, yz), on the window z-degree < max_n, xy-degree <= trunc?
+
+    Charged for its L_n passes and ~2 C(T + 3, 3)(T + 1) product term pairs."""
     max_n, trunc = _as_ints((max_n, trunc), "max_n and trunc")
     if max_n < 1:
         raise ValueError("need max_n >= 1")
     _require_trunc(trunc)
     tz = max_n - 1
     T = trunc + tz
+    cost = 2 * comb(T + 3, 3) * (T + 1) * 2**13
+    for n in range(1, max_n + 1):  # at most n + 1 + 2 trunc / (n - 1) q's; L_1 = H = L_2
+        cost = _require_budget(max(n, 2), trunc, n + 1 + 2 * trunc // max(n - 1, 1), n, cost)
 
     lhs: dict = {}
     for n in range(1, max_n + 1):
@@ -354,15 +352,14 @@ def Kn_bistatistic_check(n: int, window: Sequence[int] = (-5, 15)) -> bool:
 
 def kn_degree_rank_table(n: int, lo: int, hi: int) -> dict:
     """How many (word, sink) pairs on K_n carry each (degree, rank), the sink
-    running over lo..hi.  Returns {(degree, rank): count}.  Refuses more
-    than 10^7 (word, sink) pairs, as ``_kn_walk`` does."""
+    running over lo..hi.  Returns {(degree, rank): count}, from the uncut
+    ``_sink_sum``: rank = left - 1, degree = C(n - 1, 2) - 1 + left - right."""
     n, lo, hi = _as_ints((n, lo, hi), "n and the sink bounds")
     if n < 2:
         raise ValueError("need n >= 2")
-    out: dict = {}
-    for _, _, degree, _, rank in _kn_walk(n, lo, hi):
-        out[degree, rank] = out.get((degree, rank), 0) + 1
-    return out
+    base = comb(n - 1, 2)
+    return {(base - 1 + left - right, left - 1): c
+            for (left, right), c in _sink_sum(n, inf, lo, hi).items()}
 
 
 def _check_walk(n: int, lo: int, hi: int) -> None:

@@ -499,11 +499,15 @@ def test_genfun_ln_formats(capsys):
     assert lines[0] == "degree,rank,count"
     assert "0,0,1" in lines
 
+    # K_16's 9694845 words are past any word list, not past the DP
+    code, out, _ = run(capsys, "genfun", "ln", "--n", "16", "--format", "csv")
+    assert code == 0
+    assert sum(int(line.split(",")[2]) for line in out.splitlines()[1:]) == 9694845 * 21
     for fmt in ("json", "csv"):
-        code, out, err = run(capsys, "genfun", "ln", "--n", "16", "--trunc", "4",
+        code, out, err = run(capsys, "genfun", "ln", "--n", "10000", "--trunc", "4",
                              "--format", fmt)
         assert code == 1 and not out
-        assert err.startswith("error: 9694845 words")
+        assert "past the strip budget" in err
 
 
 def test_genfun_ln_csv_needs_no_trunc(capsys):

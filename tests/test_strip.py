@@ -3,7 +3,9 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from itertools import combinations
 from math import comb
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -118,8 +120,13 @@ def test_L3_pinned_low_degrees():
 
 
 def test_Ln_direct_guards_against_blowup():
-    with pytest.raises(ValueError):
-        strip.Ln_direct(18, 40)
+    """Past the old 2·10^5-word limit the DP still answers: (18, 40) sums
+    35357670 words; a blowup is refused by the budget instead."""
+    direct = strip.Ln_direct(18, 40)
+    assert direct == strip.Ln_via_toxy(18, 40)
+    assert direct == direct.map_exponents(lambda e: (e[1], e[0]))
+    with pytest.raises(ValueError, match="past the strip budget"):
+        strip.Ln_direct(3, 10**7)
 
 
 def test_carlitz_pinned():
@@ -226,6 +233,82 @@ def test_Ln_direct_matches_the_per_sink_windows(n):
         assert strip.Ln_direct(n, trunc) == ln_by_sink_windows(n, trunc), trunc
 
 
+def ln_by_sink_steps(n, trunc):
+    """{(left, right): count} of L_n, n >= 2, by the word walk Ln_direct ran
+    before its DP: each word's sinks below its smallest left label move
+    only right, and above it label s + 1 lies in row (s + 1) mod (n - 1),
+    so a step raises left or lowers right, O(1) a sink."""
+    total = Counter()
+    for w in dyck.dn_words(n):
+        L = strip._row_labels(w)[1]
+        s = min(L) - 1
+        left, right = strip._counts(L, n, s)  # left == 0
+        for r in range(right, trunc + 1):
+            total[0, r] += 1
+        while right or left <= trunc:
+            s += 1
+            if s >= L[s % (n - 1)]:
+                left += 1
+            else:
+                right -= 1
+            if left + right <= trunc:
+                total[left, right] += 1
+    return total
+
+
+@pytest.mark.parametrize("n, top", [(n, 12) for n in range(1, 11)] + [(11, 8), (12, 8)])
+def test_Ln_direct_matches_the_word_walk(n, top):
+    """The DP against every word's sink walk, at each truncation up to top:
+    a term's coefficient does not depend on the truncation, so one walk at
+    top serves all.  L_1 is H by convention."""
+    walked = ln_by_sink_steps(n, top) if n > 1 else Counter(
+        {e: 1 for i in range(top + 1) for e in ((i, 0), (0, i))})
+    for trunc in range(top + 1):
+        kept = {e: c for e, c in walked.items() if sum(e) <= trunc}
+        assert strip.Ln_direct(n, trunc).coeffs == kept, trunc
+
+
+def word_weight(w):
+    """x^alpha y^beta of a word's height profile: each a at height h >= 0
+    adds h + 1 to alpha, each a below ground -h - 1 to beta."""
+    alpha = beta = h = 0
+    for c in w:
+        if c == "a":
+            if h >= 0:
+                alpha += h + 1
+            else:
+                beta += -h - 1
+            h += 1
+        else:
+            h -= 1
+    return alpha, beta
+
+
+def boundary_word_weights(n):
+    """{(alpha, beta): signed count} by the word list Ln_via_toxy built
+    before its DP: the weights of the b...b words minus those of the a...a
+    words, each made by placing n - 1 (n - 3) a's among its 2n - 3 inner
+    letters."""
+    inner = Counter()
+    for end, sign, a_count in (("b", 1, n - 1), ("a", -1, n - 3)):
+        if a_count < 0:  # n = 2 has no a...a word
+            continue
+        for a_pos in combinations(range(1, 2 * n - 2), a_count):
+            word = [end] + ["b"] * (2 * n - 3) + [end]
+            for p in a_pos:
+                word[p] = "a"
+            inner[word_weight(word)] += sign
+    return inner
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_Ln_via_toxy_matches_the_boundary_words(n):
+    inner = boundary_word_weights(n)
+    for trunc in (0, 1, 5, 10):
+        expected = strip.h_series(trunc) * TruncatedSeries(2, trunc, inner)
+        assert strip.Ln_via_toxy(n, trunc) == expected, trunc
+
+
 def test_identity_check_small():
     assert strip.LnC_identity_check(3, 6)
 
@@ -282,22 +365,48 @@ def test_kn_walk_matches_the_closed_form():
 
 def test_kn_walk_refuses_before_the_first_word(monkeypatch):
     """Past the pair limit the K_n walk refuses with its count and the
-    limit, before a word is made; an empty sink range makes no word."""
+    limit, before a word is made; an empty sink range makes no word.  The
+    degree-rank table makes no word at all: its DP answers 9694845 words
+    x 21 sinks, which the walk refuses."""
 
     def refuse(n):
         raise AssertionError("word made before the guard")
 
     monkeypatch.setattr(strip, "dn_words", refuse)
-    with pytest.raises(ValueError, match=r"9694845 words x 21 sinks .* 10000000"):
-        strip.kn_degree_rank_table(16, -5, 15)
+    assert sum(strip.kn_degree_rank_table(16, -5, 15).values()) == 9694845 * 21
     with pytest.raises(ValueError, match="9694845 words x 2 sinks"):
         strip.Kn_bistatistic_check(16, (0, 1))
     assert strip.kn_degree_rank_table(16, 1, 0) == {}
     monkeypatch.setattr(strip, "_WALK_LIMIT", 20)
     with pytest.raises(ValueError, match="5 words x 5 sinks"):
-        strip.kn_degree_rank_table(4, 0, 4)
+        list(strip._kn_walk(4, 0, 4))
     monkeypatch.undo()
     assert strip.Kn_bistatistic_check(4, (0, 3))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_degree_rank_table_matches_the_walk(n):
+    """The DP's table against a tally of the closed-form walk, which ranks
+    every (word, sink) pair: one walk over sinks -30..15 serves the windows
+    (-5, 15), (-30, 7) and an empty one."""
+    by_sink = Counter(map(itemgetter(2, 3, 4), strip._kn_walk(n, -30, 15)))
+    for lo, hi in ((-5, 15), (-30, 7), (4, 3)):
+        tally = Counter()
+        for (degree, s, rank), c in by_sink.items():
+            if lo <= s <= hi:
+                tally[degree, rank] += c
+        assert strip.kn_degree_rank_table(n, lo, hi) == tally, (lo, hi)
+
+
+@pytest.mark.parametrize("n", range(13, 21))
+def test_degree_rank_table_counts_every_pair_past_the_walk(n):
+    """Past the walk's reach the table still counts each of the
+    Catalan(n - 1) x 21 (word, sink) pairs once, and no rank passes the
+    degree or falls below -1."""
+    table = strip.kn_degree_rank_table(n, -5, 15)
+    assert sum(table.values()) == comb(2 * n - 2, n - 1) // n * 21
+    assert min(rank for _, rank in table) == -1
+    assert all(rank <= max(degree, -1) for degree, rank in table)
 
 
 def test_word_count_stops_past_the_limit():
@@ -308,12 +417,6 @@ def test_word_count_stops_past_the_limit():
         assert words == comb(2 * n - 2, n - 1) // n and text == str(words)
     assert strip._word_count(17) == (35357670, "more than 10000000")
     for n in (10**4, 10**5):
-        with pytest.raises(ValueError, match=r"^more than 10000000 words x 1 sinks"
-                                             r" is past the walk limit"):
-            strip.kn_degree_rank_table(n, 0, 0)
-        with pytest.raises(ValueError, match=r"^more than 10000000 words is past"
-                                             r" the direct-enumeration limit"):
-            strip.Ln_direct(n, 2)
         with pytest.raises(ValueError, match="walk limit"):
             strip.Kn_bistatistic_check(n, (0, 1))
         assert strip.kn_degree_rank_table(n, 1, 0) == {}
@@ -324,34 +427,40 @@ def test_word_count_stops_past_the_limit():
             strip.Kn_bistatistic_check(1, (0, hi))
 
 
-def test_boundary_word_expansion_refuses_before_the_first_word(monkeypatch):
-    """Ln_via_toxy builds C(2n - 3, n - 1) + C(2n - 3, n - 3) words and
-    refuses, before the first, when they pass the direct-enumeration limit:
-    (18, 40) would build 2.2·10^9, and a huge n is refused in a few steps."""
-    for n in range(2, 13):  # 646646 words at n = 12, past the limit
-        words = comb(2 * n - 3, n - 1) + (comb(2 * n - 3, n - 3) if n >= 3 else 0)
-        assert strip._boundary_word_count(n) == (words, str(words))
-    assert strip._boundary_word_count(13) == (646646, "more than 200000")
+BUDGET = r"about 2\^\d+ bits of work is past the strip budget of 50000000000 bits"
+BUDGET_CALLS = ("Ln_direct(3, 10**7)", "Ln_direct(10**5, 2)", "Ln_via_toxy(3, 10**7)",
+                "Ln_via_toxy(10**4, 40)", "h_series(10**8)", "LnC_identity_check(3, 10**4)",
+                "LnC_identity_check(10**6, 2)", "kn_degree_rank_table(10**4, -5, 15)",
+                "kn_degree_rank_table(10**5, 0, 0)")
+
+
+def test_series_refuse_past_the_budget_before_a_state(monkeypatch):
+    """Past the budget the series, the identity check and the table refuse
+    with the budget's message before the DP builds a state."""
 
     def refuse(*args):
-        raise AssertionError("word made before the guard")
+        raise AssertionError("state built before the budget check")
 
-    monkeypatch.setattr(strip, "combinations", refuse)
-    with pytest.raises(ValueError, match=r"^646646 words is past the direct-enumeration limit$"):
-        strip.Ln_via_toxy(12, 3)
-    for n in (18, 10**4, 10**5):
-        with pytest.raises(ValueError, match=r"^more than 200000 words is past"
-                                             r" the direct-enumeration limit$"):
-            strip.Ln_via_toxy(n, 40)
-    # the same call in a fresh process, so a missing guard fails in seconds
-    # rather than building the 2.2·10^9 words
+    monkeypatch.setattr(strip, "_word_sum", refuse)
+    for call in BUDGET_CALLS:
+        with pytest.raises(ValueError, match=rf"^{BUDGET}$"):
+            eval("strip." + call)
+
+
+def test_series_refuse_past_the_budget_in_a_fresh_process():
+    """The same refusals in a fresh process under a timeout, so a check that
+    goes missing fails in seconds rather than building the series."""
     src = os.path.dirname(os.path.dirname(strip.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", "from chiprank import strip; strip.Ln_via_toxy(18, 40)"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 1
-    assert proc.stderr.strip().endswith(
-        "ValueError: more than 200000 words is past the direct-enumeration limit")
+    code = ("from chiprank import strip\n"
+            f"for call in {BUDGET_CALLS!r}:\n"
+            "    try:\n        eval('strip.' + call)\n"
+            "    except ValueError as e:\n        print(e)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(BUDGET_CALLS)
+    assert all(re.fullmatch(BUDGET, line) for line in lines), lines
 
 
 def test_series_refusals_name_their_argument():
