@@ -16,7 +16,7 @@ take words and numbers that are already validated and run unchecked.
 from __future__ import annotations
 
 from math import comb, inf
-from operator import mul
+from operator import add, mul
 from typing import Iterator, Sequence
 
 from .complete import _rank
@@ -172,29 +172,74 @@ def Ln_via_toxy(n: int, trunc: int) -> TruncatedSeries:
     """The same series as Ln_direct, from the boundary-word expansion:
     H times (sum of weights of b...b words minus weights of a...a words)
     over all words with n b's and n - 1 a's, an a at height h weighing
-    x^(h + 1), or y^(-h - 1) below ground.  Refused in O(1) past the budget."""
+    x^(h + 1), or y^(-h - 1) below ground.  Refused in O(1) past the budget.
+
+    Each sum F is non-negative, and H F = F/(1 - y) + F/(1 - x) - F: each
+    quotient is one product by 1 + y + ... + y^trunc packed in a row, the
+    second on F's transpose, so a sparse F never fills a trunc x trunc box."""
     n, trunc = _as_ints((n, trunc), "n and trunc")
     if n < 2:
         raise ValueError("the boundary-word expansion needs n >= 2")
     _require_trunc(trunc)
     _require_budget(n, trunc, n + 2 * (trunc // (n - 1)) + 2 * trunc + 1, n)  # H's terms as q's
-    bb, aa = (TruncatedSeries._make(2, trunc, dict(_word_sum(
-        n, trunc, n * n, end + "?" * (2 * n - 3) + end, -1, -n, range(-n, 2 * n))))
-        for end in "ba")  # n = 2's a?a never ends at -1: its sum is 0
-    return h_series(trunc) * (bb - aa)
+    sides = [_word_sum(n, trunc, n * n, end + "?" * (2 * n - 3) + end, -1, -n, range(-n, 2 * n))
+             for end in "ba"]  # n = 2's a?a never ends at -1: its sum is 0
+    # no slot of F/(1 - y) exceeds F's coefficient sum
+    w, out = max(1, *(sum(c for _, c in F) for F in sides)).bit_length(), {}
+    for F, sign in zip(sides, (1, -1)):
+        flipped = _over_1_minus_y([((b, a), c) for (a, b), c in F], trunc, w)
+        for (a, b), c in F:
+            out[a, b] = out.get((a, b), 0) - sign * c
+        for (a, b), c in _over_1_minus_y(F, trunc, w) + [((a, b), c) for (b, a), c in flipped]:
+            out[a, b] = out.get((a, b), 0) + sign * c
+    return TruncatedSeries._make(2, trunc, out)
+
+
+def _over_1_minus_y(F: list, trunc: int, w: int) -> list:
+    """[((a, b), c)] of F/(1 - y) cut at a + b <= trunc, for F's terms
+    ((a, b), c >= 0) with a + b <= trunc and no quotient slot past 2^w: one
+    product by the packed 1 + y + ... + y^trunc, masked to F's rows."""
+    S = 2 * trunc + 1  # b + trunc < S: no y-degree reaches the next row
+    rows = range(max((a for (a, _), _ in F), default=-1) + 1)
+    ones = ((1 << (trunc + 1) * w) - 1) // ((1 << w) - 1)  # trunc + 1 slots
+    return _unpack(_pack(F, S, w) * ones & _cut(trunc, S, w, rows), S, w)
 
 
 def _require_budget(n: int, trunc: int, qs: int, qtop: int, spent: int = 0) -> int:
     """spent plus the work a K_n pass over qs q's, none above qtop, takes at
     most, refused past ``_BUDGET``: per q, its slots' terms at 2**13; per DP
-    run (n + 4 at most), 2mn states of slots at 3m bits, m = n - 1."""
+    run (n + 4 at most), at most m(m + 4) live states of slots at 2m bits
+    (m Catalan(m) < 4^m), m = n - 1."""
     m = n - 1
     slots = (min(trunc, m * min(max(qtop + 1, 0), m)) + 1) * min(trunc + n, m * n // 2)
-    cost = spent + slots * (min(qs, n + 4) * 6 * m * m * n + qs * 2**13)
+    cost = spent + slots * (min(qs, n + 4) * 2 * m * m * (m + 4) + qs * 2**13)
     if cost > _BUDGET:
         raise ValueError(f"about 2^{cost.bit_length() - 1} bits of work is past"
                          f" the strip budget of {_BUDGET} bits")
     return cost
+
+
+def _pack(terms, S: int, w: int) -> int:
+    """One int holding, for each ((a, b), c) in terms, c >= 0 in the w-bit
+    slot aS + b: the coefficient of x^a y^b."""
+    return sum(c << (a * S + b) * w for (a, b), c in terms)
+
+
+def _unpack(P: int, S: int, w: int, i: int = 0) -> list:
+    """[((a, b), c)] over the non-zero w-bit slots of P, the j-th standing
+    for x^a y^b with aS + b = i + j: ``_pack``'s inverse.  A long P is
+    halved first, so no slot costs a shift of the whole int."""
+    k = -(-P.bit_length() // w)
+    if k > 64:
+        h = k // 2
+        return _unpack(P & (1 << h * w) - 1, S, w, i) + _unpack(P >> h * w, S, w, i + h)
+    slot = (1 << w) - 1
+    return [(divmod(i + j, S), c) for j in range(k) if (c := P >> j * w & slot)]
+
+
+def _cut(trunc: int, S: int, w: int, rows: range) -> int:
+    """The mask of the w-bit slots aS + b with a in rows, b <= trunc - a, b < S."""
+    return sum((1 << (min(trunc - a, S - 1) + 1) * w) - 1 << a * S * w for a in rows)
 
 
 def _word_sum(n: int, trunc: int, xmax: int, pattern: str, end: int, floor: int,
@@ -208,8 +253,7 @@ def _word_sum(n: int, trunc: int, xmax: int, pattern: str, end: int, floor: int,
     in w-bit slot aS + b: K_n's counts, n >= 2, are <= m Catalan(m),
     m = n - 1, and no b in the mask reaches S after one more a."""
     S, w = min(trunc + n, (n - 1) * n // 2), ((n - 1) * comb(2 * n - 2, n - 1) // n).bit_length()
-    rows = range(min(trunc, xmax) + 1)
-    mask = sum((1 << (min(trunc - a, S - 1) + 1) * w) - 1 << a * S * w for a in rows)
+    mask = _cut(trunc, S, w, range(min(trunc, xmax) + 1))
     shifts = [c * S * w if c >= 0 else -c * w for c in exps]
     layer = {(0, 0 if switch else 1): 1}
     for p, letter in enumerate(pattern):
@@ -222,9 +266,7 @@ def _word_sum(n: int, trunc: int, xmax: int, pattern: str, end: int, floor: int,
             if letter != "a" and h > floor and end - h + 1 <= room:
                 nxt[h - 1, f] = nxt.get((h - 1, f), 0) + P
         layer = nxt
-    P = layer.get((end, 1), 0)
-    slots = range(-(-P.bit_length() // w))
-    return [(divmod(i, S), c) for i in slots if (c := P >> i * w & (1 << w) - 1)]
+    return _unpack(layer.get((end, 1), 0), S, w)
 
 
 def _sink_sum(n: int, trunc: int, lo: int, hi: int) -> dict:
@@ -264,18 +306,13 @@ def carlitz_catalan(t_q: int, t_z: int) -> TruncatedSeries:
     # every coefficient of every product below counts balanced words with
     # p <= t_z a's, so it is at most Catalan(t_z) < 2^width: no slot carries
     width = (comb(2 * t_z, t_z) // (t_z + 1)).bit_length()
-    slot, keep = (1 << width) - 1, (1 << (t_q + 1) * width) - 1
+    keep = (1 << (t_q + 1) * width) - 1
     polys, lifted, coeffs = [], [], {}
     for p in range(t_z + 1):
         c = sum(map(mul, lifted, reversed(polys))) & keep if p else 1
         polys.append(c)
         lifted.append(c << p * width & keep)  # q^p C_p
-        a = 0
-        while c:
-            if c & slot:
-                coeffs[a, p] = c & slot
-            c >>= width
-            a += 1
+        coeffs.update(((a, p), v) for (a, _), v in _unpack(c, 1, width))
     return TruncatedSeries._make(2, t_q + t_z, coeffs)
 
 
@@ -284,35 +321,69 @@ def LnC_identity_check(max_n: int, trunc: int) -> bool:
     H (C_x + C_y - C_x C_y) / (1 - C_x z C_y), with C_x = C(x, xz) and
     C_y = C(y, yz), on the window z-degree < max_n, xy-degree <= trunc?
 
-    Charged for its L_n passes and ~2 C(T + 3, 3)(T + 1) product term pairs."""
+    Charged, before any pass, for the work of ``_identity_rhs`` on ints of
+    at most b = (trunc S + 1) 2max_n bits, S = 2 trunc + 1: at most
+    (3 min(max_n, trunc + 1) + 2) max_n products, each at b 1.5^k bits,
+    k = (b >> 11).bit_length(), for Karatsuba's three half-size products
+    per halving, and (max_n + 3)(trunc + 1) shifts of b bits, a row each,
+    to build its mask and pack H and the X_p; then for its L_n passes."""
     max_n, trunc = _as_ints((max_n, trunc), "max_n and trunc")
     if max_n < 1:
         raise ValueError("need max_n >= 1")
     _require_trunc(trunc)
-    tz = max_n - 1
-    T = trunc + tz
-    cost = 2 * comb(T + 3, 3) * (T + 1) * 2**13
-    for n in range(1, max_n + 1):  # at most n + 1 + 2 trunc / (n - 1) q's; L_1 = H = L_2
-        cost = _require_budget(max(n, 2), trunc, n + 1 + 2 * trunc // max(n - 1, 1), n, cost)
+    bits = (trunc * (2 * trunc + 1) + 1) * 2 * max_n
+    k = (bits >> 11).bit_length()
+    products, shifts = (3 * min(max_n, trunc + 1) + 2) * max_n, (max_n + 3) * (trunc + 1)
+    cost = (products * bits * 3**k >> k) + shifts * bits
+    for n in range(2, max(max_n, 2) + 1):  # at most n + 1 + 2 trunc / (n - 1) q's
+        cost = _require_budget(n, trunc, n + 1 + 2 * trunc // (n - 1), n, cost)
 
-    lhs: dict = {}
+    H = Ln_direct(2, trunc)  # L_1 = H = L_2
+    lhs = {}
     for n in range(1, max_n + 1):
-        for (i, j), c in Ln_direct(n, trunc).coeffs.items():
-            lhs[(i, j, n - 1)] = c
-    lhs_series = TruncatedSeries(3, T, lhs)
+        L = H if n < 3 else Ln_direct(n, trunc)
+        lhs.update(((a, b, n - 1), c) for (a, b), c in L.coeffs.items())
+    return lhs == _identity_rhs(max_n, trunc, H)
 
-    C = carlitz_catalan(trunc, tz)
-    Cx = C.map_exponents(lambda e: (e[0] + e[1], 0, e[1]), nvars=3, trunc=T)
-    Cy = C.map_exponents(lambda e: (0, e[0] + e[1], e[1]), nvars=3, trunc=T)
-    H3 = h_series(trunc).map_exponents(lambda e: (e[0], e[1], 0), nvars=3, trunc=T)
-    z = TruncatedSeries.monomial(3, T, (0, 0, 1))
-    one = TruncatedSeries.one(3, T)
-    rhs = H3 * (Cx + Cy - Cx * Cy) / (one - Cx * z * Cy)
 
-    def windowed(e):
-        return e[2] <= tz and e[0] + e[1] <= trunc
+def _identity_rhs(max_n: int, trunc: int, H: TruncatedSeries) -> dict:
+    """{(a, b, p): c} of H (C_x + C_y - C_x C_y) / (1 - C_x z C_y) at z^p,
+    p < max_n, cut at a + b <= trunc, one packed (x, y) int per z-degree;
+    H is ``h_series(trunc)``, 1 + x + y + x^2 + y^2 + ...
 
-    return lhs_series.filter(windowed) == rhs.filter(windowed)
+    With X_p = x^p C_p(x), Y_p = y^p C_p(y) and P_p = sum of X_a Y_(p - a),
+    1/(1 - zP) = sum of G_p z^p, G_0 = 1, G_p = sum over j >= 1 of
+    P_(j - 1) G_(p - j); as C_x C_y G = (G - 1)/z, the z^p coefficient is
+    H (sum of (X_a + Y_a) G_(p - a) - G_(p + 1)), two non-negative sides
+    subtracted slot by slot as they are unpacked.  x^a y^b sits in slot
+    aS + b, S = 2 trunc + 1, so no product's y-degree reaches the next row,
+    and every slot is at most its series' coefficient sum at x = y = 1 (H's
+    coefficients are 0 or 1), read off the same recurrences on Catalan
+    numbers: no slot carries."""
+    S, tz = 2 * trunc + 1, max_n - 1
+    cat = [comb(2 * p, p) // (p + 1) for p in range(max_n + 1)]
+    g = [1]
+    for p in range(1, max_n + 1):
+        g.append(sum(map(mul, cat[1:], reversed(g))))
+    w = max(2 * sum(map(mul, cat, reversed(g[:max_n]))), g[max_n]).bit_length()
+    mask = _cut(trunc, S, w, range(trunc + 1))
+    C = carlitz_catalan(trunc, tz).coeffs
+    cols = [[(a + p, c) for (a, q), c in C.items() if q == p and a + p <= trunc]
+            for p in range(max_n)]
+    X = [_pack((((a, 0), c) for a, c in col), S, w) for col in cols]
+    Y = [_pack((((0, b), c) for b, c in col), S, w) for col in cols]
+    P = [sum(map(mul, X[:p + 1], reversed(Y[:p + 1]))) & mask for p in range(max_n)]
+    G = [1]
+    for p in range(1, max_n + 1):
+        G.append(sum(map(mul, P, reversed(G))) & mask)
+    Hp, XY, out = _pack(H.coeffs.items(), S, w), list(map(add, X, Y)), {}
+    for p in range(max_n):
+        pos = sum(map(mul, XY, reversed(G[:p + 1]))) & mask
+        for (a, b), c in _unpack(Hp * pos & mask, S, w):
+            out[a, b, p] = c
+        for (a, b), c in _unpack(Hp * G[p + 1] & mask, S, w):
+            out[a, b, p] = out.get((a, b, p), 0) - c
+    return {e: c for e, c in out.items() if c}
 
 
 # ---------- complete-graph bistatistic ----------

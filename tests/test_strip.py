@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiprank import complete, dyck, strip
+from chiprank import cli, complete, dyck, strip
 from chiprank.series import TruncatedSeries
 
 
@@ -311,6 +312,59 @@ def test_Ln_via_toxy_matches_the_boundary_words(n):
 
 def test_identity_check_small():
     assert strip.LnC_identity_check(3, 6)
+
+
+def identity_rhs_3var(max_n, trunc):
+    """{(a, b, p): c} of H (C_x + C_y - C_x C_y) / (1 - C_x z C_y) as
+    three-variable series to total degree trunc + max_n - 1, cut to the
+    identity's window: z-degree < max_n, xy-degree <= trunc."""
+    tz = max_n - 1
+    T = trunc + tz
+    C = strip.carlitz_catalan(trunc, tz)
+    Cx = C.map_exponents(lambda e: (e[0] + e[1], 0, e[1]), nvars=3, trunc=T)
+    Cy = C.map_exponents(lambda e: (0, e[0] + e[1], e[1]), nvars=3, trunc=T)
+    H3 = strip.h_series(trunc).map_exponents(lambda e: (e[0], e[1], 0), nvars=3, trunc=T)
+    z = TruncatedSeries.monomial(3, T, (0, 0, 1))
+    one = TruncatedSeries.one(3, T)
+    rhs = H3 * (Cx + Cy - Cx * Cy) / (one - Cx * z * Cy)
+    return {e: c for e, c in rhs.coeffs.items() if e[2] <= tz and e[0] + e[1] <= trunc}
+
+
+@pytest.mark.parametrize("max_n, trunc",
+                         [(m, t) for m in range(1, 7) for t in range(9)] + [(12, 10)])
+def test_identity_rhs_matches_the_three_variable_series(max_n, trunc):
+    """The z-graded packed right side, coefficient by coefficient."""
+    packed = strip._identity_rhs(max_n, trunc, strip.h_series(trunc))
+    oracle = identity_rhs_3var(max_n, trunc)
+    for e in packed.keys() | oracle.keys():
+        assert packed.get(e, 0) == oracle.get(e, 0), e
+
+
+def skew_L3(monkeypatch):
+    """Make strip.Ln_direct return L_3 with its x y coefficient off by one."""
+    real = strip.Ln_direct
+
+    def skewed(n, trunc):
+        series = real(n, trunc)
+        if n == 3:
+            series.coeffs[1, 1] = series.coeffs.get((1, 1), 0) + 1
+        return series
+
+    monkeypatch.setattr(strip, "Ln_direct", skewed)
+
+
+def test_identity_check_fails_on_one_wrong_coefficient(monkeypatch):
+    assert strip.LnC_identity_check(4, 8)
+    skew_L3(monkeypatch)
+    assert not strip.LnC_identity_check(4, 8)
+
+
+def test_genfun_identity_exits_1_when_it_fails(capsys, monkeypatch):
+    skew_L3(monkeypatch)
+    code = cli.main(["genfun", "identity", "--max-n", "4", "--trunc", "8"])
+    out = capsys.readouterr().out
+    assert code == 1 and '"holds": false' in out
+    assert json.loads(out) == {"max_n": 4, "trunc": 8, "holds": False}
 
 
 def test_bistatistic_check_small():
