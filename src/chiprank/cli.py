@@ -13,7 +13,7 @@ import sys
 import time
 
 from . import acceptance, complete, dyck, dynamics, rank, strip
-from .graphs import MultiGraph, _check_order, _require_length, _wheel_order
+from .graphs import MultiGraph, _check_order, _Ints, _require_length, _wheel_order
 
 # the comma form's characters: JSON can read such text only as ints
 _COMMA_FORM = re.compile(r"[-0-9, \t\n\r]*")
@@ -22,7 +22,8 @@ _COMMA_FORM = re.compile(r"[-0-9, \t\n\r]*")
 def _parse_config(text: str) -> tuple:
     """Chip counts as ``3,1,-2``, ``@file``, or ``-`` for stdin, separated
     by commas and/or whitespace: the one place where a configuration's text
-    becomes a tuple of ints.
+    becomes a tuple of ints, an ``_Ints`` that the library's checks pass
+    as it is.
 
     Text of ASCII digits, minus signs, commas and JSON whitespace is read
     by one C-level JSON scan, whose items can then only be ints (no bool,
@@ -41,11 +42,11 @@ def _parse_config(text: str) -> tuple:
             pass
         else:
             if values:
-                return tuple(values)
+                return _Ints(values)
     parts = text.replace(",", " ").split()
     if not parts:
         raise ValueError("empty configuration")
-    return tuple(map(int, parts))
+    return _Ints(map(int, parts))
 
 
 def _add_graph_args(parser: argparse.ArgumentParser) -> None:
@@ -75,11 +76,10 @@ def _named_config(args: argparse.Namespace) -> tuple:
 
 
 def _load(args: argparse.Namespace) -> tuple:
-    """The graph and the checked configuration, whose entries
-    ``_parse_config`` has made ints, so only their count is checked.  A
-    named graph's dense matrix is built only after the configuration's
-    length matches, so a short configuration on a huge N fails at once
-    rather than out of memory."""
+    """The graph and the configuration, whose length is checked.  A named
+    graph's dense matrix is built only after the configuration's length
+    matches, so a short configuration on a huge N fails at once rather
+    than out of memory."""
     if args.graph is not None:
         G = _load_graph(args)
         return G, _require_length(G.n, _parse_config(args.config))
@@ -115,16 +115,15 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     if args.count_ops and method != "formula":
         raise ValueError("--count-ops only applies to the formula method")
     out: dict = {"method": method, "degree": sum(f)}
-    # f is checked already, so each method runs its unchecked core
     if method == "formula":
-        counter = complete.OpCounter() if args.count_ops else None
-        out["rank"] = complete._rank(f, counter)
-        if counter is not None:
-            out["ops"] = counter.ops
+        if args.count_ops:
+            out["rank"], out["ops"] = complete.rank_formula(f, count_ops=True)
+        else:
+            out["rank"] = complete.rank_formula(f)
     elif method == "greedy":
-        out["rank"] = complete._rank_greedy(f)
+        out["rank"] = complete.rank_greedy(f)
     else:
-        result = rank._rank_bruteforce(G, f)
+        result = rank.rank_bruteforce(G, f)
         out["rank"] = result.rank
         out["witness"] = list(result.witness)
     out["wall_ms"] = round((time.perf_counter() - args.t0) * 1000, 3)
@@ -133,7 +132,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _cmd_rr_check(args: argparse.Namespace) -> int:
-    rr = rank._riemann_roch(*_load(args))
+    rr = rank.riemann_roch_data(*_load(args))
     _emit(rr._asdict())
     return 0 if rr.holds else 1
 
@@ -234,19 +233,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     config_help = "chip counts: inline, @file, or -; a negative first entry as --config=-1,2,3"
 
-    # _load checks f, so each command runs the unchecked core of its library
-    # function; the core is looked up when the command runs, so a wrapper or
-    # stand-in installed on its module is the one called
+    # each library function is looked up when the command runs, so a wrapper
+    # or stand-in installed on its module is the one called
     for name, blurb, compute in (
         ("stabilize", "topple until every non-sink vertex is stable",
          lambda G, f: dict(zip(("stable", "odometer"),
-                               map(list, dynamics._stabilize(G, f))))),
+                               map(list, dynamics.stabilize(G, f))))),
         ("parking", "parking representative of the configuration's class",
-         lambda G, f: {"parking": list(dynamics._park(G, f))}),
+         lambda G, f: {"parking": list(dynamics.parking_representative(G, f))}),
         ("recurrent", "recurrent representative of the configuration's class",
-         lambda G, f: {"recurrent": list(dynamics._recurrent(G, f))}),
+         lambda G, f: {"recurrent": list(dynamics.recurrent_representative(G, f))}),
         ("effective", "does the class contain a nonnegative configuration",
-         lambda G, f: {"effective": dynamics._is_effective(G, f)}),
+         lambda G, f: {"effective": dynamics.is_effective_class(G, f)}),
     ):
         p = sub.add_parser(name, help=blurb)
         _add_graph_args(p)

@@ -191,11 +191,7 @@ def parking_via_cyclic_lemma(f: Sequence[int]) -> tuple:
     normalized value shifts by -q mod n, q the number of b's rotated away;
     the result is toppling-equivalent to f, not merely a permutation).
     """
-    return _park_kn(_as_config(f))
-
-
-def _park_kn(f: tuple) -> tuple:
-    """``parking_via_cyclic_lemma`` on a validated configuration."""
+    f = _as_config(f)
     if len(f) == 1:
         return SortedParking("b", f[0]), f
     n = len(f)
@@ -244,14 +240,8 @@ def rank_greedy(f: Sequence[int]) -> int:
     about 10^6, 28096 steps) it took 0.09 s, against 0.5 ms for
     ``rank_formula`` (Python 3.11, shared 2-core x86-64 machine).
     """
-    return _rank_greedy(_as_config(f))
-
-
-def _rank_greedy(f: tuple) -> int:
-    """``rank_greedy`` on a validated configuration, a non-empty tuple of
-    ints."""
-    (word, sink), _ = _park_kn(f)
-    stair = "ab" * (len(f) - 1) + "b"
+    (word, sink), _ = parking_via_cyclic_lemma(f)
+    stair = "ab" * (len(word) // 2) + "b"
     steps = 0
     while True:
         if sink < 0:
@@ -264,7 +254,8 @@ def _rank_greedy(f: tuple) -> int:
 
 def _rank(f: tuple, counter: OpCounter | None = None) -> int:
     """The closed-form rank of a validated configuration, a non-empty tuple
-    of ints; the one core behind ``rank_formula`` and the CLI."""
+    of ints; the one core behind ``rank_formula`` and
+    ``rank_formula_details``."""
     if len(f) == 1:
         if counter is not None:
             counter.add(1)

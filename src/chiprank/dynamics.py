@@ -50,14 +50,18 @@ def _require_sandpile(G: MultiGraph, f: tuple) -> tuple:
     return f
 
 
+def _require_stable(G: MultiGraph, f: Sequence[int], criterion: str) -> tuple:
+    """f, checked, once it is seen to be a stable sandpile configuration,
+    the input the recurrence ``criterion`` expects."""
+    f = _require_sandpile(G, check_config(G, f))
+    if not all(f[i] < G.degrees[i] for i in range(G.n - 1)):
+        raise ValueError(f"{criterion} expects a stable configuration")
+    return f
+
+
 def is_stable(G: MultiGraph, f: Sequence[int]) -> bool:
     """True when every non-sink vertex holds fewer chips than its degree."""
-    return _is_stable(G, check_config(G, f))
-
-
-def _is_stable(G: MultiGraph, f: tuple) -> bool:
-    """``is_stable`` on a checked configuration."""
-    f = _require_sandpile(G, f)
+    f = _require_sandpile(G, check_config(G, f))
     return all(f[i] < G.degrees[i] for i in range(G.n - 1))
 
 
@@ -67,45 +71,20 @@ def stabilize(G: MultiGraph, f: Sequence[int]) -> tuple:
     The odometer counts how many times each vertex toppled.  The result does
     not depend on the toppling order, and the sink never topples.
     """
-    return _stabilize(G, check_config(G, f))
-
-
-def _stabilize(G: MultiGraph, f: tuple) -> tuple:
-    """``stabilize`` on a checked configuration."""
-    cfg = list(_require_sandpile(G, f))
+    cfg = list(_require_sandpile(G, check_config(G, f)))
     odo = _backend.stabilize(G.degrees, G._adj, cfg)
     return tuple(cfg), tuple(odo)
 
 
 def is_recurrent_burning(G: MultiGraph, f: Sequence[int]) -> bool:
-    """Burning test: fire the sink into f and watch the fire spread.
-
-    f (which must be stable) is recurrent iff stabilizing f minus the sink's
-    Laplacian row topples every non-sink vertex exactly once and returns to f.
+    """Burning test: f (which must be stable) is recurrent iff its
+    complement ``beta(f)`` is parking, that is, iff a fire lit at the sink
+    burns every vertex of ``beta(f)`` (Dhar's burning, ``_is_parking``).
+    Equivalently, firing the sink into f and stabilizing topples every
+    non-sink vertex exactly once.
     """
-    f = check_config(G, f)
-    if not _is_stable(G, f):
-        raise ValueError("burning test expects a stable configuration")
-    return _is_recurrent(G, f)
-
-
-def _is_recurrent(G: MultiGraph, f: tuple) -> bool:
-    """The burning test on a checked stable configuration, read off the
-    odometer: every non-sink vertex toppled exactly once."""
-    odo = _fire_sink(G, f)
-    return all(odo[i] == 1 for i in range(G.n - 1))
-
-
-def _fire_sink(G: MultiGraph, f: Sequence[int]) -> list:
-    """Fire the sink into f and stabilize; returns the odometer, how often
-    each vertex toppled (every non-sink vertex exactly once is the
-    recurrence criterion)."""
-    degs, adj = G.degrees, G._adj
-    cfg = list(f)
-    for j, e in adj[-1]:
-        cfg[j] += e
-    cfg[-1] -= degs[-1]
-    return _backend.stabilize(degs, adj, cfg)
+    f = _require_stable(G, f, "burning test")
+    return _is_parking(G, _beta(G, f))
 
 
 def is_recurrent_subsets(G: MultiGraph, f: Sequence[int]) -> bool:
@@ -114,9 +93,7 @@ def is_recurrent_subsets(G: MultiGraph, f: Sequence[int]) -> bool:
     f is recurrent iff every nonempty set Y of non-sink vertices contains a
     vertex whose chip count is at least its degree inside Y.
     """
-    f = check_config(G, f)
-    if not _is_stable(G, f):
-        raise ValueError("subset criterion expects a stable configuration")
+    f = _require_stable(G, f, "subset criterion")
     adj = G._adj
     nonsink = range(G.n - 1)
     for size in range(1, G.n):
@@ -143,10 +120,10 @@ def _beta(G: MultiGraph, f: tuple) -> tuple:
 def is_parking(G: MultiGraph, f: Sequence[int], method: str = "duality") -> bool:
     """Parking check: no nonempty set of non-sink vertices can fire legally.
 
-    ``method="duality"`` (default) tests whether the complement ``beta(f)``
-    is recurrent via burning; ``method="subsets"`` searches directly for a
-    set Y all of whose members could fire (f(k) at least the number of edges
-    leaving Y from k, for every k in Y).
+    ``method="duality"`` (default) runs Dhar's burning test on f, the test
+    that the complement ``beta(f)`` is recurrent; ``method="subsets"``
+    searches directly for a set Y all of whose members could fire (f(k) at
+    least the number of edges leaving Y from k, for every k in Y).
     """
     f = _require_sandpile(G, check_config(G, f))
     if method == "duality":
@@ -164,13 +141,14 @@ def is_parking(G: MultiGraph, f: Sequence[int], method: str = "duality") -> bool
 
 
 def _is_parking(G: MultiGraph, f: tuple) -> bool:
-    """The duality test on a checked configuration: every non-sink entry
+    """The parking test on a checked configuration: every non-sink entry
     lies in 0 .. deg - 1 (a lone overfull vertex already fires legally),
-    and ``beta(f)`` passes the burning test."""
+    and Dhar's fire, lit at the sink, burns every vertex (the unburnt set
+    is the largest one that could fire legally)."""
     degs = G.degrees
     if any(not 0 <= f[i] < degs[i] for i in range(G.n - 1)):
         return False
-    return _is_recurrent(G, _beta(G, f))
+    return not _backend.burning_test(degs, G._adj, f)
 
 
 def parking_representative(G: MultiGraph, f: Sequence[int]) -> tuple:
@@ -209,12 +187,7 @@ def recurrent_representative(G: MultiGraph, f: Sequence[int]) -> tuple:
     of beta(f).  Since beta flips every entry (sink included), the result
     lands in the class of f itself.
     """
-    return _recurrent(G, check_config(G, f))
-
-
-def _recurrent(G: MultiGraph, f: tuple) -> tuple:
-    """``recurrent_representative`` on a checked configuration."""
-    return _beta(G, _park(G, _beta(G, f)))
+    return _beta(G, _park(G, _beta(G, check_config(G, f))))
 
 
 # ---------- acyclic orientations ----------
@@ -331,12 +304,7 @@ def is_effective_class(G: MultiGraph, f: Sequence[int]) -> bool:
     Happens exactly when the parking representative has a non-negative sink
     entry (all other entries of a parking configuration are >= 0 already).
     """
-    return _is_effective(G, check_config(G, f))
-
-
-def _is_effective(G: MultiGraph, f: tuple) -> bool:
-    """``is_effective_class`` on a checked configuration."""
-    return _park(G, f)[-1] >= 0
+    return _park(G, check_config(G, f))[-1] >= 0
 
 
 def _bell(w: int, cap: int | None = None) -> int:

@@ -200,9 +200,22 @@ class MultiGraph:
 # ---------- configurations ----------
 
 
+class _Ints(tuple):
+    """A tuple whose entries are all ints already, so ``_as_ints`` returns it
+    as it is.  Only ``cli._parse_config``, whose two routes can only yield
+    ints, makes one.  Library code gets plain tuples from ``_as_ints``:
+    CPython specializes indexing for exact tuples only, so a loop over a
+    subclass runs slower."""
+
+    __slots__ = ()
+
+
 def _as_ints(values: Iterable, what: str = "configuration entries") -> tuple:
-    """``values`` as a tuple of ints.  Anything that is not an integer
-    (a float, a string, ...) raises ValueError rather than being truncated."""
+    """``values`` as a tuple of ints: an ``_Ints`` as it is, anything else as
+    a plain tuple.  Anything that is not an integer (a float, a string, ...)
+    raises ValueError rather than being truncated."""
+    if type(values) is _Ints:
+        return values
     try:
         return tuple(map(operator.index, values))
     except TypeError:

@@ -44,7 +44,9 @@ from math import comb
 from typing import NamedTuple, Sequence
 
 # is_effective_class (the uncached parking route) is not used here; it stays
-# importable as rank.is_effective_class
+# importable as rank.is_effective_class because the benchmark's tracer
+# (perfbench/spans.py) wraps that binding to count cache misses, and
+# raises KeyError on --trace 1 without it
 from .dynamics import _park, is_effective_class
 from .graphs import MultiGraph, _borrow, _lattice_form, _residue, check_config, degree
 
@@ -181,11 +183,7 @@ def rank_bruteforce(G: MultiGraph, f: Sequence[int]) -> RankResult:
     Raises if the walk would pass the sink pile and its patterns, the mu
     with |mu| <= rank + 1, number more than ``_MAX_CANDIDATES``.
     """
-    return _rank_bruteforce(G, check_config(G, f))
-
-
-def _rank_bruteforce(G: MultiGraph, f: tuple) -> RankResult:
-    """``rank_bruteforce`` on a checked configuration f."""
+    f = check_config(G, f)
     d = degree(f)
     r, start = _rank(G, f, d)
     # past the sink pile (kept when f minus r + 1 sink chips is effective)
@@ -297,11 +295,7 @@ def kappa(G: MultiGraph) -> tuple:
 
 def kappa_dual(G: MultiGraph, f: Sequence[int]) -> tuple:
     """kappa - f, the configuration paired with f by the rank symmetry."""
-    return _kappa_dual(G, check_config(G, f))
-
-
-def _kappa_dual(G: MultiGraph, f: tuple) -> tuple:
-    return tuple(k - x for k, x in zip(kappa(G), f))
+    return tuple(k - x for k, x in zip(kappa(G), check_config(G, f)))
 
 
 class RiemannRochData(NamedTuple):
@@ -322,12 +316,8 @@ def riemann_roch_data(G: MultiGraph, f: Sequence[int]) -> RiemannRochData:
     """Brute-force ranks of f and of kappa - f, and whether
     rank(f) - rank(kappa - f) equals deg(f) + n - m.  Runs the value stage
     alone: no witness is searched for."""
-    return _riemann_roch(G, check_config(G, f))
-
-
-def _riemann_roch(G: MultiGraph, f: tuple) -> RiemannRochData:
-    """``riemann_roch_data`` on a checked configuration."""
-    dual = _kappa_dual(G, f)
+    f = check_config(G, f)
+    dual = tuple(k - x for k, x in zip(kappa(G), f))
     d = degree(f)
     r = _rank(G, f, d)[0]
     rd = _rank(G, dual, degree(dual))[0]

@@ -1,7 +1,9 @@
 import random
+import types
 
 import pytest
 
+from chiprank import cli, complete, graphs
 from chiprank.graphs import MultiGraph
 
 
@@ -34,6 +36,30 @@ def multi4():
 @pytest.fixture()
 def rng():
     return random.Random(99)
+
+
+@pytest.fixture()
+def conversions(monkeypatch):
+    """Record in ``checks`` the arguments of every ``_as_ints`` call in
+    ``graphs`` and ``complete`` (where configurations are checked) that
+    converts, that is, whose values are not an ``_Ints``, which it returns
+    as it is; count the ``cli._parse_config`` calls in ``parses``."""
+    calls = types.SimpleNamespace(checks=[], parses=0)
+    as_ints, parse = graphs._as_ints, cli._parse_config
+
+    def counting(*args):
+        if type(args[0]) is not graphs._Ints:
+            calls.checks.append(args)
+        return as_ints(*args)
+
+    def counting_parse(text):
+        calls.parses += 1
+        return parse(text)
+
+    monkeypatch.setattr(graphs, "_as_ints", counting)
+    monkeypatch.setattr(complete, "_as_ints", counting)
+    monkeypatch.setattr(cli, "_parse_config", counting_parse)
+    return calls
 
 
 SMALL_GRAPHS = [

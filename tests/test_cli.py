@@ -1,13 +1,14 @@
+import ast
 import json
 import random
 import time
-import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiprank import cli, complete, graphs
+from chiprank import cli, complete
 from chiprank.cli import main
 from chiprank.graphs import MultiGraph
 
@@ -184,32 +185,27 @@ def test_rank_on_kn_matches_the_library(capsys, n):
             "method": "greedy", "degree": sum(g), "rank": complete.rank_greedy(g)}
 
 
-@pytest.fixture()
-def conversions(monkeypatch):
-    """Record the arguments of every ``graphs._as_ints`` call in ``checks``,
-    and count the ``_parse_config`` calls in ``parses``."""
-    calls = types.SimpleNamespace(checks=[], parses=0)
-    as_ints, parse = graphs._as_ints, cli._parse_config
-
-    def counting(*args):
-        calls.checks.append(args)
-        return as_ints(*args)
-
-    def counting_parse(text):
-        calls.parses += 1
-        return parse(text)
-
-    monkeypatch.setattr(graphs, "_as_ints", counting)
-    monkeypatch.setattr(complete, "_as_ints", counting)
-    monkeypatch.setattr(cli, "_parse_config", counting_parse)
-    return calls
+def test_cli_reads_no_private_name_of_the_configuration_modules():
+    """Each configuration command calls the public library function, which
+    checks f once: cli.py reads no _-prefixed name of dynamics, rank or
+    complete."""
+    modules = ("dynamics", "rank", "complete")
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            private.append(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module in modules:
+            private += [alias.name for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 @pytest.mark.parametrize("options", [(), ("--method", "formula"), ("--count-ops",)])
 def test_rank_on_kn_checks_the_config_once(capsys, conversions, options):
     """The configuration's text is converted once, by _parse_config, and
-    only its length is checked against N: f never reaches _as_ints, and the
-    closed form runs on the parsed tuple."""
+    only its length is checked against N: _as_ints never converts f, and
+    the closed form runs on the parsed tuple."""
     payload = _rank_payload(capsys, (3, 1, 3, 4, -1), *options)
     assert conversions.checks == [] and conversions.parses == 1
     assert payload["rank"] == 4
@@ -226,8 +222,8 @@ CONFIG_COMMANDS = [
 @pytest.mark.parametrize("command, expected", CONFIG_COMMANDS)
 def test_config_commands_check_the_config_once(capsys, conversions, command, expected):
     """The configuration's text is converted once, by _parse_config, and the
-    command's library core then runs on the parsed tuple: f never reaches
-    _as_ints, and K5's vertex count is the one check there is."""
+    command's library function then runs on the parsed tuple: _as_ints
+    never converts f, and K5's vertex count is the one check there is."""
     payload = run_json(capsys, command, "--complete", "5", "--config", "3,1,3,4,-1")
     assert payload == expected
     assert conversions.checks == [((5,), "the vertex count")] and conversions.parses == 1
@@ -244,8 +240,8 @@ def test_config_commands_check_the_config_once(capsys, conversions, command, exp
 def test_no_command_converts_the_config_twice(capsys, conversions, tmp_path,
                                               graph, command):
     """On every graph source, each command parses f once and hands the tuple
-    to an unchecked core: f never reaches _as_ints.  The graph file holds
-    K5, the other checks are its count, edges and rows."""
+    to its library function: _as_ints never converts f.  The graph file
+    holds K5, the other checks are its count, edges and rows."""
     source = {"--complete": "5", "--wheel": "4"}.get(graph)
     if source is None:
         p = tmp_path / "k5.json"
@@ -266,8 +262,8 @@ def test_no_command_converts_the_config_twice(capsys, conversions, tmp_path,
 ])
 def test_rr_check_checks_the_config_once(capsys, conversions, graph, config, vertices):
     """rr-check converts the configuration's text once, by _parse_config,
-    and the Riemann-Roch core then runs on the parsed tuple: f never
-    reaches _as_ints, and the graph's size is the one check there is."""
+    and riemann_roch_data then runs on the parsed tuple: _as_ints never
+    converts f, and the graph's size is the one check there is."""
     payload = run_json(capsys, "rr-check", *graph, "--config", ",".join(map(str, config)))
     assert payload["holds"] is True and len(payload["dual_config"]) == vertices
     assert (config,) not in conversions.checks
@@ -533,7 +529,7 @@ def test_runtime_error_exits_1(capsys, monkeypatch):
     def refuse(G, f):
         raise RuntimeError("parking reduction did not settle (input too extreme)")
 
-    monkeypatch.setattr("chiprank.dynamics._is_effective", refuse)
+    monkeypatch.setattr("chiprank.dynamics.is_effective_class", refuse)
     code, out, err = run(capsys, "effective", "--complete", "3", "--config", "1,0,0")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "did not settle" in err

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chiprank import cli, dynamics, graphs
+from chiprank import cli, dynamics
 from chiprank.complete import parking_via_cyclic_lemma
 from chiprank.graphs import MultiGraph, laplacian_row, topple
 
@@ -632,17 +632,10 @@ def test_class_counts_of_a_binary_tree_keep_one_state(monkeypatch):
     dynamics.is_effective_class,
     dynamics.is_parking,
 ])
-def test_parking_checks_the_config_once(monkeypatch, K5, call):
+def test_parking_checks_the_config_once(conversions, K5, call):
     """One integer check per public call: the reduction and its self-check
     run on the checked tuple."""
-    checks = []
-    as_ints = graphs._as_ints
-
-    def counting(*args):
-        checks.append(args)
-        return as_ints(*args)
-
-    monkeypatch.setattr(graphs, "_as_ints", counting)
+    checks = conversions.checks
     for f in [(3, 1, 3, 4, -1), (0, 1, 2, 3, 0), (10**6, 0, 0, 0, -10**6)]:
         checks.clear()
         call(K5, f)
@@ -653,17 +646,10 @@ def test_parking_checks_the_config_once(monkeypatch, K5, call):
     dynamics.is_recurrent_burning,
     dynamics.is_recurrent_subsets,
 ])
-def test_recurrence_checks_the_config_once(monkeypatch, K5, call):
+def test_recurrence_checks_the_config_once(conversions, K5, call):
     """One integer check per public call: the stability test and the
     criterion run on the checked tuple."""
-    checks = []
-    as_ints = graphs._as_ints
-
-    def counting(*args):
-        checks.append(args)
-        return as_ints(*args)
-
-    monkeypatch.setattr(graphs, "_as_ints", counting)
+    checks = conversions.checks
     for f, recurrent in [((3, 3, 3, 3, 0), True), ((0, 1, 2, 3, 0), True),
                          ((0, 0, 2, 3, 0), False)]:
         checks.clear()
@@ -675,18 +661,11 @@ def test_recurrence_checks_the_config_once(monkeypatch, K5, call):
     assert checks == [((4, 0, 0, 0, 0),)]
 
 
-def test_orientation_from_parking_checks_the_config_once(monkeypatch, K5):
+def test_orientation_from_parking_checks_the_config_once(conversions, K5):
     """One integer check per call, with the same errors: a negative
     non-sink entry is not a sandpile configuration, and a sandpile that
     is not parking cannot be peeled."""
-    checks = []
-    as_ints = graphs._as_ints
-
-    def counting(*args):
-        checks.append(args)
-        return as_ints(*args)
-
-    monkeypatch.setattr(graphs, "_as_ints", counting)
+    checks = conversions.checks
     f = (0, 1, 2, 3, 0)
     assert dynamics.acyclic_orientation_from_parking(K5, f).is_acyclic()
     assert checks == [(f,)]

@@ -8,8 +8,8 @@ import pytest
 
 from chiprank import complete, dyck, dynamics, rank, strip
 from chiprank.graphs import (
-    MultiGraph, _borrow, _lattice_form, _residue, check_config, degree,
-    laplacian_row, topple,
+    MultiGraph, _as_ints, _borrow, _Ints, _lattice_form, _residue, check_config,
+    degree, laplacian_row, topple,
 )
 from chiprank.series import TruncatedSeries
 
@@ -171,6 +171,64 @@ def test_check_config_validates_length(K3):
 def test_non_integers_rejected_not_truncated(K3, call):
     with pytest.raises(ValueError, match="must be integers"):
         call(K3)
+
+
+def test_as_ints_passes_parsed_ints_and_converts_the_rest():
+    """An ``_Ints`` comes back as it is; anything else comes back as a plain
+    tuple of exact ints, so library loops never index the subclass."""
+    parsed = _Ints((1, 2))
+    assert _as_ints(parsed) is parsed
+    assert type(_as_ints([1, 2])) is tuple
+    assert type(_as_ints((1, 2))) is tuple
+    assert list(map(type, _as_ints([True, 2]))) == [int, int]
+
+
+# every public function of a configuration, on K3 and f = (0, 1, 0), which
+# is stable, parking and recurrent's complement alike
+CONFIG_CALLS = {
+    "check_config": check_config,
+    "topple": lambda G, f: topple(G, f, 1),
+    "is_stable": dynamics.is_stable,
+    "stabilize": dynamics.stabilize,
+    "is_recurrent_burning": dynamics.is_recurrent_burning,
+    "is_recurrent_subsets": dynamics.is_recurrent_subsets,
+    "is_parking": dynamics.is_parking,
+    "is_parking_subsets": lambda G, f: dynamics.is_parking(G, f, method="subsets"),
+    "beta": dynamics.beta,
+    "parking_representative": dynamics.parking_representative,
+    "recurrent_representative": dynamics.recurrent_representative,
+    "orientation": lambda G, f: dynamics.acyclic_orientation_from_parking(G, f).head,
+    "is_effective_class": dynamics.is_effective_class,
+    "canonical_class_key": rank.canonical_class_key,
+    "is_effective_cached": rank.is_effective_cached,
+    "rank_bruteforce": rank.rank_bruteforce,
+    "kappa_dual": rank.kappa_dual,
+    "riemann_roch_data": rank.riemann_roch_data,
+    "riemann_roch_check": rank.riemann_roch_check,
+    "rank_bounds_check": rank.rank_bounds_check,
+    "is_equiv_kn": lambda G, f: complete.is_equiv_kn(f, (1, 0, 0)),
+    "is_equiv_zero_kn": lambda G, f: complete.is_equiv_zero_kn(f),
+    "compact_normalize": lambda G, f: complete.compact_normalize(f),
+    "is_compact_sorted": lambda G, f: complete.is_compact_sorted(f),
+    "parking_via_cyclic_lemma": lambda G, f: complete.parking_via_cyclic_lemma(f),
+    "rank_greedy": lambda G, f: complete.rank_greedy(f),
+    "rank_formula": lambda G, f: complete.rank_formula(f),
+    "rank_formula_details": lambda G, f: complete.rank_formula_details(f),
+    "t_operator": lambda G, f: complete.t_operator(f),
+}
+
+
+@pytest.mark.parametrize("call", CONFIG_CALLS.values(), ids=CONFIG_CALLS.keys())
+def test_config_functions_convert_every_list(K3, call):
+    """A list is converted whatever its entries: a float in it raises rather
+    than being truncated, and a bool is read as its int (bools are ints, as
+    for every integer argument); an ``_Ints`` gives the same answer."""
+    for bad in ([0, 1.0, 0], [0.5, 1, 0]):
+        with pytest.raises(ValueError, match="must be integers"):
+            call(K3, bad)
+    expected = call(K3, (0, 1, 0))
+    assert call(K3, [False, True, False]) == expected
+    assert call(K3, _Ints((0, 1, 0))) == expected
 
 
 def test_spanning_tree_counts(K3, K4, K5, W5):
