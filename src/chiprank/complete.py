@@ -254,8 +254,8 @@ def rank_greedy(f: Sequence[int]) -> int:
 
 def _rank(f: tuple, counter: OpCounter | None = None) -> int:
     """The closed-form rank of a validated configuration, a non-empty tuple
-    of ints; the one core behind ``rank_formula`` and
-    ``rank_formula_details``."""
+    of ints; the one core behind ``rank_formula`` and the strip's K_n
+    walks."""
     if len(f) == 1:
         if counter is not None:
             counter.add(1)

@@ -184,7 +184,7 @@ def test_as_ints_passes_parsed_ints_and_converts_the_rest():
 
 
 # every public function of a configuration, on K3 and f = (0, 1, 0), which
-# is stable, parking and recurrent's complement alike
+# is stable, parking and recurrent, so that every function accepts it
 CONFIG_CALLS = {
     "check_config": check_config,
     "topple": lambda G, f: topple(G, f, 1),
