@@ -196,10 +196,16 @@ def parking_via_cyclic_lemma(f: Sequence[int]) -> tuple:
         return SortedParking("b", f[0]), f
     n = len(f)
     d, _, _, q, sink = _walk(f)
-    word = "".join("a" * (k + 1) + "b" for k in d[q:] + d[:q])
+    word = _parked_word(d, q)
     shift = f[0] + q
     vertex_order = tuple((x - shift) % n for x in f[:-1]) + (sink,)
     return SortedParking(word, sink), vertex_order
+
+
+def _parked_word(d: list, q: int) -> str:
+    """The sorted parking word of ``_walk``'s d and q: for each value, its
+    a's and then a b, starting at value q."""
+    return "".join("a" * (k + 1) + "b" for k in d[q:] + d[:q])
 
 
 # ---------- rank ----------
@@ -232,15 +238,21 @@ def rank_greedy(f: Sequence[int]) -> int:
     non-negative; hitting the staircase word short-circuits to
     steps + sink, and a negative sink ends the search at steps - 1.
 
-    Cost: an O(n) parking, then up to rank + 1 steps of O(n) each, so
-    O(n * (rank + 1)) in all, where ``rank_formula`` is O(n) at any rank.
+    Cost: an O(n) parking (the sorted word only, without the vertex order
+    that ``parking_via_cyclic_lemma`` also builds), then up to rank + 1
+    steps of O(n) each, so O(n * (rank + 1)) in all, where
+    ``rank_formula`` is O(n) at any rank.
     The parked word is valid and each step keeps it so, so the steps run
     unchecked: a Python loop over the rotated first-return block, and
     string slicing for the rest.  On K_1000 with entries up to 3000 (rank
     about 10^6, 28096 steps) it took 0.09 s, against 0.5 ms for
     ``rank_formula`` (Python 3.11, shared 2-core x86-64 machine).
     """
-    (word, sink), _ = parking_via_cyclic_lemma(f)
+    f = _as_config(f)
+    if len(f) == 1:
+        return f[0] if f[0] >= 0 else -1
+    d, _, _, q, sink = _walk(f)
+    word = _parked_word(d, q)
     stair = "ab" * (len(word) // 2) + "b"
     steps = 0
     while True:

@@ -15,7 +15,7 @@ from math import comb
 from typing import Sequence
 
 from . import _backend
-from .graphs import MultiGraph, _as_ints, _lattice_form, _residue, check_config
+from .graphs import MultiGraph, _as_ints, check_config
 
 __all__ = [
     "is_stable",
@@ -154,27 +154,22 @@ def _is_parking(G: MultiGraph, f: tuple) -> bool:
 def parking_representative(G: MultiGraph, f: Sequence[int]) -> tuple:
     """The unique parking configuration toppling-equivalent to f.
 
-    Works for arbitrary integer entries.  The reduction fires the sink
-    until no non-sink entry is negative, then maximal legal sets until
-    nothing can fire, so its work grows with the chips it moves.  When f's
-    non-sink part holds more chips (in absolute value) than any parking
-    configuration (m - n + 1) and than its residue modulo the toppling
-    lattice, the reduction starts from that residue, with the rest of the
-    degree on the sink.  f is checked once, here; the reduction
-    (``_park``), which the other parking routes and the rank cache call
-    directly, runs on the checked tuple.
+    Works for arbitrary integer entries.  The reduction stabilizes, has
+    every indebted vertex borrow as often as its debt needs at once, then
+    fires the largest legal set as often as stays legal, until nothing can
+    fire (``_pykernels.parking_reduce``).  Each move is made in bulk, so
+    the burnings are bounded by the graph, and piles and debts of 10^18
+    chips cost big-integer arithmetic and the generations of a bulk
+    stabilization, not one round per chip.  f is checked once, here; the
+    reduction (``_park``), which the other parking routes and the rank
+    cache call directly, runs on the checked tuple.
     """
     return _park(G, check_config(G, f))
 
 
 def _park(G: MultiGraph, f: tuple) -> tuple:
-    """``parking_representative`` on a checked configuration: the kernel's
-    result, taken as it is."""
-    chips = sum(map(abs, f[:-1]))
-    if chips > G.m - G.n + 1:
-        res = _residue(_lattice_form(G), f, G.n - 1)
-        if chips > sum(res):
-            f = res + (sum(f) - sum(res),)
+    """``parking_representative`` on a checked configuration: the kernel
+    reduces f itself, and its result is taken as it is."""
     cfg = list(f)
     _backend.parking_reduce(G.degrees, G._adj, cfg)
     return tuple(cfg)

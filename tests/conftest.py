@@ -3,7 +3,7 @@ import types
 
 import pytest
 
-from chiprank import cli, complete, graphs
+from chiprank import _backend, _pykernels, cli, complete, graphs
 from chiprank.graphs import MultiGraph
 
 
@@ -60,6 +60,28 @@ def conversions(monkeypatch):
     monkeypatch.setattr(complete, "_as_ints", counting)
     monkeypatch.setattr(cli, "_parse_config", counting_parse)
     return calls
+
+
+@pytest.fixture()
+def burnings(monkeypatch):
+    """The burning rounds of each parking-kernel call, one entry per call;
+    the last burning, which burns everything, counts too."""
+    counts = []
+    kernel, burn = _backend.parking_reduce, _pykernels.burning_test
+
+    def burning_test(*args):
+        counts[-1] += 1
+        return burn(*args)
+
+    def parking_reduce(*args):
+        counts.append(0)
+        return kernel(*args)
+
+    # parking_reduce reads burning_test from its own module; dynamics' parking
+    # test reads _backend's, which stays the kernel itself
+    monkeypatch.setattr(_pykernels, "burning_test", burning_test)
+    monkeypatch.setattr(_backend, "parking_reduce", parking_reduce)
+    return counts
 
 
 SMALL_GRAPHS = [

@@ -1,3 +1,4 @@
+import random
 import re
 from collections import Counter
 from itertools import accumulate, product
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from chiprank import cli, dynamics
 from chiprank.complete import parking_via_cyclic_lemma
 from chiprank.graphs import MultiGraph, laplacian_row, topple
+from chiprank.rank import canonical_class_key
 
 from conftest import SMALL_GRAPHS
 from test_graphs import _random_multigraphs, _sink_grid
@@ -142,10 +144,41 @@ def test_parking_of_huge_entries_is_a_class_invariant(data):
         assert p == parking_via_cyclic_lemma(f)[1]
 
 
+# piles and debts far past any round-per-chip budget
+DEEP = [
+    (MultiGraph.wheel(30), (10**7,) + (0,) * 28 + (-10**7, 0)),
+    (MultiGraph.wheel(20), tuple((-10**18, 10**18)[i % 2] for i in range(21))),
+    (MultiGraph.wheel(20), tuple(random.Random(20).randint(-10**18, 10**18) for _ in range(21))),
+    (_sink_grid(10), (0,) * 44 + (10**12,) + (0,) * 56),
+]
+
+
+@pytest.mark.parametrize("G, f", DEEP, ids=["W30-1e7", "W20-alternating-1e18",
+                                           "W20-random-1e18", "grid10-pile-1e12"])
+def test_deep_configurations_park_in_bulk(G, f, burnings):
+    """One kernel call, within n burning rounds: debts are cleared and
+    legal sets fired as often as they can be at once, not one round per
+    chip.  The result burns completely and stays in f's class."""
+    p = dynamics.parking_representative(G, f)
+    assert len(burnings) == 1 and burnings[0] <= G.n
+    assert dynamics.is_parking(G, p)
+    assert canonical_class_key(G, p) == canonical_class_key(G, f)
+
+
+def test_deep_wheel_parking_pinned():
+    """Pinned from the one-chip-per-round reduction, an independent route
+    that took about 10 s on this input."""
+    f = (10**7,) + (0,) * 28 + (-10**7, 0)
+    assert dynamics.parking_representative(MultiGraph.wheel(30), f) == (
+        1, 1, 2, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0, 1, 0, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1,
+        0, 0, 1, 1, 1, -18)
+
+
 def test_small_configurations_skip_the_hermite_form():
-    """Non-sink parts of at most m - n + 1 chips park from f itself, without
-    the O(n^3) Hermite form."""
-    for f in [(-3, 5) + (0,) * 57 + (-2,), (29,) * 59 + (0,), (-29,) * 59 + (0,)]:
+    """Parking reduces f itself, without the O(n^3) Hermite form, also past
+    the m - n + 1 chips a parking configuration holds at most."""
+    for f in [(-3, 5) + (0,) * 57 + (-2,), (29,) * 59 + (0,), (-29,) * 59 + (0,),
+              (10**9,) + (0,) * 57 + (-10**9, 0)]:
         K60 = MultiGraph.complete(60)
         assert dynamics.is_parking(K60, dynamics.parking_representative(K60, f))
         assert K60._hnf is None

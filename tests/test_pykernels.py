@@ -171,6 +171,16 @@ def test_burning_starts_from_every_vertex_below_its_heat(multi4):
     assert dense_burning(_matrix(multi4), [1, -1, 3, 0]) == []
 
 
+def test_unburnt_sets_fire_in_bulk(burnings):
+    """K30's largest stable configuration: nothing burns, and the whole
+    non-sink set fires 28 times at once, so two burnings, not 29."""
+    K30 = MultiGraph.complete(30)
+    cfg = [28] * 29 + [0]
+    _backend.parking_reduce(K30.degrees, K30._adj, cfg)
+    assert cfg == [0] * 29 + [28 * 29]
+    assert burnings == [2]
+
+
 def test_round_guards_raise(monkeypatch, K3):
     K2 = MultiGraph.complete(2)
     monkeypatch.setattr(_pykernels, "MAX_ROUNDS", 0)
