@@ -329,6 +329,9 @@ def main(argv=None) -> int:
     except (ValueError, AssertionError, OSError, OverflowError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:  # its text is empty
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -330,14 +330,19 @@ def _frontier_plan(G: MultiGraph) -> tuple:
     through unprocessed vertices, and otherwise the position tuples of the
     vertices that can meet, one per such set of two or more.  ``width`` is
     the widest frontier, new vertex included.
+
+    After step t, H_t is the graph of every edge with an unprocessed
+    endpoint; two frontier vertices can still be joined exactly when they
+    share a component of it.  Going backwards, H_t only gains edges, so one
+    union-find serves every step: the groups are read off the roots of the
+    step's frontier before the step's own edges are added.
     """
     n, adj = G.n, G._adj
     order = [n - 1, *range(n - 1)]
     at = [*range(1, n), 0]  # each vertex's step
     # the step after which u leaves the frontier: its own or its last neighbour's
     leave = [max([at[u]] + [at[w] for w, _ in adj[u]]) for u in range(n)]
-    classes = _frontier_classes(G, order, at, leave)
-    frontier, steps, width = [], [], 0
+    frontier, plan, width = [], [], 0
     for t, v in enumerate(order):
         back = [(frontier.index(u), e) for u, e in adj[v] if at[u] < t]
         frontier.append(v)
@@ -346,64 +351,28 @@ def _frontier_plan(G: MultiGraph) -> tuple:
         if leave[v] == t or any(leave[u] == t for u, _ in adj[v] if at[u] < t):
             keep = tuple(p for p, u in enumerate(frontier) if leave[u] > t)
             frontier = [frontier[p] for p in keep]
-        groups = classes[t]
-        if groups is not None:
-            groups = [tuple(map(frontier.index, group)) for group in groups]
-        steps.append((back, keep, groups))
-    return steps, width
-
-
-def _frontier_classes(G: MultiGraph, order: list, at: list, leave: list) -> list:
-    """For each step t, None when the frontier after step t lies in one
-    component of H_t, else the member lists of its components holding two
-    or more frontier vertices.  H_t has every edge with an unprocessed
-    endpoint; two frontier vertices can still be joined exactly when they
-    share a component of it.  Going backwards, H_t only gains edges, so one
-    union-find serves every step, and each component keeps its frontier
-    members (merged smaller into larger)."""
-    adj = G._adj
-    parent = list(range(G.n))
-    members = [set() for _ in range(G.n)]
-    multi = set()  # roots with two or more frontier members
-    count = 0      # components with a frontier member
+        plan.append((back, keep, tuple(frontier)))
+    parent = list(range(n))
 
     def find(x):
         while parent[x] != x:
             parent[x] = x = parent[parent[x]]
         return x
 
-    out = [None] * G.n
-    for t in range(G.n - 1, -1, -1):
-        if count > 1:
-            out[t] = [list(members[r]) for r in multi]
+    steps = [None] * n
+    for t in range(n - 1, -1, -1):
+        back, keep, front = plan[t]
+        roots = {}
+        for p, u in enumerate(front):
+            roots.setdefault(find(u), []).append(p)
+        groups = None
+        if len(roots) > 1:
+            groups = [tuple(group) for group in roots.values() if len(group) > 1]
+        steps[t] = (back, keep, groups)
         v = order[t]
-        if leave[v] > t:  # v was on the frontier after step t, not before it
-            r = find(v)
-            members[r].discard(v)
-            count -= not members[r]
-            if len(members[r]) < 2:
-                multi.discard(r)
         for u, _ in adj[v]:
-            if at[u] < t and leave[u] == t:  # v was its last neighbour
-                r = find(u)
-                count += not members[r]
-                members[r].add(u)
-                if len(members[r]) > 1:
-                    multi.add(r)
-            a, b = find(u), find(v)
-            if a == b:
-                continue
-            if len(members[a]) < len(members[b]):
-                a, b = b, a
-            parent[b] = a
-            if members[b]:
-                count -= bool(members[a])
-                members[a] |= members[b]
-                members[b] = set()
-                multi.discard(b)
-                if len(members[a]) > 1:
-                    multi.add(a)
-    return out
+            parent[find(u)] = find(v)
+    return steps, width
 
 
 def _joined(key: tuple, groups: list) -> bool:
@@ -490,9 +459,9 @@ def _frontier_states(G: MultiGraph, steps: list):
                     new = tuple([first.setdefault(new[p], i) for i, p in enumerate(keep)])
                     if keep and low not in first:
                         continue  # v's component closed off from the rest
+                if groups is not None and not _joined(new, groups):
+                    continue
                 grown[new] = grown.get(new, 0) + x
-        if groups is not None:
-            grown = {key: val for key, val in grown.items() if _joined(key, groups)}
         states = grown
         yield states
 

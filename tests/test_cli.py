@@ -533,3 +533,15 @@ def test_runtime_error_exits_1(capsys, monkeypatch):
     code, out, err = run(capsys, "effective", "--complete", "3", "--config", "1,0,0")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "did not settle" in err
+
+
+def test_memory_error_exits_1(capsys, monkeypatch):
+    """A MemoryError's own text is empty; the CLI still names it on one
+    line, with no traceback."""
+    def exhaust(G, d_max):
+        raise MemoryError
+
+    monkeypatch.setattr("chiprank.dynamics.effective_class_counts", exhaust)
+    code, out, err = run(capsys, "tutte-counts", "--complete", "3", "--max-degree", "10000000000")
+    assert code == 1 and out == ""
+    assert err == "error: out of memory\n"

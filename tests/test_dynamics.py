@@ -659,6 +659,73 @@ def test_class_counts_of_a_binary_tree_keep_one_state(monkeypatch):
     assert dynamics.effective_class_counts(T, 3) == {0: 1, 1: 1, 2: 1, 3: 1}
 
 
+def _meeting_groups(G, t):
+    """The frontier after step t of the order sink, 0, ..., n - 2, and the
+    position sets of its vertices that share a component of the edges with
+    an endpoint processed after step t, found by BFS; None for the sets
+    when the frontier meets in at most one component."""
+    n, adj = G.n, G._adj
+    at = [*range(1, n), 0]
+    front = sorted((u for u in range(n)
+                    if at[u] <= t and any(at[w] > t for w, _ in adj[u])), key=at.__getitem__)
+    seen, comps = set(), []
+    for s in front:
+        if s in seen:
+            continue
+        seen.add(s)
+        comp, todo = {s}, [s]
+        while todo:
+            u = todo.pop()
+            for w, _ in adj[u]:
+                if (at[u] > t or at[w] > t) and w not in seen:
+                    seen.add(w)
+                    comp.add(w)
+                    todo.append(w)
+        comps.append(frozenset(p for p, u in enumerate(front) if u in comp))
+    if len(comps) <= 1:
+        return None
+    return {c for c in comps if len(c) > 1}
+
+
+def _ladder(rungs, rng):
+    label = list(range(1, 2 * rungs + 1))
+    rng.shuffle(label)
+    edges = [(2 * i + 1, 2 * i + 2) for i in range(rungs)]
+    edges += [(i, i + 2) for i in range(1, 2 * rungs - 1)]
+    return MultiGraph.from_edges(2 * rungs, [(label[a - 1], label[b - 1]) for a, b in edges])
+
+
+def _plan_oracle_graphs():
+    rng = random.Random(35)
+    graphs = list(SMALL_GRAPHS)
+    while len(graphs) < len(SMALL_GRAPHS) + 50:
+        n = rng.randint(2, 9)
+        edges = [(i, j, rng.randint(1, 2)) for i in range(1, n + 1)
+                 for j in range(i + 1, n + 1) if rng.random() < 0.4]
+        try:
+            graphs.append(MultiGraph.from_edges(n, edges))
+        except ValueError:  # disconnected: draw again
+            continue
+    tree = [(i, i // 2) for i in range(2, 64)]
+    graphs += [MultiGraph.from_edges(63, tree), MultiGraph.from_edges(63, tree + [(32, 63)]),
+               _sink_grid(6), MultiGraph.wheel(30), _ladder(20, rng)]
+    return graphs
+
+
+def test_frontier_plan_groups_match_a_bfs():
+    """Each step's groups are the frontier positions that can still meet
+    through unprocessed vertices, as a BFS over the later edges finds
+    them: None when they all can, else one set per meeting set of two or
+    more, in any order."""
+    for G in _plan_oracle_graphs():
+        steps, _ = dynamics._frontier_plan(G)
+        assert len(steps) == G.n
+        for t, (_, _, groups) in enumerate(steps):
+            if groups is not None:
+                groups = {frozenset(group) for group in groups}
+            assert groups == _meeting_groups(G, t)
+
+
 @pytest.mark.parametrize("call", [
     dynamics.parking_representative,
     dynamics.recurrent_representative,
