@@ -37,6 +37,13 @@ __all__ = [
 # Guard for the class counts' frontier DP (``_tutte_y``): refused when both
 # bounds on its live states, Bell(widest frontier) and |Jac(G)|, exceed it.
 _ENUM_LIMIT = 10_000_000
+# The largest K_n whose class counts ``_tutte_y`` computes, by the tree
+# inversion enumerator; K_68 takes 3.3-4.1 s on a 2-core machine, and the
+# time grows about as n^7.
+_COMPLETE_LIMIT = 68
+# How far past g = m - n + 1, where every count is T(1, 1), the class
+# counts run: the counts' list and dict grow with d_max, not with G.
+_TAIL_LIMIT = 100_000
 
 
 def _require_sandpile(G: MultiGraph, f: tuple) -> tuple:
@@ -466,30 +473,67 @@ def _frontier_states(G: MultiGraph, steps: list):
         yield states
 
 
-def _tutte_y(G: MultiGraph) -> list:
-    """The coefficients of T(1, y), from y^0 up to y^g with g = m - n + 1,
-    by the frontier DP (``_frontier_states``).
+def _inversion_enumerator(n: int, bits: int) -> int:
+    """J_(n-1)(y), the inversion enumerator of the labelled trees on n
+    vertices, packed ``bits`` bits per coefficient: T(1, y) of K_n.
 
-    Refuses before any state is built when both bounds on the live states
-    exceed ``_ENUM_LIMIT``: Bell(width), the partitions of the widest
-    frontier, and |Jac(G)|.  A spanning tree leaves out g of the m edges,
-    so |Jac(G)| <= C(m, g), and |Jac(G)| is computed only when that bound
-    exceeds the limit too (a tree, whatever its frontier, needs no Hermite
-    form).
+    Mallows and Riordan (1968): J_0 = 1 and J_(m+1) is the sum over
+    i = 0..m of C(m, i) [i + 1]_y J_i J_(m-i), with
+    [i + 1]_y = 1 + y + ... + y^i.  The factor [i + 1]_y is not multiplied
+    in: the sum equals the sum over k of y^k S_k, S_k the sum of the terms
+    with i >= k without it, so each step adds the products up from i = m
+    down and takes the S_k by Horner's rule.  C(m, i) = C(m, m - i), so
+    each product is taken once for i and m - i.  No coefficient along the
+    way exceeds one of J_(m+1)'s, so none exceeds (m + 2)^m <= n^(n-2),
+    the spanning trees of K_n, which ``_coefficient_bytes``' slots hold.
     """
-    steps, width = _frontier_plan(G)
-    limit = _ENUM_LIMIT
-    if (_bell(width, limit) > limit and comb(G.m, G.m - G.n + 1) > limit
-            and (jac := G.spanning_tree_count()) > limit):
-        raise ValueError(
-            f"class counts: the widest frontier has {width} vertices and Bell({width})"
-            f" = {_bell(width)} partitions, Jac(G) has {jac} elements; both exceed"
-            f" {limit}"
-        )
-    for states in _frontier_states(G, steps):
-        pass
-    (poly,) = states.values()
+    J = [1]
+    for m in range(n - 1):
+        terms = [comb(m, i) * J[i] * J[m - i] for i in range(m // 2 + 1)]
+        tail = poly = 0
+        for i in range(m, -1, -1):
+            tail += terms[min(i, m - i)]
+            poly = (poly << bits) + tail
+        J.append(poly)
+    return J[-1]
+
+
+def _tutte_y(G: MultiGraph) -> list:
+    """The coefficients of T(1, y), from y^0 up to y^g with g = m - n + 1.
+
+    One route per graph class.  K_n's is the tree inversion enumerator
+    J_(n-1) (``_inversion_enumerator``), refused past K_``_COMPLETE_LIMIT``
+    before any product is taken; it needs no frontier plan, kernel or
+    Hermite form.  Every other graph's is the frontier DP
+    (``_frontier_states``), refused before any state is built when both
+    bounds on the live states exceed ``_ENUM_LIMIT``: Bell(width), the
+    partitions of the widest frontier, and |Jac(G)|.  A spanning tree
+    leaves out g of the m edges, so |Jac(G)| <= C(m, g), and |Jac(G)| is
+    computed only when that bound exceeds the limit too (a tree, whatever
+    its frontier, needs no Hermite form).  Both routes pack the
+    coefficients in ``_coefficient_bytes`` slots.
+    """
     size = _coefficient_bytes(G)
+    if G.is_complete():
+        if G.n > _COMPLETE_LIMIT:
+            raise ValueError(
+                f"class counts: K_{G.n} is past K_{_COMPLETE_LIMIT}, the largest"
+                f" complete graph counted (_COMPLETE_LIMIT)"
+            )
+        poly = _inversion_enumerator(G.n, 8 * size)
+    else:
+        steps, width = _frontier_plan(G)
+        limit = _ENUM_LIMIT
+        if (_bell(width, limit) > limit and comb(G.m, G.m - G.n + 1) > limit
+                and (jac := G.spanning_tree_count()) > limit):
+            raise ValueError(
+                f"class counts: the widest frontier has {width} vertices and"
+                f" Bell({width}) = {_bell(width)} partitions, Jac(G) has {jac}"
+                f" elements; both exceed {limit}"
+            )
+        for states in _frontier_states(G, steps):
+            pass
+        (poly,) = states.values()
     g = G.m - G.n + 1
     raw = poly.to_bytes((g + 1) * size, "little")
     return [int.from_bytes(raw[i * size:(i + 1) * size], "little") for i in range(g + 1)]
@@ -502,8 +546,8 @@ def recurrent_level_counts(G: MultiGraph) -> list:
     0 .. m - n + 1, and the histogram lists how many recurrent stable
     configurations sit at each level.  The total is the number of spanning
     trees.  By Merino's theorem the count at level i is [y^i] T(1, y): the
-    histogram is ``_tutte_y``'s, with its refusal, and no configuration is
-    enumerated.
+    histogram is ``_tutte_y``'s, with its refusals, and no configuration is
+    enumerated.  On K_n it is the tree inversion enumerator J_(n-1).
     """
     return _tutte_y(G)
 
@@ -517,16 +561,25 @@ def effective_class_counts(G: MultiGraph, d_max: int) -> dict:
     theorem, [y^i] T(1, y) counts the recurrent configurations at level i,
     and so, through the complement map, the parking configurations with
     non-sink sum g - i (g = m - n + 1): the counts are the running sums of
-    T(1, y)'s coefficients read from y^g down.  T(1, y) comes from a DP
-    over the vertices that keeps only the connectivity of the frontier
-    (``_frontier_states``), never enumerating Jac(G), and no kernel runs.
-    It is refused, before any state is built, only when both the widest
-    frontier's Bell number and |Jac(G)| exceed ``_ENUM_LIMIT``.
-    ``recurrent_level_counts`` returns the same coefficients from y^0 up.
+    T(1, y)'s coefficients read from y^g down, and from degree g on every
+    count is T(1, 1).  T(1, y) comes from ``_tutte_y``, which never
+    enumerates Jac(G) and runs no kernel: on K_n the tree inversion
+    enumerator, up to K_``_COMPLETE_LIMIT``; on any other graph a DP over
+    the vertices that keeps only the connectivity of the frontier, refused
+    only when both the widest frontier's Bell number and |Jac(G)| exceed
+    ``_ENUM_LIMIT``.  A d_max more than ``_TAIL_LIMIT`` past g is refused
+    first, before anything is built.  ``recurrent_level_counts`` returns
+    the same coefficients from y^0 up.
     """
     (d_max,) = _as_ints((d_max,), "d_max")
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
-    parking = _tutte_y(G)[::-1][:d_max + 1]
-    parking += [0] * (d_max + 1 - len(parking))
-    return dict(enumerate(accumulate(parking)))
+    g = G.m - G.n + 1
+    if d_max > g + _TAIL_LIMIT:
+        raise ValueError(
+            f"d_max {d_max} is more than {_TAIL_LIMIT} (_TAIL_LIMIT) past g = {g};"
+            f" every count from degree g on is T(1, 1)"
+        )
+    sums = list(accumulate(_tutte_y(G)[::-1][:d_max + 1]))
+    sums += sums[-1:] * (d_max + 1 - len(sums))
+    return dict(enumerate(sums))

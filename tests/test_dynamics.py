@@ -1,8 +1,9 @@
+import json
 import random
 import re
 from collections import Counter
 from itertools import accumulate, product
-from math import prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -547,8 +548,9 @@ def _refuse(*args):
 def test_class_count_guard_counts_the_jacobian(monkeypatch):
     """The guard counts |Jac| and the frontier's partitions, not
     stable-cube cells: C30's cube has 2^29 cells but only 30 classes.
-    T(1, y) needs no kernel, and K6's frontier of six has Bell(6) = 203
-    partitions, within a limit that |Jac(K6)| = 1296 exceeds."""
+    T(1, y) needs no kernel.  K6, with |Jac(K6)| = 1296 past the lowered
+    limit, takes the inversion enumerator, which the guard does not
+    bound."""
     C30 = MultiGraph.from_edges(30, [(i, i % 30 + 1) for i in range(1, 31)])
     assert dynamics.recurrent_level_counts(C30) == [29, 1]
     assert dynamics.effective_class_counts(C30, 3) == {0: 1, 1: 30, 2: 30, 3: 30}
@@ -612,23 +614,30 @@ def test_bell_numbers():
     assert dynamics._bell(500, 1000) == 4140
 
 
-def test_class_counts_refuse_past_both_bounds(monkeypatch, capsys):
-    """K13's frontier reaches 13 vertices, Bell(13) = 27644437 partitions,
-    and |Jac(K13)| = 13^11: both past the limit, so the counts and the
-    levels are refused with both numbers named, before any state is built.
-    Either bound within the limit answers: a binary tree of 63 vertices,
-    with a frontier of 18, has C(m, g) = C(62, 0) = 1, and one more edge
-    closing an 11-cycle gives C(63, 1) = 63 but |Jac| = 11."""
+def test_class_counts_refuse_past_both_bounds(monkeypatch, capsys, tmp_path):
+    """K13 less one edge is not complete, so the frontier DP takes it: its
+    frontier reaches 13 vertices, Bell(13) = 27644437 partitions, and
+    |Jac| = 11·13^10: both past the limit, so the counts and the levels are
+    refused with both numbers named, before any state is built.  Either
+    bound within the limit answers: a binary tree of 63 vertices, with a
+    frontier of 18, has C(m, g) = C(62, 0) = 1, and one more edge closing
+    an 11-cycle gives C(63, 1) = 63 but |Jac| = 11."""
     monkeypatch.setattr(dynamics, "_frontier_states", _refuse)
-    K13 = MultiGraph.complete(13)
+    edges = [(i, j) for i in range(1, 14) for j in range(i + 1, 14) if (i, j) != (1, 2)]
+    G = MultiGraph.from_edges(13, edges)
     msg = (r"widest frontier has 13 vertices and Bell\(13\) = 27644437 partitions,"
-           r" Jac\(G\) has 1792160394037 elements; both exceed 10000000")
+           r" Jac\(G\) has 1516443410339 elements; both exceed 10000000")
     with pytest.raises(ValueError, match=msg):
-        dynamics.effective_class_counts(K13, 3)
+        dynamics.effective_class_counts(G, 3)
     with pytest.raises(ValueError, match=msg):
-        dynamics.recurrent_level_counts(K13)
-    assert cli.main(["tutte-counts", "--complete", "13", "--max-degree", "3"]) == 1
+        dynamics.recurrent_level_counts(G)
+    path = tmp_path / "k13-less-an-edge.json"
+    path.write_text(json.dumps({"n": 13, "edges": edges}))
+    assert cli.main(["tutte-counts", "--graph", str(path), "--max-degree", "3"]) == 1
     assert re.search(msg, capsys.readouterr().err)
+    # K13 itself takes the inversion enumerator's route and answers
+    levels = dynamics.recurrent_level_counts(MultiGraph.complete(13))
+    assert sum(levels) == 13**11 and levels[0] == factorial(12)
     monkeypatch.undo()
 
     monkeypatch.setattr(dynamics, "_ENUM_LIMIT", 50)
@@ -657,6 +666,86 @@ def test_class_counts_of_a_binary_tree_keep_one_state(monkeypatch):
     assert all(len(states) == 1 for states in dynamics._frontier_states(T, steps))
     monkeypatch.setattr(MultiGraph, "spanning_tree_count", _refuse)
     assert dynamics.effective_class_counts(T, 3) == {0: 1, 1: 1, 2: 1, 3: 1}
+
+
+def _dp_poly(G):
+    """T(1, y) packed, as the frontier DP leaves it, called directly."""
+    for states in dynamics._frontier_states(G, dynamics._frontier_plan(G)[0]):
+        pass
+    (poly,) = states.values()
+    return poly
+
+
+def test_inversion_enumerator_equals_the_frontier_dp():
+    """On K1-K10 the recurrence's packed int is the DP's, slot for slot,
+    and the levels unpack from it."""
+    for n in range(1, 11):
+        K = MultiGraph.complete(n)
+        bits = 8 * dynamics._coefficient_bytes(K)
+        poly = dynamics._inversion_enumerator(n, bits)
+        assert poly == _dp_poly(K)
+        levels = dynamics.recurrent_level_counts(K)
+        assert sum(c << i * bits for i, c in enumerate(levels)) == poly
+
+
+def test_complete_class_counts_count_trees_and_orderings():
+    """T_{K_n}(1, 1) = n^(n-2) (Cayley) and T_{K_n}(1, 0) = (n - 1)!, the
+    acyclic orientations whose only source is the sink, for n up to 30;
+    the levels run up to g = C(n - 1, 2)."""
+    for n in range(2, 31):
+        K = MultiGraph.complete(n)
+        levels = dynamics.recurrent_level_counts(K)
+        assert len(levels) == comb(n - 1, 2) + 1
+        assert sum(levels) == n ** (n - 2)
+        assert levels[0] == factorial(n - 1)
+        g = len(levels) - 1
+        assert dynamics.effective_class_counts(K, g + 1)[g + 1] == n ** (n - 2)
+
+
+def test_complete_route_needs_no_plan_kernel_or_hermite_form(monkeypatch):
+    monkeypatch.setattr(dynamics, "_frontier_plan", _refuse)
+    monkeypatch.setattr(dynamics, "_frontier_states", _refuse)
+    for kernel in ("stabilize", "burning_test", "parking_reduce"):
+        monkeypatch.setattr(dynamics._backend, kernel, _refuse)
+    monkeypatch.setattr(MultiGraph, "spanning_tree_count", _refuse)
+    for n in (1, 2, 6, 13, 30):
+        K = MultiGraph.complete(n)
+        assert dynamics.effective_class_counts(K, 3)[0] == 1
+        assert K._hnf is None
+
+
+def test_complete_route_refuses_before_any_product(monkeypatch, capsys):
+    """Past ``_COMPLETE_LIMIT`` the count is refused, naming the bound,
+    before the recurrence takes a product."""
+    monkeypatch.setattr(dynamics, "_inversion_enumerator", _refuse)
+    over = dynamics._COMPLETE_LIMIT + 1
+    msg = rf"K_{over} is past K_{over - 1}, .*\(_COMPLETE_LIMIT\)$"
+    with pytest.raises(ValueError, match=msg):
+        dynamics.recurrent_level_counts(MultiGraph.complete(over))
+    monkeypatch.setattr(dynamics, "_COMPLETE_LIMIT", 5)
+    K6 = MultiGraph.complete(6)
+    for count in (dynamics.recurrent_level_counts,
+                  lambda G: dynamics.effective_class_counts(G, 3)):
+        with pytest.raises(ValueError, match=r"K_6 is past K_5, .*\(_COMPLETE_LIMIT\)$"):
+            count(K6)
+    assert cli.main(["tutte-counts", "--complete", "6", "--max-degree", "3"]) == 1
+    assert "_COMPLETE_LIMIT" in capsys.readouterr().err
+
+
+def test_class_counts_refuse_a_degree_past_the_tail_limit(monkeypatch, capsys):
+    """From degree g on every count is T(1, 1), so a d_max more than
+    ``_TAIL_LIMIT`` past g is refused before T(1, y) is computed or any
+    entry built; the last one accepted answers with the constant tail."""
+    K3 = MultiGraph.complete(3)  # g = 1
+    top = 1 + dynamics._TAIL_LIMIT
+    counts = dynamics.effective_class_counts(K3, top)
+    assert len(counts) == top + 1 and counts[2] == counts[top] == 3
+    monkeypatch.setattr(dynamics, "_tutte_y", _refuse)
+    msg = rf"d_max {top + 1} is more than {top - 1} \(_TAIL_LIMIT\) past g = 1"
+    with pytest.raises(ValueError, match=msg):
+        dynamics.effective_class_counts(K3, top + 1)
+    assert cli.main(["tutte-counts", "--complete", "3", "--max-degree", str(10**20)]) == 1
+    assert "_TAIL_LIMIT" in capsys.readouterr().err
 
 
 def _meeting_groups(G, t):
