@@ -138,6 +138,9 @@ def _cmd_rr_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_tutte_counts(args: argparse.Namespace) -> int:
+    if args.complete is not None:
+        # past the largest K_n counted, refused before the O(N^2) build of K_N
+        dynamics.check_complete_limit(args.complete)
     G = _load_graph(args)
     # from degree g = m - n + 1 on every class is effective, so the count at
     # g is T(1, 1), the spanning trees; a negative degree is left to refuse

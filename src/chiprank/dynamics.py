@@ -32,13 +32,14 @@ __all__ = [
     "is_effective_class",
     "effective_class_counts",
     "recurrent_level_counts",
+    "check_complete_limit",
 ]
 
 # Guard for the class counts' frontier DP (``_tutte_y``): refused when both
 # bounds on its live states, Bell(widest frontier) and |Jac(G)|, exceed it.
 _ENUM_LIMIT = 10_000_000
 # The largest K_n whose class counts ``_tutte_y`` computes, by the tree
-# inversion enumerator; K_68 takes 3.3-4.1 s on a 2-core machine, and the
+# inversion enumerator; K_68 takes 3.1-3.3 s on a 2-core machine, and the
 # time grows about as n^7.
 _COMPLETE_LIMIT = 68
 # How far past g = m - n + 1, where every count is T(1, 1), the class
@@ -485,7 +486,7 @@ def _inversion_enumerator(n: int, bits: int) -> int:
     down and takes the S_k by Horner's rule.  C(m, i) = C(m, m - i), so
     each product is taken once for i and m - i.  No coefficient along the
     way exceeds one of J_(m+1)'s, so none exceeds (m + 2)^m <= n^(n-2),
-    the spanning trees of K_n, which ``_coefficient_bytes``' slots hold.
+    the spanning trees of K_n, which ``_tutte_y``'s slots for K_n hold.
     """
     J = [1]
     for m in range(n - 1):
@@ -496,6 +497,17 @@ def _inversion_enumerator(n: int, bits: int) -> int:
             poly = (poly << bits) + tail
         J.append(poly)
     return J[-1]
+
+
+def check_complete_limit(n: int) -> None:
+    """Refuse K_n's class counts past K_``_COMPLETE_LIMIT``: in ``_tutte_y``
+    before any product, and in ``chiprank tutte-counts --complete N``
+    before K_N is built."""
+    if n > _COMPLETE_LIMIT:
+        raise ValueError(
+            f"class counts: K_{n} is past K_{_COMPLETE_LIMIT}, the largest"
+            f" complete graph counted (_COMPLETE_LIMIT)"
+        )
 
 
 def _tutte_y(G: MultiGraph) -> list:
@@ -511,17 +523,15 @@ def _tutte_y(G: MultiGraph) -> list:
     leaves out g of the m edges, so |Jac(G)| <= C(m, g), and |Jac(G)| is
     computed only when that bound exceeds the limit too (a tree, whatever
     its frontier, needs no Hermite form).  Both routes pack the
-    coefficients in ``_coefficient_bytes`` slots.
+    coefficients in slots wide enough for the largest: on K_n, n^(n-2),
+    the sum of all of them; elsewhere ``_coefficient_bytes``.
     """
-    size = _coefficient_bytes(G)
     if G.is_complete():
-        if G.n > _COMPLETE_LIMIT:
-            raise ValueError(
-                f"class counts: K_{G.n} is past K_{_COMPLETE_LIMIT}, the largest"
-                f" complete graph counted (_COMPLETE_LIMIT)"
-            )
+        check_complete_limit(G.n)
+        size = -(-(G.n ** max(G.n - 2, 0)).bit_length() // 8)
         poly = _inversion_enumerator(G.n, 8 * size)
     else:
+        size = _coefficient_bytes(G)
         steps, width = _frontier_plan(G)
         limit = _ENUM_LIMIT
         if (_bell(width, limit) > limit and comb(G.m, G.m - G.n + 1) > limit

@@ -65,7 +65,7 @@ class MultiGraph:
         if not self._connected():
             raise ValueError("graph must be connected")
         self._hnf = None        # Hermite form of the reduced Laplacian, on demand
-        self._eff_cache = {}    # parking part per non-sink residue (see rank)
+        self._eff_cache = None  # rank's id table per residue, on demand
         return self
 
     def _connected(self) -> bool:

@@ -5,11 +5,12 @@ after removing *any* r chips; equivalently rank(f) + 1 is the least degree of
 an effective lambda with f - lambda not effective.  A class of degree d and
 element g of Jac(G) (named by the non-sink residue modulo the Hermite form
 of the reduced Laplacian) is effective iff d >= delta(g), the non-sink chip
-count of its one parking representative.  Each graph caches one entry per
-residue, so never more than |Jac(G)| of them: the non-sink part p of that
-parking configuration, delta = sum(p), and the residue's row of the step
-table, its k = n - 1 borrow neighbours res - e_i, each filled the first
-time a step from res along i is taken.
+count of its one parking representative.  Each graph's cache (``_Table``)
+gives each residue it meets a dense int id, never more than |Jac(G)| of
+them, and holds per id the non-sink part p of that parking configuration,
+delta = sum(p), and the residue's row of the step table: the ids of its
+k = n - 1 borrow neighbours res - e_i, each filled the first time a step
+from res along i is taken.  The searches step on ids alone.
 
 Removing lambda moves the residue by lambda's non-sink part mu alone, so the
 rank is found by a breadth-first search over residues, not over removal
@@ -26,12 +27,12 @@ searches.  The value stage (``_rank``: f's delta test, then the ball) is all
 that ``riemann_roch_data``, ``rank_bounds_check`` and ``chiprank rr-check``
 run; it refuses when both |Jac(G)| and the number of mu the ball can
 reach, |mu| <= deg f - delta(res_f), exceed ``_MAX_CANDIDATES``.
-``rank_bruteforce`` alone adds the witness stage, one walk from f's cache
-entry, refused only past its first pattern (the sink pile) when the mu with
+``rank_bruteforce`` alone adds the witness stage, one walk from f's id,
+refused only past its first pattern (the sink pile) when the mu with
 |mu| <= rank + 1 exceed it.
 
 Every residue a step reaches is w = v - e_i for a residue v already in the
-cache, so its entry comes from p_v: parking configurations are closed
+cache, so its p comes from p_v: parking configurations are closed
 downwards (Dhar's burning), so when p_v[i] > 0, p_v - e_i is the parking
 configuration of w and no kernel runs; otherwise the kernel parks
 p_v - e_i, which holds at most m - n + 2 non-sink chips whatever f is.
@@ -95,63 +96,63 @@ def is_effective_cached(G: MultiGraph, f: Sequence[int]) -> bool:
     probe into an element of Jac(G), a probe costs one class key and one
     dictionary lookup.  A miss parks f itself."""
     f = check_config(G, f)
-    return sum(f) >= _entry(G, f).delta
+    a = _entry(G, f)
+    return sum(f) >= G._eff_cache.delta[a]
 
 
-class _Entry:
-    """G's cache entry for one residue res of Jac(G): the non-sink part p of
-    the parking representative of its classes, delta = sum(p), and res's
-    row of the step table, whose entry i is the residue of res - e_i once a
-    step along i has been taken (None before).  The row holds residues, the
-    cache's own keys, not entries: entries that pointed at each other would
-    form reference cycles, which outlive the graph until the cyclic garbage
-    collector runs."""
+class _Table:
+    """G's rank cache: ``ids`` maps each residue met to its id, and the
+    lists indexed by id hold its res, p, delta and row of the step table,
+    whose slot i is None until a step along i is taken.  Only ``_entry``
+    and ``_step`` read ``ids``."""
 
-    __slots__ = ("res", "p", "delta", "steps")
+    __slots__ = ("ids", "res", "p", "delta", "steps")
 
-    def __init__(self, res: tuple, p: tuple):
-        self.res = res
-        self.p = p
-        self.delta = sum(p)
-        self.steps = [None] * len(p)
+    def __init__(self):
+        self.ids, self.res, self.p, self.delta, self.steps = {}, [], [], [], []
+
+    def add(self, res: tuple, p: tuple) -> int:
+        a = self.ids[res] = len(self.res)
+        self.res.append(res)
+        self.p.append(p)
+        self.delta.append(sum(p))
+        self.steps.append([None] * len(p))
+        return a
 
 
-def _entry(G: MultiGraph, f: tuple) -> _Entry:
-    """The cache entry of f's non-sink residue: a class of degree d and that
-    residue is effective iff d >= delta, the non-sink chip count of its
-    parking representative.
-
-    G's cache maps each residue to its ``_Entry``, which holds delta and the
-    residue's row of the step table.  A miss parks f itself, the one entry
-    made from a configuration given from outside; every other entry is made
-    by ``_step``, the first time a step of the table reaches its residue."""
+def _entry(G: MultiGraph, f: tuple) -> int:
+    """The id of f's non-sink residue in G's cache, made on the first
+    call: a class of degree d and that residue is effective iff d >= delta.
+    A miss parks f itself, the one entry made from a configuration given
+    from outside; every other entry is made by ``_step``, the first time
+    a step of the table reaches its residue."""
+    t = G._eff_cache
+    if t is None:
+        t = G._eff_cache = _Table()
     res = _residue(_lattice_form(G), f, G.n - 1)
-    e = G._eff_cache.get(res)
-    if e is None:
-        e = G._eff_cache[res] = _Entry(res, _park(G, f)[:-1])
-    return e
+    a = t.ids.get(res)
+    return t.add(res, _park(G, f)[:-1]) if a is None else a
 
 
-def _step(G: MultiGraph, e: _Entry, i: int) -> _Entry:
-    """Fill entry i of e's row of the step table with the residue of
-    e.res - e_i, found by one ``_borrow``, and return that residue's
-    entry (the row keeps the key the cache holds).  If that residue has
-    no entry yet, its parking part is e.p minus e_i, which is parking while
-    it has no negative entry; only when entry i would go negative does the
-    kernel park it (sink 0)."""
-    v = list(e.res)
+def _step(G: MultiGraph, a: int, i: int) -> int:
+    """Fill slot i of id a's row of the step table with the id of
+    res - e_i, found by one ``_borrow``, and return it.  If that residue
+    has no id yet, its parking part is a's p minus e_i, which is parking
+    while it has no negative entry; only when entry i would go negative
+    does the kernel park it (sink 0)."""
+    t = G._eff_cache
+    v = list(t.res[a])
     _borrow(_lattice_form(G), v, i, len(v))
     v = tuple(v)
-    cache = G._eff_cache
-    w = cache.get(v)
-    if w is None:
-        p = e.p
+    b = t.ids.get(v)
+    if b is None:
+        p = t.p[a]
         p = (*p[:i], p[i] - 1, *p[i + 1:])
         if p[i] < 0:
             p = _park(G, p + (0,))[:-1]
-        w = cache[v] = _Entry(v, p)
-    e.steps[i] = w.res
-    return w
+        b = t.add(v, p)
+    t.steps[a][i] = b
+    return b
 
 
 # ---------- rank ----------
@@ -168,17 +169,11 @@ def rank_bruteforce(G: MultiGraph, f: Sequence[int]) -> RankResult:
     move the residue; so rank(f) >= r iff every residue within distance r of
     res_f (reached by some mu with |mu| <= r) has delta <= deg(f) - r.  The
     value stage (``_rank``) finds the rank that way; the witness stage,
-    which only this function runs, walks from f's cache entry to the
+    which only this function runs, walks from f's cache id to the
     lex-first failing pattern of degree rank + 1 (``_lex_witness``), whose
     first pattern, the sink pile (0, ..., 0, rank + 1), already fails at
-    rank -1 and rank = deg(f).
-
-    delta is read from G's cache of parking configurations (``_entry``).
-    Only res_f's entry parks f itself; the ball and the walk take every
-    other residue from the step table, and a step taken for the first time
-    (``_step``) makes the new residue's entry from its neighbour's minus
-    one chip, and only if that chip is missing does the kernel park it, so
-    no kernel input but f's grows with f.
+    rank -1 and rank = deg(f).  Only f's own residue parks f; every other
+    kernel input is a cached p minus one chip, so none grows with f.
 
     Raises if the walk would pass the sink pile and its patterns, the mu
     with |mu| <= rank + 1, number more than ``_MAX_CANDIDATES``.
@@ -188,7 +183,7 @@ def rank_bruteforce(G: MultiGraph, f: Sequence[int]) -> RankResult:
     r, start = _rank(G, f, d)
     # past the sink pile (kept when f minus r + 1 sink chips is effective)
     # the walk ranges over the C(r + n, n - 1) mu with |mu| <= r + 1
-    if start.delta <= d - r - 1 and (walk := comb(r + G.n, G.n - 1)) > _MAX_CANDIDATES:
+    if G._eff_cache.delta[start] < d - r and (walk := comb(r + G.n, G.n - 1)) > _MAX_CANDIDATES:
         raise ValueError(f"witness search space: {walk} patterns mu with |mu| <= {r + 1}"
                          f" exceed {_MAX_CANDIDATES}")
     return RankResult(r, _lex_witness(G, start, d, r + 1))
@@ -196,8 +191,8 @@ def rank_bruteforce(G: MultiGraph, f: Sequence[int]) -> RankResult:
 
 def _rank(G: MultiGraph, f: tuple, d: int) -> tuple:
     """The value stage, on a checked configuration f of degree d: the delta
-    test on f's cache entry, then the residue ball (``_ball_rank``).
-    Returns (rank, f's entry); ``riemann_roch_data``, ``rank_bounds_check``
+    test on f's cache id, then the residue ball (``_ball_rank``).
+    Returns (rank, f's id); ``riemann_roch_data``, ``rank_bounds_check``
     and ``chiprank rr-check`` read the rank alone.
 
     The rank is at most d - delta(res_f), f's parking sink entry, so the
@@ -206,7 +201,7 @@ def _rank(G: MultiGraph, f: tuple, d: int) -> tuple:
     mu with |mu| <= d - delta; raises if both exceed ``_MAX_CANDIDATES``.
     """
     start = _entry(G, f)
-    reach = d - start.delta
+    reach = d - G._eff_cache.delta[start]
     if reach < 0:
         return -1, start
     count = comb(reach + G.n - 1, G.n - 1)
@@ -216,33 +211,36 @@ def _rank(G: MultiGraph, f: tuple, d: int) -> tuple:
     return _ball_rank(G, start, d), start
 
 
-def _ball_rank(G: MultiGraph, start: _Entry, d: int) -> int:
+def _ball_rank(G: MultiGraph, start: int, d: int) -> int:
     """rank(f), for effective f of degree d whose non-sink residue has the
-    cache entry start.  Layer dd holds the entries of the residues first
-    reached with |mu| = dd, each one step of the table from a residue of
-    the layer before; a step not yet in the table is filled by ``_step``."""
-    cache = G._eff_cache
-    top = start.delta
-    seen = {start.res}
+    cache id start.  Layer dd holds the ids of the residues first reached
+    with |mu| = dd, each one step of the table from a residue of the layer
+    before.  The ball reads every slot of a row it expands, so it fills
+    the row's missing slots (``_step``) first."""
+    delta, steps = G._eff_cache.delta, G._eff_cache.steps
+    top = delta[start]
+    seen = {start}
     layer = [start]
     for dd in range(1, d + 1):
         bound = d - dd
         if top > bound:
             return dd - 1
         nxt = []
-        for e in layer:
-            for i, v in enumerate(e.steps):
-                if v is None:
-                    v = _step(G, e, i).res
-                if v in seen:
+        for a in layer:
+            row = steps[a]
+            if None in row:
+                for i, b in enumerate(row):
+                    if b is None:
+                        _step(G, a, i)
+            for b in row:
+                if b in seen:
                     continue
-                seen.add(v)
-                w = cache[v]
-                if w.delta > top:
-                    top = w.delta
+                seen.add(b)
+                if delta[b] > top:
+                    top = delta[b]
                     if top > bound:
                         return dd - 1
-                nxt.append(w)
+                nxt.append(b)
         if not nxt:
             # the ball covers Jac(G): no larger layer adds a residue
             return d - top
@@ -250,24 +248,25 @@ def _ball_rank(G: MultiGraph, start: _Entry, d: int) -> int:
     return d
 
 
-def _lex_witness(G: MultiGraph, start: _Entry, d: int, dd: int) -> tuple:
+def _lex_witness(G: MultiGraph, start: int, d: int, dd: int) -> tuple:
     """The lex-first lambda of degree dd = rank(f) + 1 <= d + 1 with
     f - lambda not effective, for f of degree d whose non-sink residue has
-    the cache entry start.  The walk goes depth-first over lambda's non-sink
+    the cache id start.  The walk goes depth-first over lambda's non-sink
     part mu (the sink entry is whatever degree mu leaves); each step raises
-    one entry j of mu, so the residue of res_f - mu is entry j of the
-    previous pattern's row of the step table (or of the row saved where the
-    walk backs up), filled by ``_step`` if the table lacks it."""
+    one entry j of mu, so the id of res_f - mu is slot j of the previous
+    pattern's row of the step table (or of the row saved where the walk
+    backs up), filled by ``_step`` if the table lacks it."""
+    delta, steps = G._eff_cache.delta, G._eff_cache.steps
     k = G.n - 1
     bound = d - dd
     mu = [0] * k
     used = 0              # chips in mu
-    e = start             # the entry of res_f - mu
-    saved = [None] * k    # saved[j]: the entry before mu[j] last left 0
+    a = start             # the id of res_f - mu
+    saved = [None] * k    # saved[j]: the id before mu[j] last left 0
     while True:
-        if e.delta > bound:
+        if delta[a] > bound:
             return (*mu, dd - used)
-        src = e
+        src = a
         j = k - 1
         if used == dd:
             # no sink chip left to move into mu: zero the last nonzero
@@ -283,8 +282,9 @@ def _lex_witness(G: MultiGraph, start: _Entry, d: int, dd: int) -> tuple:
             saved[j] = src
         mu[j] += 1
         used += 1
-        v = src.steps[j]
-        e = _step(G, src, j) if v is None else G._eff_cache[v]
+        a = steps[src][j]
+        if a is None:
+            a = _step(G, src, j)
 
 
 def kappa(G: MultiGraph) -> tuple:

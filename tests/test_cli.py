@@ -545,3 +545,13 @@ def test_memory_error_exits_1(capsys, monkeypatch):
     code, out, err = run(capsys, "tutte-counts", "--complete", "3", "--max-degree", "10000000000")
     assert code == 1 and out == ""
     assert err == "error: out of memory\n"
+
+
+def test_complete_class_counts_refuse_before_building_k_n(capsys, monkeypatch):
+    """Past ``_COMPLETE_LIMIT`` tutte-counts --complete N refuses at once
+    with the library's message, before the O(N^2) build of K_N."""
+    monkeypatch.setattr(MultiGraph, "complete", lambda n: pytest.fail("K_N was built"))
+    code, out, err = run(capsys, "tutte-counts", "--complete", "100000", "--max-degree", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("error: class counts: K_100000 is past K_")
+    assert "(_COMPLETE_LIMIT)" in err

@@ -688,6 +688,19 @@ def test_inversion_enumerator_equals_the_frontier_dp():
         assert sum(c << i * bits for i, c in enumerate(levels)) == poly
 
 
+def test_complete_slots_hold_the_tree_count():
+    """K_n's slots are sized from n^(n-2), a byte or more narrower than
+    ``_coefficient_bytes``' from K4 on; the levels are those unpacked from
+    the enumerator run in the wider slots, for K1-K40."""
+    for n in range(1, 41):
+        K = MultiGraph.complete(n)
+        bits = 8 * dynamics._coefficient_bytes(K)
+        raw = dynamics._inversion_enumerator(n, bits)
+        g = comb(n - 1, 2)
+        wide = [raw >> i * bits & ((1 << bits) - 1) for i in range(g + 1)]
+        assert dynamics.recurrent_level_counts(K) == wide
+
+
 def test_complete_class_counts_count_trees_and_orderings():
     """T_{K_n}(1, 1) = n^(n-2) (Cayley) and T_{K_n}(1, 0) = (n - 1)!, the
     acyclic orientations whose only source is the sink, for n up to 30;

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import subprocess
@@ -83,13 +84,19 @@ def test_cached_effectiveness_validates_on_a_warm_cache():
 
 
 def test_cache_holds_at_most_one_entry_per_jacobian_element():
+    """The cache's ids are dense, 0 up to the number of residues met, each
+    list of the table has one item per id, and the ids never number more
+    than |Jac(G)|."""
     W5 = MultiGraph.wheel(5)
     for f in product(range(-1, 3), repeat=6):
         rank.rank_bruteforce(W5, f)
-    assert len(W5._eff_cache) <= W5.spanning_tree_count()
     K3 = MultiGraph.complete(3)
     rank.rank_bruteforce(K3, (5, 0, 0))
-    assert len(K3._eff_cache) <= K3.spanning_tree_count()
+    for G in (W5, K3):
+        t = G._eff_cache
+        assert sorted(t.ids.values()) == list(range(len(t.ids)))
+        assert all(len(col) == len(t.ids) for col in (t.res, t.p, t.delta, t.steps))
+        assert len(t.ids) <= G.spanning_tree_count()
 
 
 def _warm_caches(seed):
@@ -102,19 +109,19 @@ def _warm_caches(seed):
             f = tuple(rng.randint(-4, 6) for _ in range(G.n))
             rank.rank_bruteforce(G, f)
             rank.is_effective_cached(G, f)
-        assert G._eff_cache
+        assert G._eff_cache.ids
     return graphs
 
 
 def test_cache_entries_are_the_kernels_parking_configurations():
-    """Every cache entry's parking part p, most of them taken from a
-    neighbour's entry minus one chip with no kernel call, is the non-sink
-    part of the parking configuration the kernel gives for its residue."""
+    """Every id's parking part p, most of them taken from a neighbour's
+    minus one chip with no kernel call, is the non-sink part of the
+    parking configuration the kernel gives for its residue."""
     for G in _warm_caches(13):
-        cols, k = _lattice_form(G), G.n - 1
-        for res, e in G._eff_cache.items():
-            p = e.p
-            assert e.res == res and e.delta == sum(p)
+        cols, k, t = _lattice_form(G), G.n - 1, G._eff_cache
+        for res, a in t.ids.items():
+            p = t.p[a]
+            assert t.res[a] == res and t.delta[a] == sum(p)
             assert _residue(cols, p, k) == res
             assert dynamics.parking_representative(G, p + (0,))[:-1] == p
             assert dynamics.is_parking(G, p + (0,), method="duality")
@@ -122,22 +129,29 @@ def test_cache_entries_are_the_kernels_parking_configurations():
 
 
 def test_step_table_entries_are_the_borrow_neighbours():
-    """Entry i of a residue's row of the step table, once filled, is the
-    residue of res - e_i computed afresh, and the very key of its own
-    cache entry."""
+    """Slot i of an id's row of the step table, once filled, is the id of
+    res - e_i computed afresh."""
     for G in _warm_caches(14):
-        cols, k = _lattice_form(G), G.n - 1
+        cols, k, t = _lattice_form(G), G.n - 1, G._eff_cache
         filled = 0
-        for res, e in G._eff_cache.items():
-            assert len(e.steps) == k
-            for i, v in enumerate(e.steps):
-                if v is None:
+        for res, a in t.ids.items():
+            assert len(t.steps[a]) == k
+            for i, b in enumerate(t.steps[a]):
+                if b is None:
                     continue
                 filled += 1
                 lower = tuple(x - (j == i) for j, x in enumerate(res))
-                assert v == _residue(cols, lower, k)
-                assert G._eff_cache[v].res is v
+                assert b == t.ids[_residue(cols, lower, k)]
         assert filled
+
+
+def test_a_warm_graph_leaves_no_cyclic_garbage():
+    """The step table holds int ids, so the cache has no reference cycles
+    and deleting a warmed graph frees it without the cyclic collector."""
+    W6 = _warm_caches(15)[-1]
+    gc.collect()
+    del W6
+    assert gc.collect() == 0
 
 
 @pytest.mark.parametrize(
