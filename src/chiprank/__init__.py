@@ -33,6 +33,7 @@ from .dyck import (
     cdinv,
     coheights,
     cyclic_factorization,
+    delta,
     dinv,
     dn_words,
     dyck_words,

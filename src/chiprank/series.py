@@ -1,14 +1,17 @@
-"""Exact multivariate power series, truncated by total degree.
+"""Exact multivariate power series, truncated by total degree: the result
+type of the strip's series, which ``strip`` computes on packed ints.
 
-Coefficients are Python ints; monomials are exponent tuples.  All arithmetic
-is exact on every kept monomial: a product of series truncated at total
-degree T has correct coefficients up to T because dropped terms can only feed
-higher degrees.  Division is by series with constant term +-1 only (the only
-integer units), by a recurrence taken in order of total degree.
+Coefficients are Python ints; monomials are exponent tuples.  A product of
+series truncated at total degree T is exact up to T, since dropped terms
+only feed higher degrees; ``inverse`` takes a unit's (constant term +-1)
+degree by degree.  No library route combines series: the sum, the product,
+the inverse and ``map_exponents`` serve the tests' oracles and the
+benchmark, whose tracer (``perfbench/spans.py``) wraps the last three by
+name.
 
-The constructor validates its coefficients.  Ring results come from
-``_make``, which trusts them: they are built from validated series, so only
-the zero coefficients that cancellation leaves need dropping.
+The constructor validates its coefficients.  Results come from ``_make``,
+which trusts them: they are built from validated series, so only the zero
+coefficients that cancellation leaves need dropping.
 """
 
 from __future__ import annotations
@@ -60,23 +63,7 @@ class TruncatedSeries:
         s.coeffs = {e: c for e, c in coeffs.items() if c}
         return s
 
-    # ---------- constructors ----------
-
-    @classmethod
-    def zero(cls, nvars: int, trunc: int) -> "TruncatedSeries":
-        return cls(nvars, trunc)
-
-    @classmethod
-    def one(cls, nvars: int, trunc: int) -> "TruncatedSeries":
-        return cls(nvars, trunc, {(0,) * nvars: 1})
-
-    @classmethod
-    def monomial(
-        cls, nvars: int, trunc: int, exps, coeff: int = 1
-    ) -> "TruncatedSeries":
-        return cls(nvars, trunc, {tuple(exps): coeff})
-
-    # ---------- ring operations ----------
+    # ---------- arithmetic ----------
 
     def _compat(self, other: "TruncatedSeries") -> None:
         if not isinstance(other, TruncatedSeries):
@@ -90,18 +77,6 @@ class TruncatedSeries:
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) + c
         return self._make(self.nvars, self.trunc, out)
-
-    def __sub__(self, other):
-        self._compat(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) - c
-        return self._make(self.nvars, self.trunc, out)
-
-    def __neg__(self):
-        return self._make(
-            self.nvars, self.trunc, {e: -c for e, c in self.coeffs.items()}
-        )
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -147,21 +122,10 @@ class TruncatedSeries:
         out = {e: c for layer in layers for e, c in layer.items()}
         return self._make(self.nvars, self.trunc, out)
 
-    def __truediv__(self, other):
-        self._compat(other)
-        return self * other.inverse()
-
     # ---------- structure ----------
 
     def coefficient(self, exps) -> int:
         return self.coeffs.get(tuple(exps), 0)
-
-    def filter(self, keep: Callable) -> "TruncatedSeries":
-        """Series with only the monomials whose exponent tuple passes
-        ``keep``."""
-        return self._make(
-            self.nvars, self.trunc, {e: c for e, c in self.coeffs.items() if keep(e)}
-        )
 
     def map_exponents(
         self, fn: Callable, nvars: int | None = None, trunc: int | None = None

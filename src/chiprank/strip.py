@@ -20,7 +20,7 @@ from operator import add, mul
 from typing import Iterator, Sequence
 
 from .complete import _rank
-from .dyck import _dn, _heights, dn_words, phi_involution
+from .dyck import _contact_labels, _dn, _heights, dn_words, phi_involution
 from .graphs import _as_ints
 from .series import TruncatedSeries
 
@@ -89,16 +89,10 @@ def cell_label(n: int, x: int, y: int) -> int:
 
 def _row_labels(wd: str) -> tuple:
     """(n, L) for a validated word wd with its trailing extra b: n is its
-    number of b's, and L its row labels (``_labels``)."""
-    n = wd.count("b")
-    return n, _labels(_heights(wd), n)
-
-
-def _labels(heights: list, n: int) -> list:
-    """The per-row first left-region labels of an n-strip word whose a's
-    sit at the given heights: row i holds the cell just west of the path's
-    i-th north step, labeled (i-1) + eta_i * (n-1)."""
-    return [i + h * (n - 1) for i, h in enumerate(heights)]
+    number of b's, and L its per-row first left-region labels.  Row i holds
+    the cell just west of the path's i-th north step, whose label is that
+    step's start, i + eta_i (n - 1) (``dyck._contact_labels``)."""
+    return wd.count("b"), _contact_labels(_heights(wd))
 
 
 def left_right(w: str, s: int) -> tuple:
@@ -174,9 +168,9 @@ def Ln_via_toxy(n: int, trunc: int) -> TruncatedSeries:
     over all words with n b's and n - 1 a's, an a at height h weighing
     x^(h + 1), or y^(-h - 1) below ground.  Refused in O(1) past the budget.
 
-    Each sum F is non-negative, and H F = F/(1 - y) + F/(1 - x) - F: each
-    quotient is one product by 1 + y + ... + y^trunc packed in a row, the
-    second on F's transpose, so a sparse F never fills a trunc x trunc box."""
+    Each sum F is non-negative, and H F is one product of packed ints, H's
+    2 trunc + 1 unit terms by F, in ``_identity_rhs``'s layout and mask; the
+    two sides are subtracted slot by slot as they are unpacked."""
     n, trunc = _as_ints((n, trunc), "n and trunc")
     if n < 2:
         raise ValueError("the boundary-word expansion needs n >= 2")
@@ -184,25 +178,14 @@ def Ln_via_toxy(n: int, trunc: int) -> TruncatedSeries:
     _require_budget(n, trunc, n + 2 * (trunc // (n - 1)) + 2 * trunc + 1, n)  # H's terms as q's
     sides = [_word_sum(n, trunc, n * n, end + "?" * (2 * n - 3) + end, -1, -n, range(-n, 2 * n))
              for end in "ba"]  # n = 2's a?a never ends at -1: its sum is 0
-    # no slot of F/(1 - y) exceeds F's coefficient sum
-    w, out = max(1, *(sum(c for _, c in F) for F in sides)).bit_length(), {}
+    # H's coefficients are 0 or 1, so no slot of H F exceeds F's coefficient sum
+    S, w = 2 * trunc + 1, max(1, *(sum(c for _, c in F) for F in sides)).bit_length()
+    H = [((0, 0), 1)] + [(e, 1) for i in range(1, trunc + 1) for e in ((i, 0), (0, i))]
+    Hp, mask, out = _pack(H, S, w), _cut(trunc, S, w, range(trunc + 1)), {}
     for F, sign in zip(sides, (1, -1)):
-        flipped = _over_1_minus_y([((b, a), c) for (a, b), c in F], trunc, w)
-        for (a, b), c in F:
-            out[a, b] = out.get((a, b), 0) - sign * c
-        for (a, b), c in _over_1_minus_y(F, trunc, w) + [((a, b), c) for (b, a), c in flipped]:
+        for (a, b), c in _unpack(Hp * _pack(F, S, w) & mask, S, w):
             out[a, b] = out.get((a, b), 0) + sign * c
     return TruncatedSeries._make(2, trunc, out)
-
-
-def _over_1_minus_y(F: list, trunc: int, w: int) -> list:
-    """[((a, b), c)] of F/(1 - y) cut at a + b <= trunc, for F's terms
-    ((a, b), c >= 0) with a + b <= trunc and no quotient slot past 2^w: one
-    product by the packed 1 + y + ... + y^trunc, masked to F's rows."""
-    S = 2 * trunc + 1  # b + trunc < S: no y-degree reaches the next row
-    rows = range(max((a for (a, _), _ in F), default=-1) + 1)
-    ones = ((1 << (trunc + 1) * w) - 1) // ((1 << w) - 1)  # trunc + 1 slots
-    return _unpack(_pack(F, S, w) * ones & _cut(trunc, S, w, rows), S, w)
 
 
 def _require_budget(n: int, trunc: int, qs: int, qtop: int, spent: int = 0) -> int:
@@ -458,7 +441,7 @@ def _kn_walk(n: int, lo: int, hi: int) -> Iterator[tuple]:
     _check_walk(n, lo, hi)
     for w in dn_words(n) if hi >= lo else ():
         heights = _heights(w)
-        L = _labels(heights, n)
+        L = _contact_labels(heights)
         values = tuple(i - h for i, h in enumerate(heights))
         degree, rank = sum(values) + lo, _rank(values + (lo,))
         yield w, L, degree, lo, rank

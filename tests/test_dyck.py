@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chiprank
 from chiprank import dyck, strip
 
 
@@ -32,6 +33,13 @@ def test_heights_and_area():
     assert dyck.area("aababb") == 2
     assert dyck.area("ab" * 5) == 0
     assert dyck.area("a" * 4 + "b" * 4) == 6
+
+
+def test_delta_counts_a_minus_b_on_any_word():
+    assert [dyck.delta(w) for w in ("", "aababb", "abb", "aab", "bbba")] == [0, 0, -1, 1, -2]
+    with pytest.raises(ValueError, match="only the letters 'a' and 'b'"):
+        dyck.delta("abc")
+    assert chiprank.delta is dyck.delta
 
 
 def test_word_predicates():

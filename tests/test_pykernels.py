@@ -186,9 +186,12 @@ def test_round_guards_raise(monkeypatch, K3):
     monkeypatch.setattr(_pykernels, "MAX_ROUNDS", 0)
     with pytest.raises(RuntimeError, match="stabilization"):
         _pykernels.stabilize(K3.degrees, K3._adj, [2, 0, 0])
-    for cfg in ([-1, 5], [3, 0]):  # the sink-firing phase, then the burning one
+    # K2's [3, 0] is unstable, so the first stabilization raises; [-1, 5]
+    # is stable and in debt, so the borrowing phase does; K3's [1, 1, 0] is
+    # stable with no debt and does not burn, so the burning phase does
+    for G, cfg in ((K2, [3, 0]), (K2, [-1, 5]), (K3, [1, 1, 0])):
         with pytest.raises(RuntimeError, match="parking reduction"):
-            _pykernels.parking_reduce(K2.degrees, K2._adj, cfg)
+            _pykernels.parking_reduce(G.degrees, G._adj, cfg)
 
 
 def test_backend_names_are_the_kernels_themselves():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from chiprank import cli, complete, dyck, strip
 from chiprank.series import TruncatedSeries
+from test_series import Series
 
 
 def test_vertex_label_geometry():
@@ -320,12 +321,13 @@ def identity_rhs_3var(max_n, trunc):
     identity's window: z-degree < max_n, xy-degree <= trunc."""
     tz = max_n - 1
     T = trunc + tz
-    C = strip.carlitz_catalan(trunc, tz)
+    C = Series.of(strip.carlitz_catalan(trunc, tz))
     Cx = C.map_exponents(lambda e: (e[0] + e[1], 0, e[1]), nvars=3, trunc=T)
     Cy = C.map_exponents(lambda e: (0, e[0] + e[1], e[1]), nvars=3, trunc=T)
-    H3 = strip.h_series(trunc).map_exponents(lambda e: (e[0], e[1], 0), nvars=3, trunc=T)
-    z = TruncatedSeries.monomial(3, T, (0, 0, 1))
-    one = TruncatedSeries.one(3, T)
+    H = Series.of(strip.h_series(trunc))
+    H3 = H.map_exponents(lambda e: (e[0], e[1], 0), nvars=3, trunc=T)
+    z = Series.monomial(3, T, (0, 0, 1))
+    one = Series.one(3, T)
     rhs = H3 * (Cx + Cy - Cx * Cy) / (one - Cx * z * Cy)
     return {e: c for e, c in rhs.coeffs.items() if e[2] <= tz and e[0] + e[1] <= trunc}
 

@@ -39,10 +39,10 @@ where the area bound drops words included, and on malformed orders.  An
 orientation section builds orientations, some refused.  The last section
 runs the series of ``chiprank.strip``: ``Ln_direct`` and ``Ln_via_toxy``
 for n <= 7 and truncations 0..8, ``LnC_identity_check``,
-``Kn_bistatistic_check``, the inverse and quotient of seeded series in 1..3
-variables with constant term +1 or -1, the refusals of each (a non-unit
-among them), and the CLI's ``genfun ln`` in json and text and ``genfun
-identity``.
+``Kn_bistatistic_check``, the inverse of seeded series in 1..3 variables
+with constant term +1 or -1 and its products, the refusals of each (a
+non-unit among them), and the CLI's ``genfun ln`` in json and text and
+``genfun identity``.
 
 Everything is drawn from the seed alone, so two checkouts run on the same
 seed print the same transcript exactly when they give the same answers:
@@ -492,7 +492,7 @@ BISTATISTIC_WINDOWS = ((1, (-5, 10)), (2, (-5, 15)), (3, (0, 0)), (4, (6, 2)), (
 
 def series_functions(rng: random.Random) -> None:
     """The strip series on seeded sizes and truncations, the identity and
-    bistatistic checks, series inverses and quotients, and the CLI's
+    bistatistic checks, series inverses and products, and the CLI's
     ``genfun ln`` in json and text and ``genfun identity``."""
     print("== series")
     sizes = [(n, rng.randint(0, 8)) for n in range(1, 8)] + [(n, 8) for n in range(2, 8)]
@@ -514,7 +514,7 @@ def series_functions(rng: random.Random) -> None:
     for n, window in windows:
         show(f"Kn_bistatistic_check({n!r}, {window!r})", strip.Kn_bistatistic_check,
              n, window)
-    print("-- inverse and /")
+    print("-- inverse and product")
     for nvars in (1, 2, 3):
         for c0 in (1, -1):
             for _ in range(3):
@@ -523,14 +523,16 @@ def series_functions(rng: random.Random) -> None:
                 other = random_unit(rng, nvars, trunc, rng.randint(-2, 2))
                 print(f"-- unit {series_terms(unit)}, other {series_terms(other)}")
                 show("inverse", lambda u: series_terms(u.inverse()), unit)
-                show("other / unit", lambda a, u: series_terms(a / u), other, unit)
+                show("other * unit.inverse()",
+                     lambda a, u: series_terms(a * u.inverse()), other, unit)
+    one = TruncatedSeries(2, 4, {(0, 0): 1})
     for c0 in (0, 2, -2):
         unit = random_unit(rng, 2, 4, c0)
         show(f"inverse {series_terms(unit)}", lambda u: series_terms(u.inverse()), unit)
-        show("one / it", lambda u: series_terms(TruncatedSeries.one(2, 4) / u), unit)
-    show("one / a series of another truncation",
-         lambda: TruncatedSeries.one(2, 4) / TruncatedSeries.one(2, 3))
-    show("one / an int", lambda: TruncatedSeries.one(2, 4) / 1)
+        show("one * it.inverse()", lambda u: series_terms(one * u.inverse()), unit)
+    show("one * a series of another truncation",
+         lambda: one * TruncatedSeries(2, 3, {(0, 0): 1}))
+    show("one * a float", lambda: one * 1.0)
     print("-- genfun commands")
     for n in range(1, 6):
         for fmt in ("json", "text"):
