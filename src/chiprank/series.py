@@ -4,10 +4,10 @@ type of the strip's series, which ``strip`` computes on packed ints.
 Coefficients are Python ints; monomials are exponent tuples.  A product of
 series truncated at total degree T is exact up to T, since dropped terms
 only feed higher degrees; ``inverse`` takes a unit's (constant term +-1)
-degree by degree.  No library route combines series: the sum, the product,
-the inverse and ``map_exponents`` serve the tests' oracles and the
-benchmark, whose tracer (``perfbench/spans.py``) wraps the last three by
-name.
+degree by degree.  No library route combines series, and ``acceptance``
+only maps exponents; the sum, the product and the inverse serve the tests'
+oracles and the benchmark, whose tracer (``perfbench/spans.py``) wraps
+the product, the inverse and ``map_exponents`` by name.
 
 The constructor validates its coefficients.  Results come from ``_make``,
 which trusts them: they are built from validated series, so only the zero

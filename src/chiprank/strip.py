@@ -168,23 +168,23 @@ def Ln_via_toxy(n: int, trunc: int) -> TruncatedSeries:
     over all words with n b's and n - 1 a's, an a at height h weighing
     x^(h + 1), or y^(-h - 1) below ground.  Refused in O(1) past the budget.
 
-    Each sum F is non-negative, and H F is one product of packed ints, H's
-    2 trunc + 1 unit terms by F, in ``_identity_rhs``'s layout and mask; the
-    two sides are subtracted slot by slot as they are unpacked."""
+    H F = F/(1 - x) + F/(1 - y) - F: each term of a sum F adds its
+    coefficient along its row and its column up to the truncation, the
+    |F| (2 trunc + 1) dict terms the budget charges, never a trunc^2 box."""
     n, trunc = _as_ints((n, trunc), "n and trunc")
     if n < 2:
         raise ValueError("the boundary-word expansion needs n >= 2")
     _require_trunc(trunc)
     _require_budget(n, trunc, n + 2 * (trunc // (n - 1)) + 2 * trunc + 1, n)  # H's terms as q's
-    sides = [_word_sum(n, trunc, n * n, end + "?" * (2 * n - 3) + end, -1, -n, range(-n, 2 * n))
-             for end in "ba"]  # n = 2's a?a never ends at -1: its sum is 0
-    # H's coefficients are 0 or 1, so no slot of H F exceeds F's coefficient sum
-    S, w = 2 * trunc + 1, max(1, *(sum(c for _, c in F) for F in sides)).bit_length()
-    H = [((0, 0), 1)] + [(e, 1) for i in range(1, trunc + 1) for e in ((i, 0), (0, i))]
-    Hp, mask, out = _pack(H, S, w), _cut(trunc, S, w, range(trunc + 1)), {}
-    for F, sign in zip(sides, (1, -1)):
-        for (a, b), c in _unpack(Hp * _pack(F, S, w) & mask, S, w):
-            out[a, b] = out.get((a, b), 0) + sign * c
+    out = {}
+    for end, sign in zip("ba", (1, -1)):  # n = 2's a?a never ends at -1: its sum is 0
+        for (a, b), c in _word_sum(n, trunc, n * n, end + "?" * (2 * n - 3) + end, -1, -n,
+                                   range(-n, 2 * n)):
+            c *= sign
+            out[a, b] = out.get((a, b), 0) - c
+            for i in range(trunc - a - b + 1):
+                out[a + i, b] = out.get((a + i, b), 0) + c
+                out[a, b + i] = out.get((a, b + i), 0) + c
     return TruncatedSeries._make(2, trunc, out)
 
 

@@ -17,7 +17,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import run  # noqa: E402
 import spans  # noqa: E402
 
-import chiprank  # noqa: E402
 from chiprank import _backend, rank  # noqa: E402
 from chiprank.graphs import MultiGraph  # noqa: E402
 from chiprank.series import TruncatedSeries  # noqa: E402
@@ -46,7 +45,6 @@ def test_every_traced_method_is_the_class_own(cls, attr):
 
 def test_the_flags_and_counters_the_harness_reads():
     assert _backend.COMPILED is False
-    assert chiprank.COMPILED_KERNELS is False
     # the tracer counts the rank engine's effectiveness calls at this binding
     assert callable(rank.is_effective_class)
     # perfbench's genfun oracle test corrupts an output with +

@@ -131,6 +131,21 @@ def test_Ln_direct_guards_against_blowup():
         strip.Ln_direct(3, 10**7)
 
 
+def test_Ln_via_toxy_stays_sparse_at_large_truncation():
+    """Past trunc ~ n^2 the boundary words' sums are a few terms near the
+    axes, and H spreads each along its row and column: admitted calls at
+    trunc 10^4 answer in well under a second, in a fresh process under a
+    timeout, so a product that fills the trunc x trunc box fails here."""
+    src = os.path.dirname(os.path.dirname(strip.__file__))
+    code = ("from chiprank import strip\n"
+            "for n, trunc in ((3, 10**4), (4, 3 * 10**4)):\n"
+            "    if strip.Ln_via_toxy(n, trunc) != strip.Ln_direct(n, trunc):\n"
+            "        raise SystemExit(f'routes disagree at n = {n}')\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_carlitz_pinned():
     c = strip.carlitz_catalan(8, 4)
     # area generating polynomial over the 5 words with 3 a's
