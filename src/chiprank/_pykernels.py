@@ -6,20 +6,22 @@ per-vertex ``(neighbour, multiplicity)`` tuples that a ``MultiGraph`` stores
 as its ``_adj``, and a configuration; vertex ``len(degs) - 1`` is the sink.
 Everything is exact integer arithmetic, so entries may be arbitrarily large.
 
-The kernels visit only the vertices a worklist holds: ``stabilize`` fires
-unstable vertices from a FIFO queue, ``parking_reduce`` clears debts from
-one, and burning spreads heat along the edges of each vertex that burns.
-Every move is made in bulk: a vertex fires or borrows, and an unburnt set
-fires, as many times at once as stays legal.  The order of the work cannot
-change the results, because each is unique: the stable configuration and
-its odometer (least action), the unburnt set (the largest set no fire can
-enter), and the parking representative of a class.
+``stabilize`` and the debt phase of ``parking_reduce`` run round-robin
+sweeps over the non-sink vertices in index order, the schedule of the dense
+references in ``tests/test_pykernels.py``: one round is one sweep, and a
+sweep reads all n vertices, O(n) plus the edges of those that move.
+Burning spreads heat along the edges of each vertex that burns.  Every
+move is made in bulk: a vertex fires or borrows, and an unburnt set fires,
+as many times at once as stays legal.  The order of the work cannot change
+the results, because each is unique (the abelian property): the stable
+configuration and its odometer (least action), the unburnt set (the
+largest set no fire can enter), and the parking representative of a class.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from operator import ge, lt
+from operator import lt
 
 # Safety valve against runaway loops on adversarial inputs; generous compared
 # to anything the library itself generates.
@@ -34,44 +36,37 @@ def stabilize(degs, adj, cfg):
     entry per vertex; the sink never topples).  Entries may be negative:
     only vertices with cfg[i] >= deg(i) fire, so debt just sits still.
 
-    Unstable vertices wait in a FIFO queue, taken one generation at a time:
-    the vertices queued when the previous generation ends.  Each fires all
-    the times its chips allow at once, so a vertex that gathers chips while
-    it waits fires them together.  Each generation fires at least what one
-    parallel step (every unstable vertex at once) would, and n - 1 parallel
-    steps fire at least what one sweep of a round-robin loop over the
-    non-sink vertices in index order does (the dense reference in
-    ``tests/test_pykernels.py``), so one round is counted per n - 1
-    generations: any input that reference settles within ``MAX_ROUNDS``
-    sweeps settles here too.
+    Each round sweeps the non-sink vertices in index order, and every
+    unstable one fires all the times its chips allow at once: the schedule
+    of the dense reference in ``tests/test_pykernels.py``, on the sparse
+    rows.  A sweep reads all n vertices, O(n) plus the edges of those that
+    fire.  Past ``MAX_ROUNDS`` sweeps that fire it raises; the sweep that
+    finds nothing to fire is not counted.
     """
-    n = len(degs)
-    sink = n - 1
-    odo = [0] * n
-    queued = list(map(ge, cfg, degs))
-    queued[sink] = False
-    queue = list(compress(range(n), queued))
-    queued[sink] = True  # the sink never fires
-    generations = 0
-    while queue:
-        generations += 1
-        if generations > MAX_ROUNDS * sink:
-            raise RuntimeError("stabilization did not settle (input too extreme)")
-        later = []
-        for i in queue:
-            queued[i] = False
+    return _fire(degs, adj, cfg, MAX_ROUNDS, "stabilization did not settle (input too extreme)")
+
+
+def _fire(degs, adj, cfg, limit, unsettled):
+    """``stabilize``, raising ``unsettled`` past ``limit`` sweeps that fire."""
+    sink = len(degs) - 1
+    odo = [0] * len(degs)
+    rounds = 0
+    while True:
+        fired = False
+        for i in range(sink):
             d = degs[i]
-            q = cfg[i] // d
-            odo[i] += q
-            cfg[i] -= q * d
-            for j, e in adj[i]:
-                c = cfg[j] + q * e
-                cfg[j] = c
-                if c >= degs[j] and not queued[j]:
-                    queued[j] = True
-                    later.append(j)
-        queue = later
-    return odo
+            if cfg[i] >= d:
+                q = cfg[i] // d
+                odo[i] += q
+                cfg[i] -= q * d
+                for j, e in adj[i]:
+                    cfg[j] += q * e
+                fired = True
+        if not fired:
+            return odo
+        rounds += 1
+        if rounds > limit:
+            raise RuntimeError(unsettled)
 
 
 def burning_test(degs, adj, cfg):
@@ -111,13 +106,13 @@ def parking_reduce(degs, adj, cfg):
 
     Every move is made in bulk, as many times at once as stays legal.
     Phase 1 stabilizes, then clears the debts the way ``stabilize`` of the
-    complement deg - 1 - cfg would: each indebted non-sink vertex, taken
-    from a FIFO queue in generations, borrows ceil(-cfg[i] / deg(i)) times,
-    which leaves it holding 0 .. deg - 1, and neighbours that go negative
-    join the queue (the sink takes on debt freely).  Borrowing only takes
-    chips from the others, so the result is stable, with no debt.  The loop
-    is spelt out: calling ``stabilize`` on the complement costs two more
-    O(n) passes, up to a third of a small reduction.
+    complement deg - 1 - cfg would: sweeps in index order, in which each
+    indebted non-sink vertex borrows ceil(-cfg[i] / deg(i)) times, which
+    leaves it holding 0 .. deg - 1 (the sink takes on debt freely).
+    Borrowing only takes chips from the others, so the result is stable,
+    with no debt.  The loop is spelt out: calling ``stabilize`` on the
+    complement costs two more O(n) passes, up to a third of a small
+    reduction.
 
     Phase 2 fires Dhar's unburnt set S, the largest set that can fire
     legally, t times at once, t the least floor(cfg[x] / out_S(x)) over the
@@ -126,37 +121,37 @@ def parking_reduce(degs, adj, cfg):
     legal set, so each round lowers max z by at least one; from a stable
     start, max z is bounded by the graph alone.
 
-    Past ``MAX_ROUNDS`` (counted as in ``stabilize`` in phase 1, one per
-    burning in phase 2) it raises, naming the parking reduction.
+    Past ``MAX_ROUNDS`` rounds it raises, naming the parking reduction: in
+    phase 1, n - 1 sweeps that move are a round; in phase 2, a burning is.
+    The dense reference clears debts by firing the sink, k times in all,
+    stabilizing after each, then fires its unburnt set once a burning.  A
+    sweep that moves fires or borrows at least once, and by least action
+    no vertex borrows more than k times, so there are at most (n - 1) k
+    debt sweeps; from f without debt, no vertex fires more often than the
+    reference's burnings.  With debt, only the tests bound the first
+    stabilization's sweeps by the reference's rounds.  One chip of debt on
+    vertex n - 2 of K_n, or of a path ending at the sink, takes n - 1
+    sweeps, and one sink firing clears it: the unit is tight.
     """
     n = len(degs)
     sink = n - 1
-    try:
-        stabilize(degs, adj, cfg)
-    except RuntimeError:
-        raise RuntimeError(_UNSETTLED) from None
-    queued = [c < 0 for c in cfg]
-    queued[sink] = False
-    queue = list(compress(range(n), queued))
-    queued[sink] = True  # the sink never borrows
-    generations = 0
-    while queue:
-        generations += 1
-        if generations > MAX_ROUNDS * sink:
+    _fire(degs, adj, cfg, MAX_ROUNDS * sink, _UNSETTLED)
+    sweeps = 0
+    while True:
+        borrowed = False
+        for i in range(sink):
+            if cfg[i] < 0:
+                d = degs[i]
+                t = cfg[i] // d  # negative: i borrows -t times
+                cfg[i] -= t * d
+                for j, e in adj[i]:
+                    cfg[j] += t * e
+                borrowed = True
+        if not borrowed:
+            break
+        sweeps += 1
+        if sweeps > MAX_ROUNDS * sink:
             raise RuntimeError(_UNSETTLED)
-        later = []
-        for i in queue:
-            queued[i] = False
-            d = degs[i]
-            t = cfg[i] // d  # negative: i borrows -t times
-            cfg[i] -= t * d
-            for j, e in adj[i]:
-                c = cfg[j] + t * e
-                cfg[j] = c
-                if c < 0 and not queued[j]:
-                    queued[j] = True
-                    later.append(j)
-        queue = later
     rounds = 0
     while True:
         unburnt = burning_test(degs, adj, cfg)

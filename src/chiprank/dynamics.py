@@ -167,7 +167,7 @@ def parking_representative(G: MultiGraph, f: Sequence[int]) -> tuple:
     fires the largest legal set as often as stays legal, until nothing can
     fire (``_pykernels.parking_reduce``).  Each move is made in bulk, so
     the burnings are bounded by the graph, and piles and debts of 10^18
-    chips cost big-integer arithmetic and the generations of a bulk
+    chips cost big-integer arithmetic and the sweeps of a bulk
     stabilization, not one round per chip.  f is checked once, here; the
     reduction (``_park``), which the other parking routes and the rank
     cache call directly, runs on the checked tuple.

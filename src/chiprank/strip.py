@@ -208,16 +208,21 @@ def _pack(terms, S: int, w: int) -> int:
     return sum(c << (a * S + b) * w for (a, b), c in terms)
 
 
-def _unpack(P: int, S: int, w: int, i: int = 0) -> list:
-    """[((a, b), c)] over the non-zero w-bit slots of P, the j-th standing
-    for x^a y^b with aS + b = i + j: ``_pack``'s inverse.  A long P is
-    halved first, so no slot costs a shift of the whole int."""
+def _unpack(P: int, S: int, w: int, trunc: int, i: int = 0) -> list:
+    """[((a, b), c)] over the non-zero w-bit slots of P that a ``_cut`` mask
+    keeps, b <= trunc - a, the j-th standing for x^a y^b with aS + b = i + j:
+    ``_pack``'s inverse on such a P.  A long P is halved first, so no slot
+    costs a shift of the whole int, and the slots past each row's cut are
+    never read."""
     k = -(-P.bit_length() // w)
-    if k > 64:
+    if k > 256:
         h = k // 2
-        return _unpack(P & (1 << h * w) - 1, S, w, i) + _unpack(P >> h * w, S, w, i + h)
-    slot = (1 << w) - 1
-    return [(divmod(i + j, S), c) for j in range(k) if (c := P >> j * w & slot)]
+        return (_unpack(P & (1 << h * w) - 1, S, w, trunc, i)
+                + _unpack(P >> h * w, S, w, trunc, i + h))
+    slot, (a0, b0) = (1 << w) - 1, divmod(i, S)
+    return [((a, b), c) for a in range(a0, (i + k - 1) // S + 1)
+            for b in range(b0 if a == a0 else 0, min(trunc - a, S - 1, i + k - 1 - a * S) + 1)
+            if (c := P >> (a * S + b - i) * w & slot)]
 
 
 def _cut(trunc: int, S: int, w: int, rows: range) -> int:
@@ -249,7 +254,7 @@ def _word_sum(n: int, trunc: int, xmax: int, pattern: str, end: int, floor: int,
             if letter != "a" and h > floor and end - h + 1 <= room:
                 nxt[h - 1, f] = nxt.get((h - 1, f), 0) + P
         layer = nxt
-    return _unpack(layer.get((end, 1), 0), S, w)
+    return _unpack(layer.get((end, 1), 0), S, w, trunc)
 
 
 def _sink_sum(n: int, trunc: int, lo: int, hi: int) -> dict:
@@ -295,7 +300,7 @@ def carlitz_catalan(t_q: int, t_z: int) -> TruncatedSeries:
         c = sum(map(mul, lifted, reversed(polys))) & keep if p else 1
         polys.append(c)
         lifted.append(c << p * width & keep)  # q^p C_p
-        coeffs.update(((a, p), v) for (a, _), v in _unpack(c, 1, width))
+        coeffs.update(((a, p), v) for (_, a), v in _unpack(c, t_q + 1, width, t_q))
     return TruncatedSeries._make(2, t_q + t_z, coeffs)
 
 
@@ -362,9 +367,9 @@ def _identity_rhs(max_n: int, trunc: int, H: TruncatedSeries) -> dict:
     Hp, XY, out = _pack(H.coeffs.items(), S, w), list(map(add, X, Y)), {}
     for p in range(max_n):
         pos = sum(map(mul, XY, reversed(G[:p + 1]))) & mask
-        for (a, b), c in _unpack(Hp * pos & mask, S, w):
+        for (a, b), c in _unpack(Hp * pos & mask, S, w, trunc):
             out[a, b, p] = c
-        for (a, b), c in _unpack(Hp * G[p + 1] & mask, S, w):
+        for (a, b), c in _unpack(Hp * G[p + 1] & mask, S, w, trunc):
             out[a, b, p] = out.get((a, b, p), 0) - c
     return {e: c for e, c in out.items() if c}
 

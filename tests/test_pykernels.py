@@ -3,8 +3,9 @@
 The references below sweep every non-sink vertex in index order, round after
 round, over the rows of a dense multiplicity matrix that ``test_graphs._dense``
 adds up from an edge list: the one a random graph is built from, or a named
-graph's JSON.  They share no code with ``chiprank._pykernels``, so they check
-its worklist traversal.
+graph's JSON.  They share no code with ``chiprank._pykernels``, which runs
+the same sweeps on the graph's sparse rows, so they check its reading of
+those rows, its bulk moves and its round guards.
 """
 
 import json
@@ -139,6 +140,47 @@ def test_stabilize_matches_dense(gc):
         mp.setattr(_pykernels, "MAX_ROUNDS", rounds)
         assert _pykernels.stabilize(G.degrees, G._adj, cfg) == want
     assert cfg == want_cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_and_config(pile=10**5))
+def test_stabilize_counts_a_round_per_sweep(gc):
+    """A round is one sweep that fires: where the dense loop takes
+    ``rounds`` sweeps, the last of them idle, one guard less still settles
+    and two less raises."""
+    G, mult, f = gc
+    rounds = dense_stabilize(mult, list(f))[1]
+    assume(rounds >= 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_pykernels, "MAX_ROUNDS", rounds - 2)
+        with pytest.raises(RuntimeError, match="stabilization"):
+            _pykernels.stabilize(G.degrees, G._adj, list(f))
+        mp.setattr(_pykernels, "MAX_ROUNDS", rounds - 1)
+        _pykernels.stabilize(G.degrees, G._adj, list(f))
+
+
+def test_debt_sweeps_count_n_minus_1_a_round(monkeypatch):
+    """One chip of debt on vertex n - 2 of K_n takes n - 1 sweeps, and one
+    sink firing clears it: the dense reduction's round is n - 1 sweeps."""
+    monkeypatch.setattr(_pykernels, "MAX_ROUNDS", 1)
+    for n in (3, 4, 5, 8):
+        K = MultiGraph.complete(n)
+        cfg = [0] * n
+        cfg[n - 2] = -1
+        want = list(cfg)
+        assert dense_parking(_matrix(K), want) == 1
+        _pykernels.parking_reduce(K.degrees, K._adj, cfg)
+        assert cfg == want
+
+
+def test_single_vertex_graph_never_meets_the_guards(monkeypatch):
+    G1 = MultiGraph([[0]])
+    monkeypatch.setattr(_pykernels, "MAX_ROUNDS", 0)
+    for f in ([5], [-5]):
+        cfg = list(f)
+        assert _pykernels.stabilize(G1.degrees, G1._adj, cfg) == [0]
+        _pykernels.parking_reduce(G1.degrees, G1._adj, cfg)
+        assert cfg == f
 
 
 @settings(max_examples=200, deadline=None)
