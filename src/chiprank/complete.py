@@ -55,20 +55,6 @@ class SortedParking(NamedTuple):
     sink: int
 
 
-class OpCounter:
-    """Tallies the work of the closed-form rank for complexity
-    demonstrations: each pass adds the number of items it reads, and a
-    bisection the most probes it can make."""
-
-    __slots__ = ("ops",)
-
-    def __init__(self):
-        self.ops = 0
-
-    def add(self, k: int) -> None:
-        self.ops += k
-
-
 def _as_config(f: Sequence[int]) -> tuple:
     f = _as_ints(f)
     if not f:
@@ -104,8 +90,6 @@ def compact_normalize(f: Sequence[int]) -> tuple:
     the degree balanced onto the sink."""
     f = _as_config(f)
     n = len(f)
-    if n == 1:
-        return f
     base = f[0]
     body = [(x - base) % n for x in f[:-1]]
     return tuple(body) + (sum(f) - sum(body),)
@@ -155,8 +139,8 @@ def decode_word(word: str) -> tuple:
 # ---------- parking via the cyclic lemma ----------
 
 
-def _walk(f: tuple, counter: OpCounter | None = None) -> tuple:
-    """The cyclic lemma on a validated configuration of n >= 2 vertices.
+def _walk(f: tuple) -> tuple:
+    """The cyclic lemma on a validated configuration of n >= 1 vertices.
 
     With residues r_i = (f_i - f_0) mod n over the non-sink entries, d[v] is
     one less than the number of residues equal to v, and the walk H, the
@@ -177,9 +161,6 @@ def _walk(f: tuple, counter: OpCounter | None = None) -> tuple:
     # sum(r) = n(n - 1) - sum(A), A[v] = H[v] + v + 1 the a's of value <= v,
     # and n(q - p) = -n * best
     sink = sum(f) + sum(H) + n * (3 - n) // 2 - n * best - q
-    if counter is not None:
-        # histogram; accumulate, min, index; sum(f), sum(H)
-        counter.add((n - 1) + (n + n + q) + (n + n))
     return d, H, best, q, sink
 
 
@@ -192,8 +173,6 @@ def parking_via_cyclic_lemma(f: Sequence[int]) -> tuple:
     the result is toppling-equivalent to f, not merely a permutation).
     """
     f = _as_config(f)
-    if len(f) == 1:
-        return SortedParking("b", f[0]), f
     n = len(f)
     d, _, _, q, sink = _walk(f)
     word = _parked_word(d, q)
@@ -249,8 +228,6 @@ def rank_greedy(f: Sequence[int]) -> int:
     ``rank_formula`` (Python 3.11, shared 2-core x86-64 machine).
     """
     f = _as_config(f)
-    if len(f) == 1:
-        return f[0] if f[0] >= 0 else -1
     d, _, _, q, sink = _walk(f)
     word = _parked_word(d, q)
     stair = "ab" * (len(word) // 2) + "b"
@@ -264,21 +241,22 @@ def rank_greedy(f: Sequence[int]) -> int:
         steps += 1
 
 
-def _rank(f: tuple, counter: OpCounter | None = None) -> int:
+def _rank(f: tuple) -> tuple:
     """The closed-form rank of a validated configuration, a non-empty tuple
-    of ints; the one core behind ``rank_formula`` and the strip's K_n
-    walks."""
-    if len(f) == 1:
-        if counter is not None:
-            counter.add(1)
-        return f[0] if f[0] >= 0 else -1
-    _, H, best, q, sink = _walk(f, counter)
-    return _walk_rank(H, best, q, sink, counter)
+    of ints, as ``(rank, ops)``, ops the items its passes read; the one core
+    behind ``rank_formula`` and the strip's K_n walks."""
+    n = len(f)
+    if n == 1:
+        return (f[0] if f[0] >= 0 else -1), 1
+    _, H, best, q, sink = _walk(f)
+    rank, ops = _walk_rank(H, best, q, sink)
+    # the walk's histogram; accumulate, min, index; sum(f), sum(H)
+    return rank, ops + (n - 1) + (2 * n + q) + 2 * n
 
 
-def _walk_rank(H: list, best: int, q: int, sink: int,
-               counter: OpCounter | None = None) -> int:
-    """The closed form's last stage, read off ``_walk``'s heights.
+def _walk_rank(H: list, best: int, q: int, sink: int) -> tuple:
+    """The closed form's last stage, read off ``_walk``'s heights, as
+    ``(rank, ops)``, ops the items its passes read.
 
     The sorted parking word's heights after its first n - 1 b's are
     beta = H[q:] - best, then H[:q-1] - best - 1, and as a multiset they
@@ -294,7 +272,7 @@ def _walk_rank(H: list, best: int, q: int, sink: int,
     n = len(H)
     Q, R = divmod(sink + 1, n - 1)
     if Q < 0:  # every term is at most Q + 1 <= 0
-        return -1
+        return -1, 0
     T = Q + best  # beta_j <= Q iff H <= T in the tail, H <= T + 1 in the head
     tail, head = H[q:], H[:q - 1]
     low = list(filter(partial(gt, T), tail))
@@ -307,12 +285,10 @@ def _walk_rank(H: list, best: int, q: int, sink: int,
     V = (w - q) % n
     seen = (sum(map(ge, repeat(T), tail[:V]))
             + sum(map(ge, repeat(T + 1), head[:max(0, V - len(tail))])))
-    if counter is not None:
-        # slices; filters; sums of the lows; bisection probes (at most
-        # n.bit_length()); the first V heights' slices and count
-        counter.add((n - 1) + (n - 1) + len(low) + len(low_head)
-                    + n.bit_length() + 2 * V)
-    return below + seen + max(0, min(Q + 1, R - V)) - 1
+    # slices; filters; sums of the lows; bisection probes (at most
+    # n.bit_length()); the first V heights' slices and count
+    ops = (n - 1) + (n - 1) + len(low) + len(low_head) + n.bit_length() + 2 * V
+    return below + seen + max(0, min(Q + 1, R - V)) - 1, ops
 
 
 def rank_formula(f: Sequence[int], count_ops: bool = False):
@@ -328,12 +304,11 @@ def rank_formula(f: Sequence[int], count_ops: bool = False):
     per-vertex list (``_walk_rank``).  ``rank_formula_details`` is an
     inspection view that builds the per-position lists.
 
-    With ``count_ops=True`` returns ``(rank, ops)``, ops tallying the items
-    read by each pass the computation runs.
+    With ``count_ops=True`` returns ``(rank, ops)``, ops the items read by
+    the passes it ran, each tallied beside its pass (``_rank``).
     """
-    counter = OpCounter() if count_ops else None
-    rank = _rank(_as_config(f), counter)
-    return (rank, counter.ops) if count_ops else rank
+    rank, ops = _rank(_as_config(f))
+    return (rank, ops) if count_ops else rank
 
 
 def rank_formula_details(f: Sequence[int]) -> dict:
@@ -342,14 +317,14 @@ def rank_formula_details(f: Sequence[int]) -> dict:
     and the rank (which ``rank_formula`` finds without these lists)."""
     f = _as_config(f)
     if len(f) == 1:
-        return {"q": None, "r": None, "heights": [], "terms": [], "rank": _rank(f)}
+        return {"q": None, "r": None, "heights": [], "terms": [], "rank": _rank(f)[0]}
     d, H, best, q, sink = _walk(f)
     values = [v for v, k in enumerate(d[q:] + d[:q]) for _ in range(k + 1)]
     heights = [i - v for i, v in enumerate(values)]
     Q, R = divmod(sink + 1, len(heights))
     return {"q": Q, "r": R, "heights": heights,
             "terms": [Q - h + (i < R) for i, h in enumerate(heights)],
-            "rank": _walk_rank(H, best, q, sink)}
+            "rank": _walk_rank(H, best, q, sink)[0]}
 
 
 def theta_iterate(word: str, sink: int, k: int) -> tuple:

@@ -177,9 +177,11 @@ class MultiGraph:
         return all(len(row) == d == self.n - 1 for row, d in zip(self._adj, self.degrees))
 
     def spanning_tree_count(self) -> int:
-        """Number of spanning trees: the determinant of the reduced Laplacian
-        (sink row and column removed), read off as the product of the
-        diagonal of its Hermite form."""
+        """Number of spanning trees: n^(n-2) on K_n (Cayley's formula), else
+        the reduced Laplacian's determinant (sink row and column removed),
+        the product of the diagonal of its Hermite form."""
+        if self.is_complete():
+            return self.n ** max(self.n - 2, 0)
         cols = _lattice_form(self)
         return prod(cols[i][i] for i in range(self.n - 1))
 

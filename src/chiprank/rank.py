@@ -199,15 +199,20 @@ def _rank(G: MultiGraph, f: tuple, d: int) -> tuple:
     ball stops by layer d - delta + 1 and holds at most min(|Jac(G)|,
     C(d - delta + n - 1, n - 1)) residues, the second being the number of
     mu with |mu| <= d - delta; raises if both exceed ``_MAX_CANDIDATES``.
+    As d - delta <= d, the test can fire only if C(d + n - 1, n - 1) is
+    past the limit, and then it is taken on f's own parking before
+    ``_entry`` builds the Hermite form, so a refusal on K_n (|Jac| by
+    Cayley's formula) builds none.
     """
+    k = G.n - 1
+    if comb(max(d, 0) + k, k) > _MAX_CANDIDATES and (reach := d - sum(_park(G, f)[:-1])) >= 0:
+        count = comb(reach + k, k)
+        if count > _MAX_CANDIDATES and (jac := G.spanning_tree_count()) > _MAX_CANDIDATES:
+            raise ValueError(f"rank search space: |Jac(G)| = {jac} residues and {count}"
+                             f" patterns mu with |mu| <= {reach} both exceed {_MAX_CANDIDATES}")
     start = _entry(G, f)
-    reach = d - G._eff_cache.delta[start]
-    if reach < 0:
+    if d < G._eff_cache.delta[start]:
         return -1, start
-    count = comb(reach + G.n - 1, G.n - 1)
-    if count > _MAX_CANDIDATES and (jac := G.spanning_tree_count()) > _MAX_CANDIDATES:
-        raise ValueError(f"rank search space: |Jac(G)| = {jac} residues and {count}"
-                         f" patterns mu with |mu| <= {reach} both exceed {_MAX_CANDIDATES}")
     return _ball_rank(G, start, d), start
 
 

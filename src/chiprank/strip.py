@@ -106,13 +106,11 @@ def left_right(w: str, s: int) -> tuple:
     """
     n, L = _row_labels(_dn(w))
     (s,) = _as_ints((s,), "the threshold s")
-    if n == 1:
-        return (0, 0)
     return _counts(L, n, s)
 
 
 def _counts(L: list, n: int, s: int) -> tuple:
-    """left_right's two counts from the row labels L of an n-strip, n >= 2."""
+    """left_right's two counts from the row labels L of an n-strip."""
     left = right = 0
     for Li in L:
         k = (s - Li) // (n - 1) + 1
@@ -265,7 +263,7 @@ def _sink_sum(n: int, trunc: int, lo: int, hi: int) -> dict:
     the r-th a.  As 0 <= eta < m, q < -1 (> n - 2) is q = -1 (n - 2) shifted."""
     m, out, memo = n - 1, {}, {}
     qs = range(lo // m, hi // m + 1 if lo <= hi else lo // m)  # none for an empty window
-    _require_budget(n, trunc, len(qs), hi // m)
+    _require_budget(n, trunc, qs.stop - qs.start, hi // m)
     for q in qs:
         base = -1 if q < -1 else n - 2 if q > n - 2 else q
         key = base, range(max(lo - q * m, 0), min(hi - q * m, m - 1) + 1)
@@ -395,9 +393,7 @@ def Kn_bistatistic_check(n: int, window: Sequence[int] = (-5, 15)) -> bool:
         raise ValueError("need n >= 1")
     if n == 1:
         _check_walk(1, lo, hi)
-        return all(
-            _rank((s,)) == (s if s >= 0 else -1) for s in range(lo, hi + 1)
-        )
+        return all(_rank((s,))[0] == max(s, -1) for s in range(lo, hi + 1))
     base = comb(n - 1, 2)
     stair = "ab" * (n - 1) + "b"
     for w, L, degree, s, rank in _kn_walk(n, lo, hi):
@@ -448,7 +444,7 @@ def _kn_walk(n: int, lo: int, hi: int) -> Iterator[tuple]:
         heights = _heights(w)
         L = _contact_labels(heights)
         values = tuple(i - h for i, h in enumerate(heights))
-        degree, rank = sum(values) + lo, _rank(values + (lo,))
+        degree, rank = sum(values) + lo, _rank(values + (lo,))[0]
         yield w, L, degree, lo, rank
         for s in range(lo, hi):
             q, r = divmod(s + 1, n - 1)

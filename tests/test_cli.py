@@ -504,6 +504,11 @@ def test_genfun_ln_formats(capsys):
                              "--format", fmt)
         assert code == 1 and not out
         assert "past the strip budget" in err
+    # a sink window of 2 * 10^30 + 1 sinks is refused by the budget too
+    code, out, err = run(capsys, "genfun", "ln", "--n", "3", "--format", "csv",
+                         f"--lo={-10**30}", "--hi", str(10**30))
+    assert code == 1 and not out
+    assert "about 2^116 bits of work is past the strip budget" in err
 
 
 def test_genfun_ln_csv_needs_no_trunc(capsys):

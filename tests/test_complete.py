@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiprank import complete, dynamics, dyck, rank
+from chiprank import complete, dynamics, dyck, rank, strip
 from chiprank.graphs import MultiGraph, laplacian_row
 
 
@@ -177,6 +177,30 @@ def test_operation_count_is_linear():
         assert ops == expected
         if n >= 3:
             assert ops <= 17 * n
+
+
+def test_single_vertex_takes_the_general_path():
+    """K_1 has no strip: parking leaves f_0 on the sink with the word "b",
+    normalizing leaves it as it is, greedy's rank is f_0 or -1, and the
+    left and right counts are both 0."""
+    for a in range(-5, 6):
+        assert complete.parking_via_cyclic_lemma((a,)) == (complete.SortedParking("b", a), (a,))
+        assert complete.compact_normalize((a,)) == (a,)
+        assert complete.rank_greedy((a,)) == (a if a >= 0 else -1)
+        assert strip.left_right("b", a) == (0, 0)
+
+
+def test_operation_count_pinned():
+    """Hand-counted tallies.  K_1 reads its one entry.  (0, 0, 0, 0, -2)
+    walks H = [3, 2, 1, 0, -1] with q = 5 and sink -2, so Q < 0 and only the
+    walk's (n - 1) + (2n + q) + 2n = 4 + 15 + 10 items are read.
+    (1, 2, 3, 4, 5) walks H = [0, 0, 0, 0, -1] with q = 5 and sink 9, so
+    Q, R = 2, 2; its 29 walk items, then slices 4 + 4, lows 0 + 4, at most
+    3 bisection probes, and V = 2 heights sliced and counted, 19 in all."""
+    assert complete.rank_formula((7,), count_ops=True) == (7, 1)
+    assert complete.rank_formula((-3,), count_ops=True) == (-1, 1)
+    assert complete.rank_formula((0, 0, 0, 0, -2), count_ops=True) == (-1, 29)
+    assert complete.rank_formula((1, 2, 3, 4, 5), count_ops=True) == (9, 29 + 19)
 
 
 def test_rank_step_pinned():

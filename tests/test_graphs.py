@@ -2,6 +2,7 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
+from math import prod
 from time import perf_counter
 
 import pytest
@@ -283,6 +284,16 @@ def test_spanning_trees_match_kirchhoff():
         assert G.spanning_tree_count() == _kirchhoff(G), G.to_json()
     for n in range(2, 9):  # Cayley
         assert MultiGraph.complete(n).spanning_tree_count() == n ** (n - 2)
+
+
+def test_cayley_matches_the_hermite_diagonal():
+    """On K_n the count is Cayley's n^(n-2), and the Hermite form, which
+    complete graphs no longer build for it, agrees on K_1 to K_12."""
+    for n in range(1, 13):
+        K = MultiGraph.complete(n)
+        cols = _lattice_form(K)
+        assert K.spanning_tree_count() == prod(cols[i][i] for i in range(n - 1))
+        assert type(K.spanning_tree_count()) is int
 
 
 def _sink_grid_edges(side: int) -> tuple:

@@ -11,7 +11,7 @@ those rows, its bulk moves and its round guards.
 import json
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import chiprank
@@ -128,7 +128,7 @@ def graph_and_config(draw, pile):
     return G, mult, f
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(graph_and_config(pile=10**5))
 def test_stabilize_matches_dense(gc):
     """Also under the smallest guard the dense loop settles within."""
@@ -142,7 +142,7 @@ def test_stabilize_matches_dense(gc):
     assert cfg == want_cfg
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(graph_and_config(pile=10**5))
 def test_stabilize_counts_a_round_per_sweep(gc):
     """A round is one sweep that fires: where the dense loop takes
@@ -183,7 +183,7 @@ def test_single_vertex_graph_never_meets_the_guards(monkeypatch):
         assert cfg == f
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(graph_and_config(pile=10**5))
 def test_burning_matches_dense(gc):
     G, mult, f = gc
@@ -192,8 +192,10 @@ def test_burning_matches_dense(gc):
     assert cfg == f
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(graph_and_config(pile=300))
+# K3 [1, 2, 0]: its debt phase takes n - 1 sweeps a round
+@example((*GRAPHS[1], [1, 2, 0]))
 def test_parking_matches_dense(gc):
     """Also under the smallest guard the dense loops settle within."""
     G, mult, f = gc

@@ -1,18 +1,20 @@
 import gc
 import json
 import random
+import re
 import subprocess
 import sys
 from itertools import product
 from math import comb
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chiprank
-from chiprank import _backend, dynamics, rank
+from chiprank import _backend, dynamics, graphs, rank
 from chiprank.cli import main
 from chiprank.complete import parking_via_cyclic_lemma, rank_formula
 from chiprank.graphs import MultiGraph, _lattice_form, _residue, laplacian_row
@@ -348,6 +350,28 @@ def test_search_space_guard(monkeypatch):
     G = MultiGraph.complete(5)
     with pytest.raises(ValueError, match="search space"):
         rank.rank_bruteforce(G, (50, 0, 0, 0, 0))
+
+
+def test_kn_search_space_refusal_builds_no_hermite_form(monkeypatch):
+    """K300 (1,)*300: |Jac| = 300^298 by Cayley's formula, and f parks to
+    the sink pile, so the ball could reach every mu with |mu| <= 300.  The
+    value stage refuses from f's parking alone, with the O(n^3) Hermite form
+    never built."""
+
+    def refuse(G):
+        raise AssertionError("Hermite form built")
+
+    monkeypatch.setattr(graphs, "_lattice_form", refuse)
+    monkeypatch.setattr(rank, "_lattice_form", refuse)
+    G, f = MultiGraph.complete(300), (1,) * 300
+    message = re.escape(f"rank search space: |Jac(G)| = {300 ** 298} residues and"
+                        f" {comb(599, 299)} patterns mu with |mu| <= 300 both exceed"
+                        f" {rank._MAX_CANDIDATES}")
+    for call in (rank.rank_bruteforce, rank.riemann_roch_data):
+        start = perf_counter()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(G, f)
+        assert perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("side", [15, 20])

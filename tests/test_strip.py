@@ -502,7 +502,9 @@ BUDGET = r"about 2\^\d+ bits of work is past the strip budget of 50000000000 bit
 BUDGET_CALLS = ("Ln_direct(3, 10**7)", "Ln_direct(10**5, 2)", "Ln_via_toxy(3, 10**7)",
                 "Ln_via_toxy(10**4, 40)", "h_series(10**8)", "LnC_identity_check(3, 10**4)",
                 "LnC_identity_check(10**6, 2)", "kn_degree_rank_table(10**4, -5, 15)",
-                "kn_degree_rank_table(10**5, 0, 0)")
+                "kn_degree_rank_table(10**5, 0, 0)",
+                # a window of more sinks than a range's len() can count
+                "kn_degree_rank_table(3, -10**30, 10**30)")
 
 
 def test_series_refuse_past_the_budget_before_a_state(monkeypatch):
