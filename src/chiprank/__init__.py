@@ -18,13 +18,11 @@ from .complete import (
     decode_word,
     is_compact_sorted,
     is_equiv_kn,
-    is_equiv_zero_kn,
     parking_via_cyclic_lemma,
     phi1,
     rank_formula,
     rank_formula_details,
     rank_greedy,
-    rank_step_zero_coordinate,
     t_operator,
     theta_iterate,
 )
@@ -64,12 +62,11 @@ from .dynamics import (
     recurrent_representative,
     stabilize,
 )
-from .graphs import MultiGraph, degree, laplacian_row, topple
+from .graphs import MultiGraph, degree, topple
 from .rank import (
     RankResult,
     RiemannRochData,
     canonical_class_key,
-    is_effective_cached,
     kappa,
     kappa_dual,
     rank_bounds_check,
@@ -85,7 +82,6 @@ from .strip import (
     LnC_identity_check,
     carlitz_catalan,
     cell_label,
-    h_series,
     kn_degree_rank_table,
     lastright,
     left_right,

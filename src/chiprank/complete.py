@@ -32,13 +32,11 @@ from .graphs import _as_ints
 __all__ = [
     "SortedParking",
     "is_equiv_kn",
-    "is_equiv_zero_kn",
     "compact_normalize",
     "is_compact_sorted",
     "phi1",
     "decode_word",
     "parking_via_cyclic_lemma",
-    "rank_step_zero_coordinate",
     "rank_greedy",
     "rank_formula",
     "rank_formula_details",
@@ -76,12 +74,6 @@ def is_equiv_kn(f: Sequence[int], g: Sequence[int]) -> bool:
         return False
     r = (f[0] - g[0]) % n
     return all((x - y) % n == r for x, y in zip(f, g))
-
-
-def is_equiv_zero_kn(f: Sequence[int]) -> bool:
-    """Is f toppling-equivalent to the all-zero configuration?"""
-    f = _as_config(f)
-    return is_equiv_kn(f, (0,) * len(f))
 
 
 def compact_normalize(f: Sequence[int]) -> tuple:
@@ -190,21 +182,11 @@ def _parked_word(d: list, q: int) -> str:
 # ---------- rank ----------
 
 
-def rank_step_zero_coordinate(sp: SortedParking) -> SortedParking:
-    """One reduction step on a sorted parking pair with a zero coordinate.
-
-    Rotates the word's first return block to the back (theta on the balanced
-    part) and charges the sink for the a's that block contained.
-    """
-    word, sink = sp
-    if not is_dn_word(word) or word == "b":
-        raise ValueError("expected a sorted parking word with a zero coordinate")
-    return SortedParking(*_zero_step(word, sink))
-
-
 def _zero_step(word: str, sink: int) -> tuple:
-    """``rank_step_zero_coordinate`` on a checked word other than "b",
-    as a (word, sink) pair."""
+    """One reduction step on a checked sorted parking pair with a zero
+    coordinate (word other than "b"): rotate the word's first return block
+    to the back (theta on the balanced part) and charge the sink for the
+    a's that block contained.  Returns the (word, sink) pair."""
     rotated, u = _first_return_rotation(word[:-1])
     # the sink pays for the a's of the rotated block a u b
     return rotated + "b", sink - 1 - u.count("a")

@@ -15,7 +15,7 @@ from math import comb
 from typing import Sequence
 
 from . import _backend
-from .graphs import MultiGraph, _as_ints, check_config
+from .graphs import MultiGraph, _as_ints, _count_text, check_config
 
 __all__ = [
     "is_stable",
@@ -310,13 +310,12 @@ def is_effective_class(G: MultiGraph, f: Sequence[int]) -> bool:
     return _park(G, check_config(G, f))[-1] >= 0
 
 
-def _bell(w: int, cap: int | None = None) -> int:
-    """Bell(w), the number of partitions of a w-set, from the Bell triangle;
-    with ``cap``, the first Bell number past it once one is (the rows stop
-    there)."""
+def _bell(w: int, cap: int) -> int:
+    """Bell(w), the number of partitions of a w-set, from the Bell triangle,
+    or the first Bell number past cap once one is (the rows stop there)."""
     row = [1]
     for _ in range(w - 1):
-        if cap is not None and row[-1] > cap:
+        if row[-1] > cap:
             break
         nxt = [row[-1]]
         for x in row:
@@ -536,11 +535,9 @@ def _tutte_y(G: MultiGraph) -> list:
         limit = _ENUM_LIMIT
         if (_bell(width, limit) > limit and comb(G.m, G.m - G.n + 1) > limit
                 and (jac := G.spanning_tree_count()) > limit):
-            raise ValueError(
-                f"class counts: the widest frontier has {width} vertices and"
-                f" Bell({width}) = {_bell(width)} partitions, Jac(G) has {jac}"
-                f" elements; both exceed {limit}"
-            )
+            raise ValueError(f"class counts: the widest frontier has {width} vertices and"
+                             f" Bell({width}) > {limit} partitions, Jac(G) has"
+                             f" {_count_text(jac)} elements; both exceed {limit}")
         for states in _frontier_states(G, steps):
             pass
         (poly,) = states.values()

@@ -125,6 +125,9 @@ class MultiGraph:
                 raise ValueError("edge multiplicity must be >= 0")
             pair = (i - 1, j - 1) if i < j else (j - 1, i - 1)
             totals[pair] = totals.get(pair, 0) + e
+        # a connected graph has an edge on n - 1 pairs at least: refuse before n rows are built
+        if sum(map(bool, totals.values())) < n - 1:
+            raise ValueError("graph must be connected")
         # in pair order, row j takes its (i, j) before its (j, k): rows come out sorted
         rows = [[] for _ in range(n)]
         for (i, j), e in sorted(totals.items()):
@@ -238,6 +241,12 @@ def _require_length(n: int, f: tuple) -> tuple:
     return f
 
 
+def _count_text(x: int) -> str:
+    """A count as a refusal message prints it: exact below 2^63, else
+    ``about 2^k``, clear of Python's limit on int-to-str digits."""
+    return str(x) if x < 1 << 63 else f"about 2^{x.bit_length() - 1}"
+
+
 def _check_order(n: int) -> int:
     """n, once it is checked to be a vertex count a graph can have."""
     if n < 1:
@@ -255,10 +264,6 @@ def _wheel_order(k: int) -> int:
 def degree(f: Sequence[int]) -> int:
     """Total number of chips: the sum of all entries."""
     return sum(f)
-
-
-def laplacian_row(G: MultiGraph, i: int) -> tuple:
-    return G.laplacian_row(i)
 
 
 def topple(G: MultiGraph, f: Sequence[int], i: int) -> tuple:

@@ -49,7 +49,7 @@ from typing import NamedTuple, Sequence
 # (perfbench/spans.py) wraps that binding to count cache misses, and
 # raises KeyError on --trace 1 without it
 from .dynamics import _park, is_effective_class
-from .graphs import MultiGraph, _borrow, _lattice_form, _residue, check_config, degree
+from .graphs import MultiGraph, _borrow, _count_text, _lattice_form, _residue, check_config, degree
 
 __all__ = [
     "RankResult",
@@ -60,7 +60,6 @@ __all__ = [
     "riemann_roch_check",
     "rank_bounds_check",
     "canonical_class_key",
-    "is_effective_cached",
 ]
 
 
@@ -89,15 +88,6 @@ def canonical_class_key(G: MultiGraph, f: Sequence[int]) -> tuple:
     """
     f = check_config(G, f)
     return (sum(f), _residue(_lattice_form(G), f, G.n - 1))
-
-
-def is_effective_cached(G: MultiGraph, f: Sequence[int]) -> bool:
-    """Effectiveness of the class of f, memoized per graph: after the first
-    probe into an element of Jac(G), a probe costs one class key and one
-    dictionary lookup.  A miss parks f itself."""
-    f = check_config(G, f)
-    a = _entry(G, f)
-    return sum(f) >= G._eff_cache.delta[a]
 
 
 class _Table:
@@ -184,8 +174,8 @@ def rank_bruteforce(G: MultiGraph, f: Sequence[int]) -> RankResult:
     # past the sink pile (kept when f minus r + 1 sink chips is effective)
     # the walk ranges over the C(r + n, n - 1) mu with |mu| <= r + 1
     if G._eff_cache.delta[start] < d - r and (walk := comb(r + G.n, G.n - 1)) > _MAX_CANDIDATES:
-        raise ValueError(f"witness search space: {walk} patterns mu with |mu| <= {r + 1}"
-                         f" exceed {_MAX_CANDIDATES}")
+        raise ValueError(f"witness search space: {_count_text(walk)} patterns mu with"
+                         f" |mu| <= {_count_text(r + 1)} exceed {_MAX_CANDIDATES}")
     return RankResult(r, _lex_witness(G, start, d, r + 1))
 
 
@@ -208,8 +198,9 @@ def _rank(G: MultiGraph, f: tuple, d: int) -> tuple:
     if comb(max(d, 0) + k, k) > _MAX_CANDIDATES and (reach := d - sum(_park(G, f)[:-1])) >= 0:
         count = comb(reach + k, k)
         if count > _MAX_CANDIDATES and (jac := G.spanning_tree_count()) > _MAX_CANDIDATES:
-            raise ValueError(f"rank search space: |Jac(G)| = {jac} residues and {count}"
-                             f" patterns mu with |mu| <= {reach} both exceed {_MAX_CANDIDATES}")
+            raise ValueError(f"rank search space: |Jac(G)| = {_count_text(jac)} residues and"
+                             f" {_count_text(count)} patterns mu with |mu| <="
+                             f" {_count_text(reach)} both exceed {_MAX_CANDIDATES}")
     start = _entry(G, f)
     if d < G._eff_cache.delta[start]:
         return -1, start

@@ -30,7 +30,6 @@ __all__ = [
     "left_right",
     "lastright",
     "psi_involution",
-    "h_series",
     "Ln_direct",
     "Ln_via_toxy",
     "carlitz_catalan",
@@ -139,12 +138,6 @@ def psi_involution(w: str, s: int) -> tuple:
 
 
 # ---------- generating functions ----------
-
-
-def h_series(trunc: int) -> TruncatedSeries:
-    """(1 - xy) / ((1 - x)(1 - y)) = 1 + sum of x^i + y^i, which is L_2."""
-    (trunc,) = _as_ints((trunc,), "trunc")
-    return Ln_direct(2, trunc)
 
 
 def Ln_direct(n: int, trunc: int) -> TruncatedSeries:
@@ -335,7 +328,7 @@ def LnC_identity_check(max_n: int, trunc: int) -> bool:
 def _identity_rhs(max_n: int, trunc: int, H: TruncatedSeries) -> dict:
     """{(a, b, p): c} of H (C_x + C_y - C_x C_y) / (1 - C_x z C_y) at z^p,
     p < max_n, cut at a + b <= trunc, one packed (x, y) int per z-degree;
-    H is ``h_series(trunc)``, 1 + x + y + x^2 + y^2 + ...
+    H is ``Ln_direct(2, trunc)``, 1 + x + y + x^2 + y^2 + ...
 
     With X_p = x^p C_p(x), Y_p = y^p C_p(y) and P_p = sum of X_a Y_(p - a),
     1/(1 - zP) = sum of G_p z^p, G_0 = 1, G_p = sum over j >= 1 of

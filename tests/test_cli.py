@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiprank import cli, complete
+from chiprank import acceptance, cli, complete
 from chiprank.cli import main
 from chiprank.graphs import MultiGraph
 
@@ -560,3 +560,29 @@ def test_complete_class_counts_refuse_before_building_k_n(capsys, monkeypatch):
     assert code == 1 and out == ""
     assert err.startswith("error: class counts: K_100000 is past K_")
     assert "(_COMPLETE_LIMIT)" in err
+
+
+def test_verify_all_reports_every_check(capsys, monkeypatch):
+    """``verify all`` runs each check with the seed given, prints one line
+    per check (a raising check fails with its exception named) and the
+    tally, and exits 1 when any check fails."""
+    seeds = []
+
+    def passing(seed):
+        seeds.append(seed)
+        return True, "fine"
+
+    def raising(seed):
+        raise ArithmeticError("no answer")
+
+    monkeypatch.setattr(acceptance, "CHECKS", [("Z1 passes", passing),
+                                               ("Z2 fails", lambda seed: (False, "wrong")),
+                                               ("Z3 raises", raising)])
+    code, out, err = run(capsys, "verify", "all", "--seed", "7")
+    assert code == 1 and err == "" and seeds == [7]
+    lines = out.splitlines()
+    assert [line.split()[:2] for line in lines[:3]] == [["PASS", "Z1"], ["FAIL", "Z2"],
+                                                        ["FAIL", "Z3"]]
+    assert lines[0].endswith("fine") and lines[1].endswith("wrong")
+    assert lines[2].endswith("raised ArithmeticError: no answer")
+    assert lines[3:] == ["1/3 checks passed"]

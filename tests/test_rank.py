@@ -17,7 +17,7 @@ import chiprank
 from chiprank import _backend, dynamics, graphs, rank
 from chiprank.cli import main
 from chiprank.complete import parking_via_cyclic_lemma, rank_formula
-from chiprank.graphs import MultiGraph, _lattice_form, _residue, laplacian_row
+from chiprank.graphs import MultiGraph, _lattice_form, _residue
 
 from conftest import SMALL_GRAPHS
 from test_graphs import _sink_grid
@@ -48,7 +48,7 @@ def test_class_key_is_a_class_invariant(gc):
     G, f = gc
     key = rank.canonical_class_key(G, f)
     for i in range(1, G.n + 1):
-        shifted = tuple(x - r for x, r in zip(f, laplacian_row(G, i)))
+        shifted = tuple(x - r for x, r in zip(f, G.laplacian_row(i)))
         assert rank.canonical_class_key(G, shifted) == key
     bumped = tuple(x + (1 if i == 0 else 0) for i, x in enumerate(f))
     assert rank.canonical_class_key(G, bumped) != key
@@ -66,23 +66,22 @@ def test_class_key_separates_classes(K3):
     assert len(keys) == 3
 
 
+def _cached_effective(G, f):
+    """Effectiveness of the class of f, a tuple, read off G's rank cache:
+    f's id (made on the first probe of its residue) and that id's delta."""
+    a = rank._entry(G, f)
+    return sum(f) >= G._eff_cache.delta[a]
+
+
 @settings(max_examples=60, deadline=None)
 @given(graph_and_config())
 def test_effectiveness_routes_agree(gc):
-    """Cached-key effectiveness, parking-representative effectiveness, and
-    nonnegativity of the brute-force rank all say the same thing."""
+    """The rank cache's effectiveness, parking-representative effectiveness,
+    and nonnegativity of the brute-force rank all say the same thing."""
     G, f = gc
     eff = dynamics.is_effective_class(G, f)
-    assert rank.is_effective_cached(G, f) == eff
+    assert _cached_effective(G, f) == eff
     assert (rank.rank_bruteforce(G, f).rank >= 0) == eff
-
-
-def test_cached_effectiveness_validates_on_a_warm_cache():
-    K3 = MultiGraph.complete(3)
-    assert rank.is_effective_cached(K3, (1, 2, 0))
-    for bad in [(1, 2, 0, 0), (1.0, 2, 0)]:
-        with pytest.raises(ValueError):
-            rank.is_effective_cached(K3, bad)
 
 
 def test_cache_holds_at_most_one_entry_per_jacobian_element():
@@ -110,7 +109,7 @@ def _warm_caches(seed):
         for _ in range(60):
             f = tuple(rng.randint(-4, 6) for _ in range(G.n))
             rank.rank_bruteforce(G, f)
-            rank.is_effective_cached(G, f)
+            _cached_effective(G, f)
         assert G._eff_cache.ids
     return graphs
 
@@ -260,7 +259,7 @@ def test_cache_misses_reduce_the_smaller_representative(G, f, monkeypatch, burni
         assert rank.canonical_class_key(G, rec) == rank.canonical_class_key(G, f)
     else:
         assert res.rank >= 0 and dynamics.is_effective_class(G, f)
-        assert rank.is_effective_cached(G, f)
+        assert _cached_effective(G, f)
         removed = tuple(x - y for x, y in zip(f, res.witness))
         assert not dynamics.is_effective_class(G, removed)
 
@@ -364,14 +363,46 @@ def test_kn_search_space_refusal_builds_no_hermite_form(monkeypatch):
     monkeypatch.setattr(graphs, "_lattice_form", refuse)
     monkeypatch.setattr(rank, "_lattice_form", refuse)
     G, f = MultiGraph.complete(300), (1,) * 300
-    message = re.escape(f"rank search space: |Jac(G)| = {300 ** 298} residues and"
-                        f" {comb(599, 299)} patterns mu with |mu| <= 300 both exceed"
+    # |Jac| = 300^298 and C(599, 299) are past 2^63, so they print by size
+    assert (300 ** 298).bit_length() == 2453 and comb(599, 299).bit_length() == 595
+    message = re.escape(f"rank search space: |Jac(G)| = about 2^2452 residues and"
+                        f" about 2^594 patterns mu with |mu| <= 300 both exceed"
                         f" {rank._MAX_CANDIDATES}")
     for call in (rank.rank_bruteforce, rank.riemann_roch_data):
         start = perf_counter()
         with pytest.raises(ValueError, match=f"^{message}$"):
             call(G, f)
         assert perf_counter() - start < 0.1
+
+
+def test_search_space_refusal_prints_counts_past_the_digit_limit(tmp_path, capsys):
+    """K300 with a sink pile of 10^20: C(10^20 + 299, 299) has over 5000
+    digits, past Python's default limit on int-to-str conversion, so the
+    refusal prints it (and |Jac|, and the reach past 2^63) as about 2^k,
+    through the library and through ``rank`` and ``rr-check``."""
+    G, f = MultiGraph.complete(300), (0,) * 299 + (10**20,)
+    message = ("rank search space: |Jac(G)| = about 2^2452 residues and about 2^17832"
+               f" patterns mu with |mu| <= about 2^66 both exceed {rank._MAX_CANDIDATES}")
+    for call in (rank.rank_bruteforce, rank.riemann_roch_data):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(G, f)
+    path = tmp_path / "sink.txt"
+    path.write_text(",".join(map(str, f)))
+    for argv in (["rank", "--method", "bruteforce"], ["rr-check"]):
+        assert main(argv + ["--complete", "300", "--config", f"@{path}"]) == 1
+        assert message in capsys.readouterr().err
+
+
+def test_witness_refusal_prints_counts_past_2_63(K3):
+    """A sink pile of d chips on K3 has rank d - 1, and f minus d sink chips
+    is effective, so the witness walk would pass the sink pile and range
+    over the C(d + 2, 2) mu with |mu| <= d: exact below 2^63, past it by
+    size."""
+    assert comb(4002, 2) < 2**63 and comb(2**70 + 2, 2).bit_length() == 140
+    for d, text in ((4000, f"{comb(4002, 2)} patterns mu with |mu| <= 4000"),
+                    (2**70, "about 2^139 patterns mu with |mu| <= about 2^70")):
+        with pytest.raises(ValueError, match=f"^witness search space: {re.escape(text)} exceed"):
+            rank.rank_bruteforce(K3, (0, 0, d))
 
 
 @pytest.mark.parametrize("side", [15, 20])
@@ -537,6 +568,24 @@ def test_large_degree_rank_is_exact(K4, W5):
 def test_rank_bounds_spot_checks(K3, K4):
     assert rank.rank_bounds_check(K3, (2, 1, 0))
     assert rank.rank_bounds_check(K4, (1, 1, 0, -1))
+
+
+def test_rank_bounds_check_catches_a_wrong_rank(monkeypatch, K3):
+    """Each inequality fails on a value stage one too high: every rank so
+    breaks (i) at degree 3 > 2m - 2n = 0 on K3, and f's rank alone breaks
+    (ii) at f = 0, where one chip keeps the rank at 0."""
+    assert rank.rank_bounds_check(K3, (3, 0, 0)) and rank.rank_bounds_check(K3, (0, 0, 0))
+    value_stage = rank._rank
+    monkeypatch.setattr(rank, "_rank", lambda G, f, d: (value_stage(G, f, d)[0] + 1, None))
+    assert not rank.rank_bounds_check(K3, (3, 0, 0))
+    seen = []
+
+    def first_too_high(G, f, d):
+        seen.append(f)
+        return value_stage(G, f, d)[0] + (len(seen) == 1), None
+
+    monkeypatch.setattr(rank, "_rank", first_too_high)
+    assert not rank.rank_bounds_check(K3, (0, 0, 0))
 
 
 def test_rank_result_is_a_named_tuple(K3):

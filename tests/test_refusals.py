@@ -10,14 +10,14 @@ from chiprank.series import TruncatedSeries
 SERIES = TruncatedSeries(2, 3, {(0, 0): 1})
 
 REFUSALS = {
-    "empty configuration": (lambda: complete.is_equiv_zero_kn(()),
+    "empty configuration": (lambda: complete.is_equiv_kn((), ()),
                             ValueError, "configuration must not be empty"),
     "is_equiv_kn lengths": (lambda: complete.is_equiv_kn((0, 1), (0, 1, 2)),
                             ValueError, "configurations live on different complete graphs"),
     "decode_word non-word": (lambda: complete.decode_word("ba"),
                              ValueError, "expected a word with one trailing extra b"),
     "rank_step_zero_coordinate b": (
-        lambda: complete.rank_step_zero_coordinate(complete.SortedParking("b", 0)),
+        lambda: complete.theta_iterate(*complete.SortedParking("b", 0), 1),
         ValueError, "expected a sorted parking word with a zero coordinate"),
     "theta_iterate non-word": (lambda: complete.theta_iterate("ba", 0, 0),
                                ValueError, "expected a sorted parking word"),

@@ -94,7 +94,7 @@ def test_psi_involution_swaps_left_and_right(w):
 
 
 def test_h_series_is_the_two_ray_indicator():
-    H = strip.h_series(4)
+    H = strip.Ln_direct(2, 4)
     for i in range(5):
         assert H.coefficient((i, 0)) == 1
         assert H.coefficient((0, i)) == 1
@@ -102,7 +102,7 @@ def test_h_series_is_the_two_ray_indicator():
 
 
 def test_L1_is_h():
-    assert strip.Ln_direct(1, 6) == strip.h_series(6)
+    assert strip.Ln_direct(1, 6) == strip.Ln_direct(2, 6)
 
 
 def test_Ln_routes_agree_small():
@@ -322,7 +322,7 @@ def boundary_word_weights(n):
 def test_Ln_via_toxy_matches_the_boundary_words(n):
     inner = boundary_word_weights(n)
     for trunc in (0, 1, 5, 10):
-        expected = strip.h_series(trunc) * TruncatedSeries(2, trunc, inner)
+        expected = strip.Ln_direct(2, trunc) * TruncatedSeries(2, trunc, inner)
         assert strip.Ln_via_toxy(n, trunc) == expected, trunc
 
 
@@ -339,7 +339,7 @@ def identity_rhs_3var(max_n, trunc):
     C = Series.of(strip.carlitz_catalan(trunc, tz))
     Cx = C.map_exponents(lambda e: (e[0] + e[1], 0, e[1]), nvars=3, trunc=T)
     Cy = C.map_exponents(lambda e: (0, e[0] + e[1], e[1]), nvars=3, trunc=T)
-    H = Series.of(strip.h_series(trunc))
+    H = Series.of(strip.Ln_direct(2, trunc))
     H3 = H.map_exponents(lambda e: (e[0], e[1], 0), nvars=3, trunc=T)
     z = Series.monomial(3, T, (0, 0, 1))
     one = Series.one(3, T)
@@ -351,7 +351,7 @@ def identity_rhs_3var(max_n, trunc):
                          [(m, t) for m in range(1, 7) for t in range(9)] + [(12, 10)])
 def test_identity_rhs_matches_the_three_variable_series(max_n, trunc):
     """The z-graded packed right side, coefficient by coefficient."""
-    packed = strip._identity_rhs(max_n, trunc, strip.h_series(trunc))
+    packed = strip._identity_rhs(max_n, trunc, strip.Ln_direct(2, trunc))
     oracle = identity_rhs_3var(max_n, trunc)
     for e in packed.keys() | oracle.keys():
         assert packed.get(e, 0) == oracle.get(e, 0), e
@@ -387,6 +387,17 @@ def test_genfun_identity_exits_1_when_it_fails(capsys, monkeypatch):
 def test_bistatistic_check_small():
     assert strip.Kn_bistatistic_check(3, window=(-5, 10))
     assert strip.Kn_bistatistic_check(1, window=(-5, 10))
+
+
+def test_bistatistic_check_catches_a_wrong_rank(monkeypatch):
+    """A closed form one too high breaks rank = left - 1; with the left and
+    right counts one too high as well, rank and degree still match them,
+    and the staircase word at sink 0, whose rank is 0, still catches it."""
+    closed_form, counts = strip._rank, strip._counts
+    monkeypatch.setattr(strip, "_rank", lambda f: (closed_form(f)[0] + 1, 0))
+    assert not strip.Kn_bistatistic_check(3)
+    monkeypatch.setattr(strip, "_counts", lambda L, n, s: tuple(c + 1 for c in counts(L, n, s)))
+    assert not strip.Kn_bistatistic_check(3)
 
 
 def test_degree_rank_table_pinned():
@@ -500,9 +511,9 @@ def test_word_count_stops_past_the_limit():
 
 BUDGET = r"about 2\^\d+ bits of work is past the strip budget of 50000000000 bits"
 BUDGET_CALLS = ("Ln_direct(3, 10**7)", "Ln_direct(10**5, 2)", "Ln_via_toxy(3, 10**7)",
-                "Ln_via_toxy(10**4, 40)", "h_series(10**8)", "LnC_identity_check(3, 10**4)",
-                "LnC_identity_check(10**6, 2)", "kn_degree_rank_table(10**4, -5, 15)",
-                "kn_degree_rank_table(10**5, 0, 0)",
+                "Ln_via_toxy(10**4, 40)", "Ln_direct(2, 10**8)",
+                "LnC_identity_check(3, 10**4)", "LnC_identity_check(10**6, 2)",
+                "kn_degree_rank_table(10**4, -5, 15)", "kn_degree_rank_table(10**5, 0, 0)",
                 # a window of more sinks than a range's len() can count
                 "kn_degree_rank_table(3, -10**30, 10**30)")
 
@@ -540,7 +551,7 @@ def test_series_refusals_name_their_argument():
     """A negative truncation is refused by its own name, not the series
     ring's variable count, and a window that is not a pair is named too."""
     for call in (lambda: strip.Ln_direct(3, -1), lambda: strip.Ln_direct(1, -1),
-                 lambda: strip.Ln_via_toxy(3, -1), lambda: strip.h_series(-1),
+                 lambda: strip.Ln_via_toxy(3, -1), lambda: strip.Ln_direct(2, -1),
                  lambda: strip.LnC_identity_check(3, -1),
                  lambda: strip.LnC_identity_check(1, -2)):
         with pytest.raises(ValueError, match=r"^need trunc >= 0$"):

@@ -134,9 +134,8 @@ KERNEL_CALLS = (dynamics.is_stable, dynamics.stabilize, dynamics.is_recurrent_bu
                 dynamics.is_parking, dynamics.beta, dynamics.parking_representative,
                 dynamics.recurrent_representative, dynamics.is_effective_class)
 EXHAUSTIVE_CALLS = (dynamics.is_recurrent_subsets, dynamics.acyclic_orientation_from_parking,
-                    rank.canonical_class_key, rank.is_effective_cached,
-                    rank.rank_bruteforce, rank.kappa_dual, rank.riemann_roch_data,
-                    rank.riemann_roch_check, rank.rank_bounds_check)
+                    rank.canonical_class_key, rank.rank_bruteforce, rank.kappa_dual,
+                    rank.riemann_roch_data, rank.riemann_roch_check, rank.rank_bounds_check)
 KERNEL_COMMANDS = ("stabilize", "parking", "recurrent", "effective")
 EXHAUSTIVE_COMMANDS = ("rank", "rr-check")
 
